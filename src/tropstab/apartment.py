@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence
 
 from .errors import (DeterminantNotOneError, DimensionMismatchError,
                      OutOfStarError)
-from .fields import FieldElement, FieldSpec
-from .matrices import FieldMatrix, perm_sign
+from .fields import FieldSpec
+from .matrices import FieldMatrix, perm_sign, _require_det_one
 from .tropical import stabilizes_tropically
 
 
@@ -164,20 +163,9 @@ def face_address(x: ApartmentPoint) -> FaceAddress:
     return FaceAddress(tuple(rel))
 
 
-def coordinate_blocks(coords) -> tuple:
-    """Indices grouped by equal coordinate, blocks ordered by decreasing value."""
-    values = sorted(set(coords), reverse=True)
-    return tuple(tuple(i for i, c in enumerate(coords) if c == v) for v in values)
-
-
 def in_star_of_origin(coords) -> bool:
     """All pairwise coordinate differences strictly below one in absolute value."""
     return all(abs(a - b) < 1 for i, a in enumerate(coords) for b in coords[i + 1:])
-
-
-def _require_det_one(g: FieldMatrix):
-    if g.determinant() != g.spec.one():
-        raise DeterminantNotOneError("determinant-one matrix required")
 
 
 def stabilizer_membership(g: FieldMatrix, x: ApartmentPoint) -> bool:
@@ -199,11 +187,14 @@ def parahoric_oracle(g: FieldMatrix, x: ApartmentPoint) -> bool:
         raise DimensionMismatchError("matrix and point dimensions differ")
     if not in_star_of_origin(cs):
         raise OutOfStarError("point outside the star of the origin")
+    return _residue_flag_member(g, cs)
+
+
+def _residue_flag_member(g: FieldMatrix, coords) -> bool:
+    """Is g integral with reduction block upper triangular for the blocks
+    of indices of equal coordinate, ordered by decreasing value?"""
     if not g.is_integral():
         return False
     res = g.residue()
-    for i in range(g.size):
-        for j in range(g.size):
-            if cs[i] < cs[j] and res[i][j] != 0:
-                return False
-    return True
+    return all(res[i][j] == 0 for i in range(g.size) for j in range(g.size)
+               if coords[i] < coords[j])

@@ -10,6 +10,7 @@ produce byte-identical output for identical inputs.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -21,11 +22,12 @@ from .compactification import BoundaryPoint, boundary_stabilizes
 from .errors import TropstabError, UnknownSuiteError
 from .fields import FieldSpec
 from .serialize import (InputError, fan_to_json, matrix_from_json,
-                        point_from_json, point_to_json, spec_to_json,
-                        trop_from_json)
-from .symplectic import SpApartmentPoint, sp_stabilizer_membership
+                        point_from_json, point_to_json, spec_to_json)
+from .symplectic import (SpApartmentPoint, embed_point, _require_symplectic,
+                         sp_stabilizer_membership)
 from .tropical import NEG_INF, trop_matvec, tropicalize
-from .weights import schur_eval_bialternant, schur_eval_tableaux, weight_fan
+from .weights import (as_partition, schur_eval_bialternant, schur_eval_tableaux,
+                      weight_fan)
 
 
 def _load_payload(text: str):
@@ -50,10 +52,13 @@ def _field_spec(args) -> FieldSpec:
 
 
 def _parse_lambda(text: str):
+    """Parts as given, trailing zeros kept; they must form a partition."""
     try:
-        return tuple(int(part) for part in text.split(","))
+        lam = tuple(int(part) for part in text.split(","))
+        as_partition(lam)
     except ValueError as exc:
         raise InputError(f"invalid partition: {text!r}") from exc
+    return lam
 
 
 def _parse_values(text: str):
@@ -157,13 +162,22 @@ def _require_seed(args):
     return args.seed
 
 
+def _rank_at_least(n, least, what):
+    if n < least:
+        raise InputError(f"--n must be at least {least} for {what}")
+    return n
+
+
 def _char_params(args):
     lam = _parse_lambda(args.lam) if args.lam else None
     n = args.n
     if args.rep == "schur" and lam is None:
         raise InputError("--lambda is required for the schur representation")
-    if args.rep in ("identity", "sp") and n is None:
-        raise InputError("--n is required for this representation")
+    least = {"identity": 2, "sp": 1}.get(args.rep)
+    if least is not None:
+        if n is None:
+            raise InputError("--n is required for this representation")
+        _rank_at_least(n, least, f"the {args.rep} representation")
     return args.rep, n, lam
 
 
@@ -193,17 +207,13 @@ def _cmd_stabilize(args) -> int:
     if boundary:
         bp = BoundaryPoint(coords)
         if args.group == "sp2n":
-            from .errors import NotSymplecticError
-            from .symplectic import is_symplectic
-            if not is_symplectic(product):
-                raise NotSymplecticError("matrix does not preserve the symplectic form")
+            _require_symplectic(product)
         value = boundary_stabilizes(product, bp)
         image = trop_matvec(tropicalize(product), coords)
         doc["canonical_point"] = point_to_json(bp.coords)
     elif args.group == "sp2n":
         x = SpApartmentPoint(coords)
         value = sp_stabilizer_membership(product, x)
-        from .symplectic import embed_point
         embedded = embed_point(x).coords
         image = trop_matvec(tropicalize(product), embedded)
         doc["embedded_point"] = point_to_json(embedded)
@@ -232,47 +242,57 @@ def _expected_cone_count(rep, n, lam):
         return n
     if rep == "sp":
         return 2 * n
-    import itertools
     rank = n if n else len(lam)
     padded = tuple(lam) + (0,) * (rank - len(lam))
     return len(set(itertools.permutations(padded)))
 
 
+def _verify_fans(a, spec, seed):
+    rep, n, lam = _char_params(a)
+    return suites.run_fans(rep, seed, n=n, lam=lam, samples=a.samples or 500,
+                           expected_cones=_expected_cone_count(rep, n, lam))
+
+
+def _verify_hypersurface(a, spec, seed):
+    rep, n, lam = _char_params(a)
+    return suites.run_hypersurface(rep, a.p, seed, n=n, lam=lam,
+                                   samples=a.samples or 500)
+
+
+def _verify_boundary(a, spec, seed):
+    if a.group == "sp2n":
+        return suites.run_sp_boundary(spec, seed, count=a.count or 100)
+    return suites.run_boundary(spec, _rank_at_least(a.n, 2, "the boundary suite"),
+                               seed, count=a.count or 100)
+
+
+#: Suite name -> run(args, spec, seed): the suite's call with the command
+#: line defaults, after its preconditions on the parameters.
+_SUITES = {
+    "semiring": lambda a, spec, seed: suites.run_semiring(
+        seed, count=a.count or 200, spec=spec),
+    "stabilizer": lambda a, spec, seed: suites.run_stabilizer(
+        spec, _rank_at_least(a.n, 2, "the stabilizer suite"), seed,
+        matrices=a.matrices or 100, points=a.points or 10,
+        closure_pairs=a.count or 100),
+    "parahoric": lambda a, spec, seed: suites.run_parahoric(
+        spec, _rank_at_least(a.n, 2, "the parahoric suite"), seed,
+        count=a.count or 100),
+    "sp": lambda a, spec, seed: suites.run_sp(
+        spec, _rank_at_least(a.n, 1, "the sp suite"), seed, count=a.count or 100),
+    "fans": _verify_fans,
+    "hypersurface": _verify_hypersurface,
+    "schur": lambda a, spec, seed: suites.run_schur(seed, inputs=a.count or 10),
+    "boundary": _verify_boundary,
+}
+
+
 def _cmd_verify(args) -> int:
     spec = _field_spec(args)
     seed = _require_seed(args)
-    suite = args.suite
-    if suite == "semiring":
-        report = suites.run_semiring(seed, count=args.count or 200, spec=spec)
-    elif suite == "stabilizer":
-        report = suites.run_stabilizer(
-            spec, args.n, seed,
-            matrices=args.matrices or 100,
-            points=args.points or 10,
-            closure_pairs=args.count or 100)
-    elif suite == "parahoric":
-        report = suites.run_parahoric(spec, args.n, seed, count=args.count or 100)
-    elif suite == "sp":
-        report = suites.run_sp(spec, args.n, seed, count=args.count or 100)
-    elif suite == "fans":
-        rep, n, lam = _char_params(args)
-        report = suites.run_fans(rep, seed, n=n, lam=lam,
-                                 samples=args.samples or 500,
-                                 expected_cones=_expected_cone_count(rep, n, lam))
-    elif suite == "hypersurface":
-        rep, n, lam = _char_params(args)
-        report = suites.run_hypersurface(rep, args.p, seed, n=n, lam=lam,
-                                         samples=args.samples or 500)
-    elif suite == "schur":
-        report = suites.run_schur(seed, inputs=args.count or 10)
-    elif suite == "boundary":
-        if args.group == "sp2n":
-            report = suites.run_sp_boundary(spec, seed, count=args.count or 100)
-        else:
-            report = suites.run_boundary(spec, args.n, seed,
-                                         count=args.count or 100)
-    else:
-        raise UnknownSuiteError(f"unknown suite {suite!r}")
+    if args.suite not in _SUITES:
+        raise UnknownSuiteError(f"unknown suite {args.suite!r}")
+    report = _SUITES[args.suite](args, spec, seed)
     _emit_json(args, report)
     return 0 if report["pass"] else 1
 

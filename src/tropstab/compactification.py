@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .apartment import ApartmentPoint
-from .errors import (AllInfiniteError, DeterminantNotOneError,
-                     DimensionMismatchError, InvalidDirectionError,
-                     NotSymplecticError)
-from .matrices import FieldMatrix
-from .symplectic import SpApartmentPoint, embed_point, is_symplectic
+from .errors import (AllInfiniteError, DimensionMismatchError,
+                     InvalidDirectionError)
+from .matrices import FieldMatrix, _require_det_one
+from .symplectic import SpApartmentPoint, embed_point, _require_symplectic
 from .tropical import NEG_INF, stabilizes_tropically, trop_vector
 from .weights import Cone, sl_identity_character, weight_fan
 
@@ -106,11 +105,6 @@ def boundary_point_from_direction(x: ApartmentPoint, d: FanDirection) -> Boundar
         x.coords[i] if d.point[i] == top else NEG_INF for i in range(n)))
 
 
-def _require_det_one(g: FieldMatrix):
-    if g.determinant() != g.spec.one():
-        raise DeterminantNotOneError("determinant-one matrix required")
-
-
 def boundary_stabilizes(g: FieldMatrix, b: BoundaryPoint) -> bool:
     """Does g fix the boundary point tropically?"""
     _require_det_one(g)
@@ -170,8 +164,7 @@ def sp_boundary_point(x: SpApartmentPoint, d: FanDirection) -> BoundaryPoint:
 
 def sp_boundary_stabilizes(g: FieldMatrix, x: SpApartmentPoint, d: FanDirection) -> bool:
     """Does the symplectic matrix g fix the embedded limit point tropically?"""
-    if not is_symplectic(g):
-        raise NotSymplecticError("matrix does not preserve the symplectic form")
+    _require_symplectic(g)
     b = sp_boundary_point(x, d)
     if g.size != b.n:
         raise DimensionMismatchError("matrix and point dimensions differ")

@@ -11,13 +11,10 @@ from __future__ import annotations
 from math import gcd
 
 
-def _canonical(row):
-    g = 0
-    for c in row:
-        g = gcd(g, abs(c))
-    if g > 1:
-        row = tuple(c // g for c in row)
-    return tuple(row)
+def _primitive_vector(row) -> tuple:
+    """The integer vector divided by the gcd of its entries."""
+    g = gcd(*row)
+    return tuple(c // g for c in row) if g > 1 else tuple(row)
 
 
 def strictly_feasible(rows) -> bool:
@@ -32,7 +29,7 @@ def strictly_feasible(rows) -> bool:
     for r in rows:
         if not any(r):
             return False
-        work.add(_canonical(r))
+        work.add(_primitive_vector(r))
     for var in range(dim):
         pos = [r for r in work if r[var] > 0]
         neg = [r for r in work if r[var] < 0]
@@ -42,7 +39,7 @@ def strictly_feasible(rows) -> bool:
                 comb = tuple(-b[var] * ak + a[var] * bk for ak, bk in zip(a, b))
                 if not any(comb):
                     return False
-                nxt.add(_canonical(comb))
+                nxt.add(_primitive_vector(comb))
         work = nxt
         if not work:
             return True

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .errors import DimensionMismatchError, DomainError, SingularMatrixError
+from .errors import (DeterminantNotOneError, DimensionMismatchError, DomainError,
+                     SingularMatrixError)
 from .fields import FieldSpec
 
 
@@ -174,3 +175,9 @@ class FieldMatrix:
     def __repr__(self):
         body = "; ".join(", ".join(repr(e) for e in row) for row in self.rows)
         return f"[{body}]"
+
+
+def _require_det_one(g: FieldMatrix) -> None:
+    """Raise DeterminantNotOneError unless g has determinant one."""
+    if g.determinant() != g.spec.one():
+        raise DeterminantNotOneError("determinant-one matrix required")

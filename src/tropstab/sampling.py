@@ -77,17 +77,30 @@ def _left_permute(rows, perm):
     rows[:] = out
 
 
+def _units_with_product(spec, n, rng, sign=1):
+    """n - 1 random units, then the inverse of their product times the
+    sign, so that all n multiply to the sign."""
+    units = [random_unit(spec, rng) for _ in range(n - 1)]
+    fix = spec.one()
+    for u in units:
+        fix = fix * u
+    if sign < 0:
+        fix = -fix
+    units.append(fix.inv())
+    return units
+
+
+def _left_unit_torus(spec, rows, rng):
+    """Left multiply by a random diagonal of units with determinant one."""
+    for i, u in enumerate(_units_with_product(spec, len(rows), rng)):
+        _left_scale(rows, i, u)
+
+
 def random_monomial(spec: FieldSpec, n: int, rng: random.Random) -> MonomialMatrix:
     """A unit-scalar monomial matrix with determinant one."""
     perm = list(range(n))
     rng.shuffle(perm)
-    scalars = [random_unit(spec, rng) for _ in range(n - 1)]
-    fix = scalars[0].spec.one()
-    for s in scalars:
-        fix = fix * s
-    if perm_sign(tuple(perm)) < 0:
-        fix = -fix
-    scalars.append(fix.inv())
+    scalars = _units_with_product(spec, n, rng, perm_sign(tuple(perm)))
     return MonomialMatrix(spec, tuple(perm), tuple(scalars))
 
 
@@ -95,11 +108,7 @@ def random_torus(spec: FieldSpec, n: int, rng: random.Random, emax=2) -> FieldMa
     """A diagonal determinant-one matrix with uniformizer powers and units."""
     exps = [rng.randint(-emax, emax) for _ in range(n - 1)]
     exps.append(-sum(exps))
-    units = [random_unit(spec, rng) for _ in range(n - 1)]
-    fix = spec.one()
-    for u in units:
-        fix = fix * u
-    units.append(fix.inv())
+    units = _units_with_product(spec, n, rng)
     pi = spec.uniformizer()
     return FieldMatrix.diagonal(spec, [u * pi ** e for u, e in zip(units, exps)])
 
@@ -162,13 +171,7 @@ def random_stabilizing(spec: FieldSpec, coords, rng: random.Random, length=6) ->
                 a = spec.zero()
             _left_transvection(rows, i, j, a)
         else:
-            units = [random_unit(spec, rng) for _ in range(n - 1)]
-            fix = spec.one()
-            for u in units:
-                fix = fix * u
-            units.append(fix.inv())
-            for i, u in enumerate(units):
-                _left_scale(rows, i, u)
+            _left_unit_torus(spec, rows, rng)
     return FieldMatrix(spec, rows)
 
 
@@ -199,9 +202,12 @@ def _sp_block_generator(spec, n, rng, upper: bool, integral: bool) -> FieldMatri
             return random_integral(spec, rng, allow_zero=False)
         return random_element(spec, rng, -1, 2)
 
-    block = _mirror_free_entries(spec, n, entry)
-    one, zero = spec.one(), spec.zero()
-    rows = [[one if i == j else zero for j in range(2 * n)] for i in range(2 * n)]
+    return _sp_block_matrix(spec, n, _mirror_free_entries(spec, n, entry), upper)
+
+
+def _sp_block_matrix(spec, n, block, upper: bool) -> FieldMatrix:
+    """[[1, B], [0, 1]] or [[1, 0], [B, 1]] for an n x n block B."""
+    rows = _identity_rows(spec, 2 * n)
     for i in range(n):
         for j in range(n):
             if upper:
@@ -316,13 +322,7 @@ def random_ray_stabilizing(spec: FieldSpec, base, direction,
                 a = random_element(spec, rng, bound, bound + 1)
             _left_transvection(rows, i, j, a)
         else:
-            units = [random_unit(spec, rng) for _ in range(n - 1)]
-            fix = spec.one()
-            for u in units:
-                fix = fix * u
-            units.append(fix.inv())
-            for i, u in enumerate(units):
-                _left_scale(rows, i, u)
+            _left_unit_torus(spec, rows, rng)
     return FieldMatrix(spec, rows)
 
 
@@ -346,49 +346,33 @@ def random_sp_ray_adapted(spec: FieldSpec, n: int, base, direction,
             return None
         return math.ceil(y0[col] - y0[row])
 
-    def bounded_block(position):
-        zero = spec.zero()
-        block = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i + j > n - 1:
-                    block[i][j] = block[n - 1 - j][n - 1 - i]
-                    continue
-                if rng.random() < 0.5:
-                    continue
-                if position == "upper":
-                    bounds = (bound(i, n + j), bound(n - 1 - j, n + (n - 1 - i)))
-                else:
-                    bounds = (bound(n + i, j), bound(n + (n - 1 - j), n - 1 - i))
-                if any(b is None for b in bounds):
-                    continue
-                b = max(bounds)
-                block[i][j] = random_element(spec, rng, b, b + 1)
-        return block
+    def bounded_entry(upper):
+        def entry(i, j):
+            if rng.random() < 0.5:
+                return spec.zero()
+            if upper:
+                bounds = (bound(i, n + j), bound(n - 1 - j, n + (n - 1 - i)))
+            else:
+                bounds = (bound(n + i, j), bound(n + (n - 1 - j), n - 1 - i))
+            if any(b is None for b in bounds):
+                return spec.zero()
+            b = max(bounds)
+            return random_element(spec, rng, b, b + 1)
+        return entry
 
     g = FieldMatrix.identity(spec, 2 * n)
-    one, zero = spec.one(), spec.zero()
     for _ in range(length):
         kind = rng.randrange(3)
         if kind == 0:
-            rows = [[one if i == j else zero for j in range(2 * n)]
-                    for i in range(2 * n)]
+            rows = _identity_rows(spec, 2 * n)
             for i, u in enumerate([random_unit(spec, rng) for _ in range(n)]):
                 rows[i][i] = u
                 rows[2 * n - 1 - i][2 * n - 1 - i] = u.inv()
             f = FieldMatrix(spec, rows)
         else:
             upper = kind == 1
-            block = bounded_block("upper" if upper else "lower")
-            rows = [[one if i == j else zero for j in range(2 * n)]
-                    for i in range(2 * n)]
-            for i in range(n):
-                for j in range(n):
-                    if upper:
-                        rows[i][n + j] = block[i][j]
-                    else:
-                        rows[n + i][j] = block[i][j]
-            f = FieldMatrix(spec, rows)
+            block = _mirror_free_entries(spec, n, bounded_entry(upper))
+            f = _sp_block_matrix(spec, n, block, upper)
         g = f * g
     if not is_symplectic(g):
         raise AssertionError("ray-adapted sampler produced a non-symplectic word")

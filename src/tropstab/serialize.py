@@ -80,8 +80,10 @@ def element_from_json(spec: FieldSpec, v):
         try:
             num = {int(d): int(c) for d, c in v.get("num", {}).items()}
             den = {int(d): int(c) for d, c in v.get("den", {"0": 1}).items()}
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise InputError(f"invalid rational-function element: {v!r}") from exc
+        if any(d < 0 for d in (*num, *den)):
+            raise InputError(f"negative degree in rational-function element: {v!r}")
         return spec.polynomial(num) / spec.polynomial(den)
     raise InputError(f"invalid element encoding: {v!r}")
 

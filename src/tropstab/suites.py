@@ -1,10 +1,17 @@
-"""Reusable property-check runners behind the verify command and the
-acceptance tests.
+"""Property suites behind the verify command and the acceptance tests.
+
+Every check runs through one runner, ``_run(name, cases, bad)``: ``cases``
+is a lazy stream of argument tuples, drawn from the suite's seeded random
+generator as they are needed, and ``bad(*case)`` returns a witness
+dictionary for a counterexample or None.  The runner stops at the first
+witness without drawing another case, so a failing check leaves the
+random generator where its counterexample was drawn, and the checks after
+it draw from there.  A check records its name, whether it passed, the
+number of cases it examined, and the witness.
 
 Each runner returns a report dictionary: the suite name, the full
-parameter set including the seed, one entry per check with a case count,
-and, for a failing check, a counterexample echoing the inputs.  Reports
-are deterministic functions of their parameters.
+parameter set including the seed, and the checks in order.  Reports are
+deterministic functions of their parameters.
 """
 
 from __future__ import annotations
@@ -36,9 +43,22 @@ from .weights import (WeightedCharacter, dominance_cone,
                       weight_fan, weyl_cone, weyl_elements)
 
 
-def _check(name, ok, cases, witness=None):
-    return {"name": name, "pass": bool(ok), "cases": cases,
-            "counterexample": witness}
+def _run(name, cases, bad):
+    """Check ``bad(*case)`` on each case in turn, up to the first witness."""
+    count = 0
+    for case in cases:
+        count += 1
+        witness = bad(*case)
+        if witness is not None:
+            return {"name": name, "pass": False, "cases": count,
+                    "counterexample": witness}
+    return {"name": name, "pass": True, "cases": count, "counterexample": None}
+
+
+def _nonvacuous(check):
+    """A check over filtered cases passes only if some case survived the filter."""
+    check["pass"] = check["pass"] and check["cases"] > 0
+    return check
 
 
 def _report(suite, params, checks):
@@ -46,14 +66,16 @@ def _report(suite, params, checks):
             "pass": all(c["pass"] for c in checks)}
 
 
-def _trop_scalar_samples(rng, count):
-    out = []
-    for _ in range(count):
-        if rng.random() < 0.25:
-            out.append(NEG_INF)
-        else:
-            out.append(sampling.random_fraction(rng))
-    return out
+def _not_closed(member, x, coords, g, h):
+    """Witness that g or h does not fix x, or that g h or the inverse of g
+    does not; None when all four do."""
+    if not (member(g, x) and member(h, x)):
+        return {"reason": "generator does not stabilize",
+                "matrix": matrix_to_json(g), "point": point_to_json(coords)}
+    if not member(g * h, x) or not member(g.inverse(), x):
+        return {"g": matrix_to_json(g), "h": matrix_to_json(h),
+                "point": point_to_json(coords)}
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -70,9 +92,9 @@ def composition_example_matrices(spec: FieldSpec):
 def run_semiring(seed: int, count: int = 200, spec: FieldSpec | None = None):
     spec = spec or FieldSpec("Qp", 2)
     rng = random.Random(seed)
-    checks = []
 
-    scalars = _trop_scalar_samples(rng, 3 * count)
+    scalars = [NEG_INF if rng.random() < 0.25 else sampling.random_fraction(rng)
+               for _ in range(3 * count)]
     triples = [tuple(scalars[3 * i:3 * i + 3]) for i in range(count)]
     laws = [
         ("add_commutative", lambda a, b, c: trop_add(a, b) == trop_add(b, a)),
@@ -88,56 +110,43 @@ def run_semiring(seed: int, count: int = 200, spec: FieldSpec | None = None):
             trop_add(a, NEG_INF) == a and trop_mul(a, 0) == a),
         ("absorbing_bottom", lambda a, b, c: trop_mul(a, NEG_INF) is NEG_INF),
     ]
-    for name, law in laws:
-        bad = next((t for t in triples if not law(*t)), None)
-        checks.append(_check(name, bad is None, len(triples),
-                             None if bad is None else {"scalars": point_to_json(bad)}))
+    checks = [_run(name, triples, lambda *t, law=law:
+                   None if law(*t) else {"scalars": point_to_json(t)})
+              for name, law in laws]
 
-    hom_bad = None
-    hom_cases = 0
-    for _ in range(count // 2):
-        n = rng.choice((2, 3))
-        m = tropicalize(sampling.random_sl(spec, n, rng, 4))
-        x = sampling.random_point(rng, n)
-        a = sampling.random_fraction(rng)
-        shifted = tuple(a + c for c in x)
-        lhs = trop_matvec(m, shifted)
+    def homogeneity_cases():
+        for _ in range(count // 2):
+            n = rng.choice((2, 3))
+            yield (tropicalize(sampling.random_sl(spec, n, rng, 4)),
+                   sampling.random_point(rng, n), sampling.random_fraction(rng))
+
+    def inhomogeneous(m, x, a):
+        lhs = trop_matvec(m, tuple(a + c for c in x))
         rhs = tuple(trop_mul(a, y) for y in trop_matvec(m, x))
-        hom_cases += 1
-        if lhs != rhs:
-            hom_bad = {"matrix": [[str(e) for e in row] for row in m],
-                       "point": point_to_json(x), "scalar": str(a)}
-            break
-    checks.append(_check("matvec_homogeneity", hom_bad is None, hom_cases, hom_bad))
+        return None if lhs == rhs else {"matrix": [[str(e) for e in row] for row in m],
+                                        "point": point_to_json(x), "scalar": str(a)}
+
+    checks.append(_run("matvec_homogeneity", homogeneity_cases(), inhomogeneous))
 
     g, h = composition_example_matrices(spec)
     gh = g * h
-    grid = [Fraction(k, 2) for k in range(-2, 3)]
-    grid_bad = None
-    for x1 in grid:
-        for x2 in grid:
-            x = (x1, x2)
-            product = trop_matvec(tropicalize(gh), x)
-            composed = trop_matvec(tropicalize(g), trop_matvec(tropicalize(h), x))
-            want_product = (x2, max(x1, x2))
-            want_composed = (max(x1, x2), max(x1, x2))
-            if product != want_product or composed != want_composed:
-                grid_bad = {"point": point_to_json(x),
-                            "product": point_to_json(product),
-                            "composed": point_to_json(composed)}
-                break
-        if grid_bad:
-            break
-    checks.append(_check("composition_formulas_on_grid", grid_bad is None,
-                         len(grid) ** 2, grid_bad))
 
-    witness = (Fraction(1), Fraction(0))
-    product = trop_matvec(tropicalize(gh), witness)
-    composed = trop_matvec(tropicalize(g), trop_matvec(tropicalize(h), witness))
-    ok = product == (Fraction(0), Fraction(1)) and composed == (Fraction(1), Fraction(1))
-    checks.append(_check("composition_differs_at_witness", ok and product != composed, 1,
-                         None if ok else {"product": point_to_json(product),
-                                          "composed": point_to_json(composed)}))
+    def off_formula(x, want_product, want_composed):
+        product = trop_matvec(tropicalize(gh), x)
+        composed = trop_matvec(tropicalize(g), trop_matvec(tropicalize(h), x))
+        if product == want_product and composed == want_composed:
+            return None
+        return {"point": point_to_json(x), "product": point_to_json(product),
+                "composed": point_to_json(composed)}
+
+    grid = [Fraction(k, 2) for k in range(-2, 3)]
+    checks.append(_run("composition_formulas_on_grid",
+                       (((x1, x2), (x2, max(x1, x2)), (max(x1, x2),) * 2)
+                        for x1 in grid for x2 in grid), off_formula))
+    # at this point the product's action and the composed actions differ
+    checks.append(_run("composition_differs_at_witness",
+                       [((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
+                         (Fraction(1), Fraction(1)))], off_formula))
 
     return _report("semiring", {"seed": seed, "count": count,
                                 "field": spec_to_json(spec)}, checks)
@@ -151,47 +160,35 @@ def run_stabilizer(spec: FieldSpec, n: int, seed: int, matrices: int = 500,
     rng = random.Random(seed)
     checks = []
 
-    bad = None
-    cases = 0
-    for _ in range(matrices):
-        g = sampling.random_sl(spec, n, rng)
-        for _ in range(points):
-            x = sampling.random_point(rng, n)
-            cases += 1
-            direct = stabilizes_tropically(g, x)
-            oracle = valuation_inequality_oracle(g, x)
-            if direct != oracle:
-                bad = {"matrix": matrix_to_json(g), "point": point_to_json(x),
-                       "fixed_point_test": direct, "inequality_test": oracle}
-                break
-        if bad:
-            break
-    if matrices:
-        checks.append(_check("oracle_equivalence", bad is None, cases, bad))
+    def oracle_cases():
+        for _ in range(matrices):
+            g = sampling.random_sl(spec, n, rng)
+            for _ in range(points):
+                yield g, sampling.random_point(rng, n)
 
-    closure_bad = None
-    closure_cases = 0
-    for _ in range(closure_pairs):
-        if rng.random() < 0.5:
-            x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
-        else:
-            x = tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4)))
-                      for _ in range(n))
-        g = sampling.random_stabilizing(spec, x, rng)
-        h = sampling.random_stabilizing(spec, x, rng)
-        closure_cases += 1
-        if not (stabilizes_tropically(g, x) and stabilizes_tropically(h, x)):
-            closure_bad = {"reason": "generator does not stabilize",
-                           "matrix": matrix_to_json(g), "point": point_to_json(x)}
-            break
-        if not stabilizes_tropically(g * h, x) or \
-                not stabilizes_tropically(g.inverse(), x):
-            closure_bad = {"g": matrix_to_json(g), "h": matrix_to_json(h),
-                           "point": point_to_json(x)}
-            break
+    def oracle_disagrees(g, x):
+        direct = stabilizes_tropically(g, x)
+        oracle = valuation_inequality_oracle(g, x)
+        return None if direct == oracle else {
+            "matrix": matrix_to_json(g), "point": point_to_json(x),
+            "fixed_point_test": direct, "inequality_test": oracle}
+
+    if matrices:
+        checks.append(_run("oracle_equivalence", oracle_cases(), oracle_disagrees))
+
+    def closure_cases():
+        for _ in range(closure_pairs):
+            if rng.random() < 0.5:
+                x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+            else:
+                x = tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4)))
+                          for _ in range(n))
+            yield (x, sampling.random_stabilizing(spec, x, rng),
+                   sampling.random_stabilizing(spec, x, rng))
+
     if closure_pairs:
-        checks.append(_check("group_closure", closure_bad is None,
-                             closure_cases, closure_bad))
+        checks.append(_run("group_closure", closure_cases(), lambda x, g, h:
+                           _not_closed(stabilizes_tropically, x, x, g, h)))
 
     return _report("stabilizer",
                    {"seed": seed, "n": n, "field": spec_to_json(spec),
@@ -227,81 +224,70 @@ def face_point(blocks, n: int, spread: Fraction | None = None) -> ApartmentPoint
 
 def run_parahoric(spec: FieldSpec, n: int, seed: int, count: int = 200):
     rng = random.Random(seed)
-    checks = []
-
-    bad = None
-    cases = 0
     faces = list(ordered_set_partitions(range(n)))
-    for blocks in faces:
-        x = face_point(blocks, n)
-        for integral in (True, False):
-            for _ in range(count):
-                g = (sampling.random_sl_integral(spec, n, rng) if integral
-                     else sampling.random_sl_nonintegral(spec, n, rng))
-                cases += 1
-                if parahoric_oracle(g, x) != stabilizer_membership(g, x):
-                    bad = {"blocks": [list(b) for b in blocks],
-                           "point": point_to_json(x.coords),
-                           "matrix": matrix_to_json(g)}
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(_check("parahoric_equals_stabilizer", bad is None, cases, bad))
+
+    def face_cases():
+        for blocks in faces:
+            x = face_point(blocks, n)
+            for sample in (sampling.random_sl_integral, sampling.random_sl_nonintegral):
+                for _ in range(count):
+                    yield blocks, x, sample(spec, n, rng)
+
+    def residue_test_disagrees(blocks, x, g):
+        return None if parahoric_oracle(g, x) == stabilizer_membership(g, x) else {
+            "blocks": [list(b) for b in blocks], "point": point_to_json(x.coords),
+            "matrix": matrix_to_json(g)}
+
+    checks = [_run("parahoric_equals_stabilizer", face_cases(), residue_test_disagrees)]
 
     if n == 2:
-        iw_bad = None
-        iw_cases = 0
-        x = ApartmentPoint((Fraction(1, 4), Fraction(-1, 4)))
-        for _ in range(4 * count):
-            g = sampling.random_sl(spec, 2, rng, 4)
-            iw_cases += 1
-            explicit = (g.rows[0][0].valuation() >= 0
-                        and g.rows[0][1].valuation() >= 0
-                        and g.rows[1][1].valuation() >= 0
-                        and g.rows[1][0].valuation() >= 1)
-            if stabilizer_membership(g, x) != explicit:
-                iw_bad = {"matrix": matrix_to_json(g)}
-                break
-        checks.append(_check("iwahori_valuation_pattern", iw_bad is None,
-                             iw_cases, iw_bad))
+        iwahori = ApartmentPoint((Fraction(1, 4), Fraction(-1, 4)))
 
-    eq_bad = None
-    eq_cases = 0
-    for _ in range(count):
-        g = sampling.random_sl(spec, n, rng, 4)
-        mono = sampling.random_monomial(spec, n, rng)
-        x = ApartmentPoint(sampling.random_point(rng, n))
+        def off_pattern(g):
+            (a, b), (c, d) = g.rows
+            explicit = (a.valuation() >= 0 and b.valuation() >= 0
+                        and d.valuation() >= 0 and c.valuation() >= 1)
+            return None if stabilizer_membership(g, iwahori) == explicit else {
+                "matrix": matrix_to_json(g)}
+
+        checks.append(_run("iwahori_valuation_pattern",
+                           ((sampling.random_sl(spec, 2, rng, 4),)
+                            for _ in range(4 * count)), off_pattern))
+
+    def normalizer_cases():
+        for _ in range(count):
+            yield (sampling.random_sl(spec, n, rng, 4),
+                   sampling.random_monomial(spec, n, rng),
+                   ApartmentPoint(sampling.random_point(rng, n)))
+
+    def not_equivariant(g, mono, x):
         m = mono.to_matrix()
-        eq_cases += 1
-        if stabilizer_membership(g, x) != \
-                stabilizer_membership(m * g * m.inverse(), normalizer_action(mono, x)):
-            eq_bad = {"matrix": matrix_to_json(g), "monomial": matrix_to_json(m),
-                      "point": point_to_json(x.coords)}
-            break
-    checks.append(_check("normalizer_equivariance", eq_bad is None, eq_cases, eq_bad))
+        same = stabilizer_membership(g, x) == \
+            stabilizer_membership(m * g * m.inverse(), normalizer_action(mono, x))
+        return None if same else {"matrix": matrix_to_json(g),
+                                  "monomial": matrix_to_json(m),
+                                  "point": point_to_json(x.coords)}
 
-    fa_bad = None
-    fa_cases = 0
-    for blocks in faces:
-        a = face_point(blocks, n)
-        b = face_point(blocks, n, spread=Fraction(1, 3 * len(blocks)))
-        if face_address(a) != face_address(b):
-            fa_bad = {"blocks": [list(bl) for bl in blocks],
-                      "reason": "representatives have different addresses"}
-            break
-        for _ in range(count // 4):
-            g = sampling.random_sl(spec, n, rng, 4)
-            fa_cases += 1
-            if stabilizer_membership(g, a) != stabilizer_membership(g, b):
-                fa_bad = {"matrix": matrix_to_json(g),
-                          "first": point_to_json(a.coords),
-                          "second": point_to_json(b.coords)}
-                break
-        if fa_bad:
-            break
-    checks.append(_check("face_address_constancy", fa_bad is None, fa_cases, fa_bad))
+    checks.append(_run("normalizer_equivariance", normalizer_cases(), not_equivariant))
+
+    def address_cases():
+        for blocks in faces:
+            a = face_point(blocks, n)
+            b = face_point(blocks, n, spread=Fraction(1, 3 * len(blocks)))
+            if face_address(a) != face_address(b):
+                yield blocks, a, b, None
+            for _ in range(count // 4):
+                yield blocks, a, b, sampling.random_sl(spec, n, rng, 4)
+
+    def address_misleads(blocks, a, b, g):
+        if g is None:  # the two representatives got different addresses
+            return {"blocks": [list(bl) for bl in blocks],
+                    "reason": "representatives have different addresses"}
+        return None if stabilizer_membership(g, a) == stabilizer_membership(g, b) else {
+            "matrix": matrix_to_json(g), "first": point_to_json(a.coords),
+            "second": point_to_json(b.coords)}
+
+    checks.append(_run("face_address_constancy", address_cases(), address_misleads))
 
     return _report("parahoric",
                    {"seed": seed, "n": n, "field": spec_to_json(spec),
@@ -313,73 +299,65 @@ def run_parahoric(spec: FieldSpec, n: int, seed: int, count: int = 200):
 
 def run_sp(spec: FieldSpec, n: int, seed: int, count: int = 300):
     rng = random.Random(seed)
-    checks = []
     origin = SpApartmentPoint((0,) * n)
 
-    bad = None
-    for _ in range(count):
-        g = sampling.random_sp(spec, n, rng)
-        if sp_stabilizer_membership(g, origin) != g.is_integral():
-            bad = {"matrix": matrix_to_json(g)}
-            break
-    checks.append(_check("origin_stabilizer_is_integral", bad is None, count, bad))
+    checks = [_run("origin_stabilizer_is_integral",
+                   ((sampling.random_sp(spec, n, rng),) for _ in range(count)),
+                   lambda g: None
+                   if sp_stabilizer_membership(g, origin) == g.is_integral()
+                   else {"matrix": matrix_to_json(g)})]
 
-    cl_bad = None
-    for _ in range(count // 2):
-        x = SpApartmentPoint(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
-        t = sampling.sp_torus(spec, n, [spec.uniformizer() ** -int(c)
-                                        for c in x.coords])
-        g = t * sampling.random_sp_integral(spec, n, rng) * t.inverse()
-        h = t * sampling.random_sp_integral(spec, n, rng) * t.inverse()
-        if not (sp_stabilizer_membership(g, x) and sp_stabilizer_membership(h, x)):
-            cl_bad = {"reason": "generator does not stabilize",
-                      "matrix": matrix_to_json(g),
-                      "point": point_to_json(x.coords)}
-            break
-        if not sp_stabilizer_membership(g * h, x) or \
-                not sp_stabilizer_membership(g.inverse(), x):
-            cl_bad = {"g": matrix_to_json(g), "h": matrix_to_json(h),
-                      "point": point_to_json(x.coords)}
-            break
-    checks.append(_check("group_closure", cl_bad is None, count // 2, cl_bad))
+    def closure_cases():
+        for _ in range(count // 2):
+            x = SpApartmentPoint(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
+            t = sampling.sp_torus(spec, n, [spec.uniformizer() ** -int(c)
+                                            for c in x.coords])
+            yield (x, t * sampling.random_sp_integral(spec, n, rng) * t.inverse(),
+                   t * sampling.random_sp_integral(spec, n, rng) * t.inverse())
 
-    eq_bad = None
-    for _ in range(count // 2):
-        g = sampling.random_sp(spec, n, rng)
-        w = sampling.random_sp_monomial(spec, n, rng)
-        x = SpApartmentPoint(sampling.random_point(rng, n))
-        if sp_stabilizer_membership(g, x) != \
-                sp_stabilizer_membership(w * g * w.inverse(),
-                                         sp_normalizer_action(w, x)):
-            eq_bad = {"matrix": matrix_to_json(g), "monomial": matrix_to_json(w),
-                      "point": point_to_json(x.coords)}
-            break
-    checks.append(_check("weyl_equivariance", eq_bad is None, count // 2, eq_bad))
+    checks.append(_run("group_closure", closure_cases(), lambda x, g, h:
+                       _not_closed(sp_stabilizer_membership, x, x.coords, g, h)))
 
-    star_bad = None
-    for _ in range(count // 2):
-        g = sampling.random_sp(spec, n, rng)
-        x = SpApartmentPoint(tuple(Fraction(rng.randint(-3, 3), 8)
-                                   for _ in range(n)))
-        if sp_parahoric_oracle(g, x) != sp_stabilizer_membership(g, x):
-            star_bad = {"matrix": matrix_to_json(g),
-                        "point": point_to_json(x.coords)}
-            break
-    checks.append(_check("parahoric_equals_stabilizer", star_bad is None,
-                         count // 2, star_bad))
+    def weyl_cases():
+        for _ in range(count // 2):
+            yield (sampling.random_sp(spec, n, rng),
+                   sampling.random_sp_monomial(spec, n, rng),
+                   SpApartmentPoint(sampling.random_point(rng, n)))
+
+    def not_equivariant(g, w, x):
+        same = sp_stabilizer_membership(g, x) == \
+            sp_stabilizer_membership(w * g * w.inverse(), sp_normalizer_action(w, x))
+        return None if same else {"matrix": matrix_to_json(g),
+                                  "monomial": matrix_to_json(w),
+                                  "point": point_to_json(x.coords)}
+
+    checks.append(_run("weyl_equivariance", weyl_cases(), not_equivariant))
+
+    def star_cases():
+        for _ in range(count // 2):
+            yield (sampling.random_sp(spec, n, rng),
+                   SpApartmentPoint(tuple(Fraction(rng.randint(-3, 3), 8)
+                                          for _ in range(n))))
+
+    def residue_test_disagrees(g, x):
+        same = sp_parahoric_oracle(g, x) == sp_stabilizer_membership(g, x)
+        return None if same else {"matrix": matrix_to_json(g),
+                                  "point": point_to_json(x.coords)}
+
+    checks.append(_run("parahoric_equals_stabilizer", star_cases(),
+                       residue_test_disagrees))
 
     if n == 1:
-        sl_bad = None
-        for _ in range(count):
-            g = sampling.random_sp(spec, 1, rng)
-            c = sampling.random_fraction(rng)
+        def sides_differ(g, c):
             sp_side = sp_stabilizer_membership(g, SpApartmentPoint((c,)))
             sl_side = stabilizer_membership(g, ApartmentPoint((c, -c)))
-            if sp_side != sl_side:
-                sl_bad = {"matrix": matrix_to_json(g), "coordinate": str(c)}
-                break
-        checks.append(_check("rank_one_matches_special_linear", sl_bad is None,
-                             count, sl_bad))
+            return None if sp_side == sl_side else {"matrix": matrix_to_json(g),
+                                                    "coordinate": str(c)}
+
+        checks.append(_run("rank_one_matches_special_linear",
+                           ((sampling.random_sp(spec, 1, rng),
+                             sampling.random_fraction(rng)) for _ in range(count)),
+                           sides_differ))
 
     return _report("sp", {"seed": seed, "n": n, "field": spec_to_json(spec),
                           "count": count}, checks)
@@ -404,75 +382,79 @@ def _sample_coords(rng, rank):
                  for _ in range(rank))
 
 
-def run_fans(rep: str, seed: int, n: int | None = None, lam=None,
-             samples: int = 2000, expected_cones: int | None = None):
-    char = character_from_params(rep, n, lam)
-    rng = random.Random(seed)
-    checks = []
-    fan = weight_fan(char)
-
-    orbit = frozenset(w.apply(dominant_weight(char))
-                      for w in weyl_elements(char.group, char.rank))
-    verts = polytope_vertices(char)
-    checks.append(_check(
-        "vertices_equal_weyl_orbit", verts == orbit, len(char.weights),
-        None if verts == orbit else {"vertices": sorted(map(list, verts)),
-                                     "orbit": sorted(map(list, orbit))}))
-
-    if expected_cones is not None:
-        ok = len(fan) == expected_cones
-        checks.append(_check("maximal_cone_count", ok, 1,
-                             None if ok else {"expected": expected_cones,
-                                              "got": len(fan)}))
-
-    mem_bad = None
-    cover_bad = None
-    mem_cases = 0
-    for _ in range(samples):
-        x = _sample_coords(rng, char.rank)
-        hits = 0
-        for fc in fan.maximal_cones:
-            mem_cases += 1
-            by_cone = fc.cone.contains(x)
-            by_vertex = normal_cone_member(char, fc.vertex, x)
-            if by_cone != by_vertex:
-                mem_bad = {"point": point_to_json(x), "vertex": list(fc.vertex),
-                           "h_representation": by_cone, "normal_cone": by_vertex}
-                break
-            hits += by_cone
-        if mem_bad:
-            break
-        if hits == 0:
-            cover_bad = {"point": point_to_json(x)}
-            break
-    checks.append(_check("cone_membership_equivalence", mem_bad is None,
-                         mem_cases, mem_bad))
-    checks.append(_check("fan_covers_samples", cover_bad is None,
-                         samples, cover_bad))
-
-    weyl_bad = None
-    weyl_cases = 0
-    probes = [_sample_coords(rng, char.rank) for _ in range(min(samples, 200))]
-    for w in weyl_elements(char.group, char.rank):
-        chamber = weyl_cone(char.group, char.rank, w)
-        big = dominance_cone(char, w)
-        for x in probes:
-            weyl_cases += 1
-            if chamber.contains(x) and not big.contains(x):
-                weyl_bad = {"point": point_to_json(x),
-                            "weyl": [list(f) for f in chamber.functionals]}
-                break
-        if weyl_bad:
-            break
-    checks.append(_check("weyl_cone_containment", weyl_bad is None,
-                         weyl_cases, weyl_bad))
-
-    params = {"seed": seed, "rep": rep, "samples": samples}
+def _character_params(params, n, lam):
     if n is not None:
         params["n"] = n
     if lam is not None:
         params["lambda"] = list(lam)
-    return _report("fans", params, checks)
+    return params
+
+
+def run_fans(rep: str, seed: int, n: int | None = None, lam=None,
+             samples: int = 2000, expected_cones: int | None = None):
+    char = character_from_params(rep, n, lam)
+    rng = random.Random(seed)
+    fan = weight_fan(char)
+
+    # vertices == orbit, decided weight by weight; an orbit element missing
+    # from the weights would be a case of its own
+    orbit = frozenset(w.apply(dominant_weight(char))
+                      for w in weyl_elements(char.group, char.rank))
+    verts = polytope_vertices(char)
+    candidates = char.weights + tuple(sorted(orbit.difference(char.weights)))
+    checks = [_run("vertices_equal_weyl_orbit", ((mu,) for mu in candidates),
+                   lambda mu: None if (mu in verts) == (mu in orbit) else {
+                       "vertices": sorted(map(list, verts)),
+                       "orbit": sorted(map(list, orbit))})]
+
+    if expected_cones is not None:
+        checks.append(_run("maximal_cone_count", [(len(fan),)], lambda got:
+                           None if got == expected_cones
+                           else {"expected": expected_cones, "got": got}))
+
+    # one stream of sample points serves the membership and the cover
+    # check: the membership check records the points it examined against
+    # every cone, and the ones some cone contains
+    points, covered = [], set()
+
+    def membership_cases():
+        for _ in range(samples):
+            x = _sample_coords(rng, char.rank)
+            for fc in fan.maximal_cones:
+                yield x, fc
+            points.append(x)
+
+    def memberships_differ(x, fc):
+        by_cone = fc.cone.contains(x)
+        if by_cone:
+            covered.add(x)
+        by_vertex = normal_cone_member(char, fc.vertex, x)
+        return None if by_cone == by_vertex else {
+            "point": point_to_json(x), "vertex": list(fc.vertex),
+            "h_representation": by_cone, "normal_cone": by_vertex}
+
+    checks.append(_run("cone_membership_equivalence", membership_cases(),
+                       memberships_differ))
+    checks.append(_run("fan_covers_samples", ((x,) for x in points), lambda x:
+                       None if x in covered else {"point": point_to_json(x)}))
+
+    probes = [_sample_coords(rng, char.rank) for _ in range(min(samples, 200))]
+
+    def chamber_cases():
+        for w in weyl_elements(char.group, char.rank):
+            chamber = weyl_cone(char.group, char.rank, w)
+            big = dominance_cone(char, w)
+            for x in probes:
+                yield chamber, big, x
+
+    def escapes_cone(chamber, big, x):
+        return None if not chamber.contains(x) or big.contains(x) else {
+            "point": point_to_json(x), "weyl": [list(f) for f in chamber.functionals]}
+
+    checks.append(_run("weyl_cone_containment", chamber_cases(), escapes_cone))
+
+    return _report("fans", _character_params(
+        {"seed": seed, "rep": rep, "samples": samples}, n, lam), checks)
 
 
 def run_hypersurface(rep: str, p: int, seed: int, n: int | None = None,
@@ -480,22 +462,18 @@ def run_hypersurface(rep: str, p: int, seed: int, n: int | None = None,
     char = character_from_params(rep, n, lam)
     rng = random.Random(seed)
     fan = weight_fan(char)
-    bad = None
-    for _ in range(samples):
-        x = _sample_coords(rng, char.rank)
+
+    def loci_differ(x):
         hyper = tropical_hypersurface_member(char, p, x)
         skel = skeleton_member(fan, x)
-        if hyper != skel:
-            bad = {"point": point_to_json(x), "hypersurface": hyper,
-                   "skeleton": skel}
-            break
-    checks = [_check("hypersurface_equals_skeleton", bad is None, samples, bad)]
-    params = {"seed": seed, "rep": rep, "p": p, "samples": samples}
-    if n is not None:
-        params["n"] = n
-    if lam is not None:
-        params["lambda"] = list(lam)
-    return _report("hypersurface", params, checks)
+        return None if hyper == skel else {"point": point_to_json(x),
+                                           "hypersurface": hyper, "skeleton": skel}
+
+    checks = [_run("hypersurface_equals_skeleton",
+                   ((_sample_coords(rng, char.rank),) for _ in range(samples)),
+                   loci_differ)]
+    return _report("hypersurface", _character_params(
+        {"seed": seed, "rep": rep, "p": p, "samples": samples}, n, lam), checks)
 
 
 # ----------------------------------------------------------------------
@@ -510,40 +488,30 @@ def _distinct_values(rng, n):
 def run_schur(seed: int, inputs: int = 50, max_size: int = 6, max_rank: int = 4,
               linear_inputs: int = 100):
     rng = random.Random(seed)
-    checks = []
 
-    lin_bad = None
-    for _ in range(linear_inputs):
-        rank = rng.randint(2, max_rank + 1)
-        z = _distinct_values(rng, rank)
+    def not_sum(z):
         expect = sum(z, Fraction(0))
         if schur_eval_tableaux((1,), z) != expect or \
                 schur_eval_bialternant((1,), z) != expect:
-            lin_bad = {"values": point_to_json(z)}
-            break
-    checks.append(_check("linear_schur_is_coordinate_sum", lin_bad is None,
-                         linear_inputs, lin_bad))
+            return {"values": point_to_json(z)}
+        return None
 
-    route_bad = None
-    cases = 0
-    for rank in range(1, max_rank + 1):
-        for size in range(1, max_size + 1):
-            for lam in partitions_of(size, max_parts=rank):
-                for _ in range(inputs):
-                    z = _distinct_values(rng, rank)
-                    cases += 1
-                    if schur_eval_tableaux(lam, z) != schur_eval_bialternant(lam, z):
-                        route_bad = {"partition": list(lam),
-                                     "values": point_to_json(z)}
-                        break
-                if route_bad:
-                    break
-            if route_bad:
-                break
-        if route_bad:
-            break
-    checks.append(_check("tableaux_equal_bialternant", route_bad is None,
-                         cases, route_bad))
+    checks = [_run("linear_schur_is_coordinate_sum",
+                   ((_distinct_values(rng, rng.randint(2, max_rank + 1)),)
+                    for _ in range(linear_inputs)), not_sum)]
+
+    def route_cases():
+        for rank in range(1, max_rank + 1):
+            for size in range(1, max_size + 1):
+                for lam in partitions_of(size, max_parts=rank):
+                    for _ in range(inputs):
+                        yield lam, _distinct_values(rng, rank)
+
+    def routes_differ(lam, z):
+        same = schur_eval_tableaux(lam, z) == schur_eval_bialternant(lam, z)
+        return None if same else {"partition": list(lam), "values": point_to_json(z)}
+
+    checks.append(_run("tableaux_equal_bialternant", route_cases(), routes_differ))
 
     return _report("schur", {"seed": seed, "inputs": inputs,
                              "max_size": max_size, "max_rank": max_rank}, checks)
@@ -551,15 +519,6 @@ def run_schur(seed: int, inputs: int = 50, max_size: int = 6, max_rank: int = 4,
 
 # ----------------------------------------------------------------------
 # boundary stabilizers
-
-def _valuation_scale(g) -> int:
-    worst = 0
-    for row in g.rows:
-        for e in row:
-            if not e.is_zero():
-                worst = max(worst, abs(e.valuation()))
-    return worst
-
 
 def _capped(sampler, cap):
     """Resample until every finite entry valuation is within the cap.
@@ -570,8 +529,18 @@ def _capped(sampler, cap):
     below it."""
     while True:
         g = sampler()
-        if _valuation_scale(g) <= cap:
+        if all(abs(e.valuation()) <= cap for row in g.rows for e in row
+               if not e.is_zero()):
             return g
+
+
+#: The probed horizon of a ray; an exact ray-fixing predicate would need none.
+_RAY_STEPS = 10
+
+
+def _ray_probes(base, direction):
+    """The points base + s * direction for s = 0, ..., _RAY_STEPS."""
+    return (tuple(c + s * v for c, v in zip(base, direction)) for s in range(_RAY_STEPS + 1))
 
 
 def _random_boundary_point(rng, n, stratum_set):
@@ -581,89 +550,79 @@ def _random_boundary_point(rng, n, stratum_set):
     return BoundaryPoint(coords)
 
 
+def _boundary_matrix(spec, n, stratum_set, rng):
+    """Block triangular for the stratum or generic, with equal odds."""
+    if rng.random() < 0.5:
+        return sampling.random_block_triangular(spec, n, stratum_set, rng)
+    return sampling.random_sl(spec, n, rng, 4)
+
+
 def run_boundary(spec: FieldSpec, n: int, seed: int, count: int = 300):
     rng = random.Random(seed)
-    checks = []
+    strata = [s for size in range(1, n + 1)
+              for s in itertools.combinations(range(n), size)]
 
-    bad = None
-    cases = 0
-    strata = []
-    for size in range(1, n + 1):
-        strata.extend(itertools.combinations(range(n), size))
-    for stratum_set in strata:
-        for _ in range(count):
-            b = _random_boundary_point(rng, n, stratum_set)
-            if rng.random() < 0.5:
-                g = sampling.random_block_triangular(spec, n, stratum_set, rng)
-            else:
-                g = sampling.random_sl(spec, n, rng, 4)
-            cases += 1
-            direct = boundary_stabilizes(g, b)
-            blocked = boundary_block_oracle(g, b)
-            if direct != blocked:
-                bad = {"matrix": matrix_to_json(g),
-                       "point": point_to_json(b.coords),
-                       "tropical": direct, "block": blocked}
-                break
-        if bad:
-            break
-    checks.append(_check("block_oracle_equivalence", bad is None, cases, bad))
+    def block_cases():
+        for stratum_set in strata:
+            for _ in range(count):
+                b = _random_boundary_point(rng, n, stratum_set)
+                yield _boundary_matrix(spec, n, stratum_set, rng), b
 
-    full_bad = None
-    for _ in range(count):
-        x = sampling.random_point(rng, n)
-        b = BoundaryPoint(x)
-        g = sampling.random_sl(spec, n, rng, 4)
-        if boundary_stabilizes(g, b) != stabilizes_tropically(g, x):
-            full_bad = {"matrix": matrix_to_json(g), "point": point_to_json(x)}
-            break
-    checks.append(_check("full_stratum_consistency", full_bad is None,
-                         count, full_bad))
+    def block_test_disagrees(g, b):
+        direct = boundary_stabilizes(g, b)
+        blocked = boundary_block_oracle(g, b)
+        return None if direct == blocked else {
+            "matrix": matrix_to_json(g), "point": point_to_json(b.coords),
+            "tropical": direct, "block": blocked}
 
-    eq_bad = None
-    for _ in range(count // 2):
-        stratum_set = rng.choice(strata)
-        b = _random_boundary_point(rng, n, stratum_set)
-        mono = sampling.random_monomial(spec, n, rng)
-        if rng.random() < 0.5:
-            g = sampling.random_block_triangular(spec, n, stratum_set, rng)
-        else:
-            g = sampling.random_sl(spec, n, rng, 4)
+    checks = [_run("block_oracle_equivalence", block_cases(), block_test_disagrees)]
+
+    def full_stratum_differs(x, g):
+        same = boundary_stabilizes(g, BoundaryPoint(x)) == stabilizes_tropically(g, x)
+        return None if same else {"matrix": matrix_to_json(g),
+                                  "point": point_to_json(x)}
+
+    checks.append(_run("full_stratum_consistency",
+                       ((sampling.random_point(rng, n),
+                         sampling.random_sl(spec, n, rng, 4)) for _ in range(count)),
+                       full_stratum_differs))
+
+    def monomial_cases():
+        for _ in range(count // 2):
+            stratum_set = rng.choice(strata)
+            yield (_random_boundary_point(rng, n, stratum_set),
+                   sampling.random_monomial(spec, n, rng),
+                   _boundary_matrix(spec, n, stratum_set, rng))
+
+    def not_equivariant(b, mono, g):
         m = mono.to_matrix()
-        if boundary_stabilizes(g, b) != \
-                boundary_stabilizes(m * g * m.inverse(),
-                                    permute_boundary(b, mono.perm)):
-            eq_bad = {"matrix": matrix_to_json(g), "monomial": matrix_to_json(m),
-                      "point": point_to_json(b.coords)}
-            break
-    checks.append(_check("monomial_equivariance", eq_bad is None,
-                         count // 2, eq_bad))
+        same = boundary_stabilizes(g, b) == \
+            boundary_stabilizes(m * g * m.inverse(), permute_boundary(b, mono.perm))
+        return None if same else {"matrix": matrix_to_json(g),
+                                  "monomial": matrix_to_json(m),
+                                  "point": point_to_json(b.coords)}
 
-    lim_bad = None
-    lim_nonvacuous = 0
-    steps = 10
-    for k in range(count // 2):
-        stratum_set = rng.choice(strata)
-        d = direction_for_stratum(stratum_set, n)
-        x = ApartmentPoint(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
-        if k % 2 == 0:
-            g = sampling.random_ray_stabilizing(spec, x.coords, d.point, rng)
-        else:
-            g = _capped(lambda: sampling.random_sl(spec, n, rng, 4), cap=5)
-        along = all(
-            stabilizes_tropically(
-                g, tuple(c + s * v for c, v in zip(x.coords, d.point)))
-            for s in range(steps + 1))
-        if along:
-            lim_nonvacuous += 1
-            b = boundary_point_from_direction(x, d)
-            if not boundary_stabilizes(g, b):
-                lim_bad = {"matrix": matrix_to_json(g),
-                           "point": point_to_json(x.coords),
-                           "direction": point_to_json(d.point)}
-                break
-    checks.append(_check("limit_coherence", lim_bad is None and lim_nonvacuous > 0,
-                         lim_nonvacuous, lim_bad))
+    checks.append(_run("monomial_equivariance", monomial_cases(), not_equivariant))
+
+    def ray_cases():
+        """Matrices fixing every probed point of a ray; the others are vacuous."""
+        for k in range(count // 2):
+            d = direction_for_stratum(rng.choice(strata), n)
+            x = ApartmentPoint(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
+            if k % 2 == 0:
+                g = sampling.random_ray_stabilizing(spec, x.coords, d.point, rng)
+            else:
+                g = _capped(lambda: sampling.random_sl(spec, n, rng, 4), cap=5)
+            if all(stabilizes_tropically(g, y) for y in _ray_probes(x.coords, d.point)):
+                yield g, x, d
+
+    def limit_not_fixed(g, x, d):
+        limit = boundary_point_from_direction(x, d)
+        return None if boundary_stabilizes(g, limit) else {
+            "matrix": matrix_to_json(g), "point": point_to_json(x.coords),
+            "direction": point_to_json(d.point)}
+
+    checks.append(_nonvacuous(_run("limit_coherence", ray_cases(), limit_not_fixed)))
 
     return _report("boundary", {"seed": seed, "n": n,
                                 "field": spec_to_json(spec), "count": count},
@@ -673,69 +632,50 @@ def run_boundary(spec: FieldSpec, n: int, seed: int, count: int = 300):
 def sp4_fan_directions():
     """The trivial direction, the four maximal-cone interiors, and the four
     rays of the rank-two symplectic fan."""
-    char = sp_standard_character(2)
-    fan = weight_fan(char)
-
-    def containing_cone(c):
-        for fc in fan.maximal_cones:
-            if fc.cone.contains(c):
-                return fc.cone
-        raise ValueError("fan does not cover the direction")
-
-    points = [(Fraction(0), Fraction(0))]
-    points += [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
-               (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1))]
-    points += [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1)),
-               (Fraction(-1), Fraction(1)), (Fraction(-1), Fraction(-1))]
-    return [FanDirection(containing_cone(c), c) for c in points]
+    fan = weight_fan(sp_standard_character(2))
+    points = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1),
+              (1, 1), (1, -1), (-1, 1), (-1, -1)]
+    return [FanDirection(next(fc.cone for fc in fan.maximal_cones
+                              if fc.cone.contains(c)), c) for c in points]
 
 
 def run_sp_boundary(spec: FieldSpec, seed: int, count: int = 200):
     n = 2
     rng = random.Random(seed)
-    checks = []
-    directions = sp4_fan_directions()
-    steps = 10
+    trivial, *directions = sp4_fan_directions()
 
-    triv_bad = None
-    trivial = directions[0]
-    for _ in range(count):
-        g = sampling.random_sp(spec, n, rng)
-        x = SpApartmentPoint(sampling.random_point(rng, n))
-        if sp_boundary_stabilizes(g, x, trivial) != sp_stabilizer_membership(g, x):
-            triv_bad = {"matrix": matrix_to_json(g),
-                        "point": point_to_json(x.coords)}
-            break
-    checks.append(_check("trivial_direction_consistency", triv_bad is None,
-                         count, triv_bad))
+    trivial_cases = ((sampling.random_sp(spec, n, rng),
+                      SpApartmentPoint(sampling.random_point(rng, n)))
+                     for _ in range(count))
 
-    lim_bad = None
-    nonvacuous = 0
-    for d in directions[1:]:
-        for k in range(count):
-            x = SpApartmentPoint(tuple(Fraction(rng.randint(-1, 1))
-                                       for _ in range(n)))
-            if k % 2 == 0:
-                g = sampling.random_sp_ray_adapted(spec, n, x.coords, d.point,
-                                                   rng)
-            else:
-                g = _capped(lambda: sampling.random_sp(spec, n, rng, 3), cap=6)
-            along = all(
-                sp_stabilizer_membership(
-                    g, SpApartmentPoint(tuple(c + s * v for c, v
-                                              in zip(x.coords, d.point))))
-                for s in range(steps + 1))
-            if along:
-                nonvacuous += 1
-                if not sp_boundary_stabilizes(g, x, d):
-                    lim_bad = {"matrix": matrix_to_json(g),
-                               "point": point_to_json(x.coords),
-                               "direction": point_to_json(d.point)}
-                    break
-        if lim_bad:
-            break
-    checks.append(_check("limit_coherence", lim_bad is None and nonvacuous > 0,
-                         nonvacuous, lim_bad))
+    def trivial_limit_differs(g, x):
+        same = sp_boundary_stabilizes(g, x, trivial) == sp_stabilizer_membership(g, x)
+        return None if same else {"matrix": matrix_to_json(g),
+                                  "point": point_to_json(x.coords)}
+
+    checks = [_run("trivial_direction_consistency", trivial_cases,
+                   trivial_limit_differs)]
+
+    def ray_cases():
+        """Matrices fixing every probed point of a ray; the others are vacuous."""
+        for d in directions:
+            for k in range(count):
+                x = SpApartmentPoint(tuple(Fraction(rng.randint(-1, 1))
+                                           for _ in range(n)))
+                if k % 2 == 0:
+                    g = sampling.random_sp_ray_adapted(spec, n, x.coords, d.point, rng)
+                else:
+                    g = _capped(lambda: sampling.random_sp(spec, n, rng, 3), cap=6)
+                if all(sp_stabilizer_membership(g, SpApartmentPoint(y))
+                       for y in _ray_probes(x.coords, d.point)):
+                    yield g, x, d
+
+    def limit_not_fixed(g, x, d):
+        return None if sp_boundary_stabilizes(g, x, d) else {
+            "matrix": matrix_to_json(g), "point": point_to_json(x.coords),
+            "direction": point_to_json(d.point)}
+
+    checks.append(_nonvacuous(_run("limit_coherence", ray_cases(), limit_not_fixed)))
 
     return _report("sp-boundary", {"seed": seed, "n": n,
                                    "field": spec_to_json(spec), "count": count},

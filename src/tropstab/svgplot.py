@@ -15,17 +15,11 @@ import random
 from fractions import Fraction
 
 from .errors import UnsupportedRankError
+from .feasibility import _primitive_vector
 from .sampling import random_fraction
 from .weights import (GROUP_SL, GROUP_SP, WeightedCharacter, polytope_vertices,
                       skeleton_member, tropical_hypersurface_member,
                       weight_fan, weight_eval)
-
-
-def _primitive(vec):
-    g = 0
-    for c in vec:
-        g = math.gcd(g, abs(c))
-    return tuple(c // g for c in vec) if g > 1 else tuple(vec)
 
 
 def fan_rays(char: WeightedCharacter) -> list:
@@ -45,7 +39,7 @@ def fan_rays(char: WeightedCharacter) -> list:
         for cand in (d, tuple(-c for c in d)):
             top = weight_eval(a, cand)
             if all(weight_eval(mu, cand) <= top for mu in weights):
-                rays.add(_primitive(cand))
+                rays.add(_primitive_vector(cand))
                 break
     return sorted(rays)
 

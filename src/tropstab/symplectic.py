@@ -12,18 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .apartment import ApartmentPoint, MonomialMatrix, normalizer_action
+from .apartment import (ApartmentPoint, MonomialMatrix, normalizer_action,
+                        _residue_flag_member)
 from .errors import (DimensionMismatchError, NotSymplecticError,
                      OutOfStarError)
 from .fields import FieldSpec
 from .matrices import FieldMatrix
 from .tropical import stabilizes_tropically
-
-
-def antidiagonal_identity(spec: FieldSpec, n: int) -> FieldMatrix:
-    one, zero = spec.one(), spec.zero()
-    return FieldMatrix(spec, [[one if i + j == n - 1 else zero for j in range(n)]
-                              for i in range(n)])
 
 
 def standard_form(spec: FieldSpec, n: int) -> FieldMatrix:
@@ -88,7 +83,8 @@ def embed_point(x: SpApartmentPoint) -> ApartmentPoint:
     return ApartmentPoint(cs + tuple(-c for c in reversed(cs)))
 
 
-def _require_symplectic(g: FieldMatrix):
+def _require_symplectic(g: FieldMatrix) -> None:
+    """Raise NotSymplecticError unless g preserves the standard form."""
     if not is_symplectic(g):
         raise NotSymplecticError("matrix does not preserve the symplectic form")
 
@@ -120,15 +116,7 @@ def sp_parahoric_oracle(g: FieldMatrix, x: SpApartmentPoint) -> bool:
         raise DimensionMismatchError("matrix and point dimensions differ")
     if not sp_in_star_of_origin(x.coords):
         raise OutOfStarError("point outside the star of the origin")
-    if not g.is_integral():
-        return False
-    ys = embed_point(x).coords
-    res = g.residue()
-    for i in range(g.size):
-        for j in range(g.size):
-            if ys[i] < ys[j] and res[i][j] != 0:
-                return False
-    return True
+    return _residue_flag_member(g, embed_point(x).coords)
 
 
 def sp_normalizer_action(m: FieldMatrix, x: SpApartmentPoint) -> SpApartmentPoint:

@@ -15,9 +15,9 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import (AllInfiniteError, DeterminantNotOneError,
-                     DimensionMismatchError, DomainError, SingularMatrixError)
-from .matrices import FieldMatrix
+from .errors import (AllInfiniteError, DimensionMismatchError, DomainError,
+                     SingularMatrixError)
+from .matrices import FieldMatrix, _require_det_one
 
 
 class NegInfinity:
@@ -171,8 +171,7 @@ def valuation_inequality_oracle(g: FieldMatrix, x: Sequence[TropScalar]) -> bool
     agrees with stabilizes_tropically, because no row of an integral
     determinant-one matrix can consist of positive-valuation entries.
     """
-    if g.determinant() != g.spec.one():
-        raise DeterminantNotOneError("determinant-one matrix required")
+    _require_det_one(g)
     xs = trop_vector(x)
     if any(e is NEG_INF for e in xs):
         raise DomainError("finite coordinates required")

@@ -22,7 +22,7 @@ from .apartment import ApartmentPoint
 from .errors import (DimensionMismatchError, NotAVertexError,
                      RepeatedValuesError, TooManyPartsError,
                      TypeMismatchError, WeightMismatchError)
-from .feasibility import strictly_feasible
+from .feasibility import _primitive_vector, strictly_feasible
 from .fields import FieldSpec, int_valuation
 
 GROUP_SL = "sln"
@@ -313,16 +313,6 @@ def weyl_elements(group: str, n: int):
         raise ValueError(f"unknown group tag {group!r}")
 
 
-def _canonical_functional(row) -> tuple:
-    from math import gcd
-    g = 0
-    for c in row:
-        g = gcd(g, abs(c))
-    if g > 1:
-        row = tuple(c // g for c in row)
-    return tuple(row)
-
-
 @dataclass(frozen=True)
 class Cone:
     """Closed polyhedral cone in H-representation: all functionals nonnegative."""
@@ -404,7 +394,7 @@ def _cone_of_vertex(char: WeightedCharacter, mu0) -> Cone:
     for mu in char.weights:
         if mu == mu0:
             continue
-        fns.add(_canonical_functional(tuple(a - b for a, b in zip(mu0, mu))))
+        fns.add(_primitive_vector(tuple(a - b for a, b in zip(mu0, mu))))
     return Cone(tuple(sorted(fns)))
 
 
@@ -488,23 +478,18 @@ def skeleton_member(fan: Fan, x) -> bool:
 
 def weyl_cone(group: str, n: int, w: WeylElement) -> Cone:
     """The w-image of the leading Weyl chamber, as an H-representation."""
+    if group not in (GROUP_SL, GROUP_SP):
+        raise ValueError(f"unknown group tag {group!r}")
     base = []
-    if group == GROUP_SL:
-        for i in range(n - 1):
-            row = [0] * n
-            row[i], row[i + 1] = 1, -1
-            base.append(tuple(row))
-    elif group == GROUP_SP:
-        for i in range(n - 1):
-            row = [0] * n
-            row[i], row[i + 1] = 1, -1
-            base.append(tuple(row))
+    for i in range(n - 1):
+        row = [0] * n
+        row[i], row[i + 1] = 1, -1
+        base.append(tuple(row))
+    if group == GROUP_SP:
         last = [0] * n
         last[n - 1] = 1
         base.append(tuple(last))
-    else:
-        raise ValueError(f"unknown group tag {group!r}")
-    return Cone(tuple(sorted(_canonical_functional(w.apply(f)) for f in base)))
+    return Cone(tuple(sorted(_primitive_vector(w.apply(f)) for f in base)))
 
 
 def canonical_weight(group: str, mu) -> tuple:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tropstab.cli import main
 
 
@@ -75,6 +77,25 @@ def test_verify_semiring_deterministic(capsys):
     doc = json.loads(out1)
     assert doc["pass"] is True
     assert doc["params"]["seed"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["stabilize", "--field", "fpt", "--p", "3",
+     "--matrix", '[[{"num":{"-1":1}},"0"],["0","1"]]', "--point", '["0","0"]'],
+    ["verify", "--suite", "stabilizer", "--n", "1", "--seed", "1"],
+    ["verify", "--suite", "parahoric", "--n", "1", "--seed", "1"],
+    ["verify", "--suite", "boundary", "--n", "1", "--seed", "1"],
+    ["verify", "--suite", "sp", "--n", "0", "--seed", "1"],
+    ["verify", "--suite", "fans", "--rep", "identity", "--n", "1", "--seed", "1"],
+    ["fan", "--rep", "schur", "--lambda", "2,-1"],
+], ids=["negative-degree", "stabilizer-n1", "parahoric-n1", "boundary-n1",
+        "sp-n0", "fans-identity-n1", "fan-negative-part"])
+def test_bad_parameters_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert lines and all(line.startswith("error: ") for line in lines)
 
 
 def test_verify_requires_seed(capsys):

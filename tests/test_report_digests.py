@@ -1,0 +1,149 @@
+"""Golden digests of the property-suite reports.
+
+Every run_* report is a deterministic function of its parameters.  The
+table pins the sha256 of json.dumps(report, sort_keys=True) for small
+runs over Q_2 and F_3(T), at every rank from one to three that a suite
+accepts, so that a change to how the suites draw or judge their cases
+cannot alter a passing report unnoticed.  A second test makes a predicate
+fail at a chosen case and checks what the report says about it.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from tropstab import suites
+from tropstab.fields import FieldSpec
+from tropstab.serialize import matrix_to_json, point_to_json
+
+Q2 = FieldSpec("Qp", 2)
+F3T = FieldSpec("FpT", 3)
+
+#: (runner, positional arguments, keyword arguments, report digest)
+RUNS = [
+    ("run_semiring", (11,), {"count": 20, "spec": Q2},
+     "6876c17f89007a176e622615788b66f89f27931a481c351fb542a3b87871cdba"),
+    ("run_stabilizer", (Q2, 2, 12), {"matrices": 4, "points": 3, "closure_pairs": 4},
+     "5fbaee2101a6399c448041e3c08ce1fd62c512c3794363173aa5925a72fcfebb"),
+    ("run_parahoric", (Q2, 2, 13), {"count": 4},
+     "455a9435ab56ae78f6761513ba785e2f679ea90d3ab0cf7f6495880acf7e9c95"),
+    ("run_boundary", (Q2, 2, 14), {"count": 6},
+     "2ce41bd2ca1c541af0b9a1c5837c88a9f5119c01a9069d7374b4e00d030e8f50"),
+    ("run_stabilizer", (Q2, 3, 12), {"matrices": 4, "points": 3, "closure_pairs": 4},
+     "f472d094b31827f196f5432efa28d35bdabb1cbcc1fbf8515925a24954f46a11"),
+    ("run_parahoric", (Q2, 3, 13), {"count": 4},
+     "2bf967966529bfae8fa1abf725b15bc70ea309a444bb44e393689a1dec4bd16e"),
+    ("run_boundary", (Q2, 3, 14), {"count": 6},
+     "8c0e900cded6932a00ae95614d76d5f0b1b7b34e3995c46e72ee28fc980d168a"),
+    ("run_sp", (Q2, 1, 15), {"count": 4},
+     "8ecbf3c0a6d189199f88756ff2fa9d747b728c5784739c4168a681213e2771ab"),
+    ("run_sp", (Q2, 2, 15), {"count": 4},
+     "ba3cb65a83437f8a006f8982887a5e129a05abda4a676614b1d3320cd047fc6a"),
+    ("run_sp", (Q2, 3, 15), {"count": 4},
+     "4900d8af261f91f7989b6e9da2743aa8c1267275092e1404244bfa513d460804"),
+    ("run_stabilizer", (Q2, 2, 12), {"matrices": 0, "points": 0, "closure_pairs": 3},
+     "bc3646848a599634a95c880e872e9871708de8b7673d0f9c9293ff9e4f028ad5"),
+    ("run_sp_boundary", (Q2, 16), {"count": 3},
+     "12634230b735287ee9ff4fdbab2d89c74846db9f4671d3fdce4abcc785786849"),
+    ("run_semiring", (11,), {"count": 20, "spec": F3T},
+     "e50763b57602a04f15284eeb4f51d53b27e8b58e1aea17225d73f44a5d1056f6"),
+    ("run_stabilizer", (F3T, 2, 12), {"matrices": 4, "points": 3, "closure_pairs": 4},
+     "7e1625bbb21f8e457524d93de7940dc9f876164332bd4b4155dcb6e6d87d88a3"),
+    ("run_parahoric", (F3T, 2, 13), {"count": 4},
+     "c9524a0657cfe3cf774659f2f5e8758eac4a005e849bc78a9c0aeefcd99f1a8c"),
+    ("run_boundary", (F3T, 2, 14), {"count": 6},
+     "3bde139bceb671bc044a819beaa5890d13fc8e89e7912e9ad4ae21a766389b04"),
+    ("run_stabilizer", (F3T, 3, 12), {"matrices": 4, "points": 3, "closure_pairs": 4},
+     "e84d93e755fc64bcc763489ccefce35b6d017ba9d06442abb63f6cd08a81a6f3"),
+    ("run_parahoric", (F3T, 3, 13), {"count": 4},
+     "b7418b81ac6220194209e35ac6279ea826c710606e989aa7c26196d3fd2ce9e5"),
+    ("run_boundary", (F3T, 3, 14), {"count": 6},
+     "33f3f21c784d2bfe4cb79ec020db152ad27fdb33fb7cdebd5e51008096171a4d"),
+    ("run_sp", (F3T, 1, 15), {"count": 4},
+     "76b79d8c1d4a378a90ce02fbba1c53fb0145e717fada04ebb76b8e4302053f6b"),
+    ("run_sp", (F3T, 2, 15), {"count": 4},
+     "eda7f47e078cd550d0003576cf92c920603a4067a3d041a1b44c8accc369a57d"),
+    ("run_sp", (F3T, 3, 15), {"count": 2},
+     "c65352b56dd4899e94dbec075b28a03321363228828e95d027f210c22ada3d20"),
+    ("run_stabilizer", (F3T, 2, 12), {"matrices": 0, "points": 0, "closure_pairs": 3},
+     "5ee875e697d074c2afd1e494ba82284b1c3b32bbc3008a8ba59131d566a82e6d"),
+    ("run_sp_boundary", (F3T, 16), {"count": 3},
+     "7ca7d4a8728a4febf1fbcbe62be7090005e8bc118c3267a326930ce3bafe6452"),
+    ("run_fans", ('identity', 17), {"n": 2, "samples": 20, "expected_cones": 2},
+     "df6c1ca8a6299a270e3335a3496e0c6311207d92ced344973c821acef65e113c"),
+    ("run_hypersurface", ('identity', 2, 18), {"n": 2, "samples": 20},
+     "b212b27a9040ce7d276a39a1fcb358251c1cdf1de81cbeffd96a5956d54b22db"),
+    ("run_fans", ('identity', 17), {"n": 3, "samples": 20, "expected_cones": 3},
+     "c0dde7835b37821706818d3c5d8f0c2b89b487973c86dd9fe90f5472b7c3ccff"),
+    ("run_hypersurface", ('identity', 2, 18), {"n": 3, "samples": 20},
+     "582eb6d74d919fd51b64dbd4b87c5c1af98153814362eed1f09d6de105695d8d"),
+    ("run_fans", ('sp', 17), {"n": 1, "samples": 20, "expected_cones": 2},
+     "9ed579383bbff5ad05c0054aa489409bf00476b8020844054d5255e60975bdca"),
+    ("run_hypersurface", ('sp', 3, 18), {"n": 1, "samples": 20},
+     "c8819415afc5b5d458be207542ce74348a736d1c1f025b2eaf249b8282f6fc3c"),
+    ("run_fans", ('sp', 17), {"n": 2, "samples": 20, "expected_cones": 4},
+     "ad87603451d81e093febd6ea56a29223f3a3023d336685dde19e3084d0252798"),
+    ("run_hypersurface", ('sp', 3, 18), {"n": 2, "samples": 20},
+     "49c5348fb34183ba5450c7ad187d773e5f9d095f9e69074560af9a37096e9dbf"),
+    ("run_fans", ('sp', 17), {"n": 3, "samples": 20, "expected_cones": 6},
+     "4162034afeaafc66c91d0e54cf185c4b932aa008051fc3f40cfb6e4f2ac1bbd0"),
+    ("run_hypersurface", ('sp', 3, 18), {"n": 3, "samples": 20},
+     "a8df610a49e6f9bbc0617dfd2fd06e981b1eeff35703a0daa98891a79d3cc704"),
+    ("run_fans", ('schur', 17), {"lam": (2, 1, 0), "samples": 20},
+     "0ebecf19894260b2093e2a7d96bf2caf5df7a50886b5748f6db1923841e25d6b"),
+    ("run_hypersurface", ('schur', 2, 18), {"n": 3, "lam": (2, 1, 0), "samples": 20},
+     "ac7b356c2ff98db902e167568087f3dad2230205fa2e247aaff62029173ecce9"),
+    ("run_schur", (19,), {"inputs": 2, "max_size": 3, "max_rank": 3, "linear_inputs": 5},
+     "04ea5fa7a8de8076ad29f0b5917a83b9c0375d61e9816583b87b1c99a44799d3"),
+]
+
+
+def _digest(report):
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("runner, args, kwargs, digest", RUNS,
+                         ids=[f"{r[0]}-{i}" for i, r in enumerate(RUNS)])
+def test_report_digest(runner, args, kwargs, digest):
+    report = getattr(suites, runner)(*args, **kwargs)
+    assert report["pass"], report
+    assert _digest(report) == digest
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_runner_reports_the_failing_case(monkeypatch, k):
+    seen = []
+    oracle = suites.valuation_inequality_oracle
+
+    def wrong_at_k(g, x):
+        seen.append((g, x))
+        answer = oracle(g, x)
+        return not answer if len(seen) == k else answer
+
+    monkeypatch.setattr(suites, "valuation_inequality_oracle", wrong_at_k)
+    report = suites.run_stabilizer(Q2, 3, 7, matrices=4, points=3, closure_pairs=2)
+    check = report["checks"][0]
+    g, x = seen[k - 1]
+    assert check["name"] == "oracle_equivalence"
+    assert not check["pass"] and not report["pass"]
+    assert check["cases"] == k == len(seen)
+    truth = oracle(g, x)
+    assert check["counterexample"] == {
+        "matrix": matrix_to_json(g), "point": point_to_json(x),
+        "fixed_point_test": truth, "inequality_test": not truth}
+    assert report["checks"][1]["pass"]
+
+
+def test_runner_draws_no_case_after_the_witness():
+    drawn = []
+
+    def cases():
+        for i in range(10):
+            drawn.append(i)
+            yield (i,)
+
+    check = suites._run("probe", cases(), lambda i: {"i": i} if i == 3 else None)
+    assert check == {"name": "probe", "pass": False, "cases": 4,
+                     "counterexample": {"i": 3}}
+    assert drawn == [0, 1, 2, 3]

@@ -19,10 +19,11 @@ from .compactification import (BoundaryPoint, FanDirection,
 from .fields import FieldSpec
 from .matrices import FieldMatrix
 from .symplectic import (SpApartmentPoint, antitranspose, embed_point,
-                         is_symplectic, sp_parahoric_oracle,
+                         is_symplectic, sp_fixes_ray, sp_parahoric_oracle,
                          sp_stabilizer_membership, standard_form)
-from .tropical import (NEG_INF, stabilizes_tropically, trop_add, trop_matvec,
-                       trop_mul, tropicalize, valuation_inequality_oracle)
+from .tropical import (NEG_INF, fixes_ray, stabilizes_tropically, trop_add,
+                       trop_matvec, trop_mul, tropicalize,
+                       valuation_inequality_oracle)
 from .weights import (Cone, Fan, WeightedCharacter, WeylElement,
                       dominance_cone, kostka_number, normal_cone_member,
                       partitions_of, polytope_vertices, schur_eval,

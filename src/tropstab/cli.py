@@ -168,6 +168,14 @@ def _rank_at_least(n, least, what):
     return n
 
 
+def _count(args, name, default=None):
+    """The count flag --name, its default when not given; below 1 is malformed."""
+    value = getattr(args, name)
+    if value is not None and value < 1:
+        raise InputError(f"--{name} must be at least 1")
+    return default if value is None else value
+
+
 def _char_params(args):
     lam = _parse_lambda(args.lam) if args.lam else None
     n = args.n
@@ -249,40 +257,41 @@ def _expected_cone_count(rep, n, lam):
 
 def _verify_fans(a, spec, seed):
     rep, n, lam = _char_params(a)
-    return suites.run_fans(rep, seed, n=n, lam=lam, samples=a.samples or 500,
+    return suites.run_fans(rep, seed, n=n, lam=lam, samples=_count(a, "samples", 500),
                            expected_cones=_expected_cone_count(rep, n, lam))
 
 
 def _verify_hypersurface(a, spec, seed):
     rep, n, lam = _char_params(a)
     return suites.run_hypersurface(rep, a.p, seed, n=n, lam=lam,
-                                   samples=a.samples or 500)
+                                   samples=_count(a, "samples", 500))
 
 
 def _verify_boundary(a, spec, seed):
     if a.group == "sp2n":
-        return suites.run_sp_boundary(spec, seed, count=a.count or 100)
+        return suites.run_sp_boundary(spec, seed, count=_count(a, "count", 100))
     return suites.run_boundary(spec, _rank_at_least(a.n, 2, "the boundary suite"),
-                               seed, count=a.count or 100)
+                               seed, count=_count(a, "count", 100))
 
 
 #: Suite name -> run(args, spec, seed): the suite's call with the command
 #: line defaults, after its preconditions on the parameters.
 _SUITES = {
     "semiring": lambda a, spec, seed: suites.run_semiring(
-        seed, count=a.count or 200, spec=spec),
+        seed, count=_count(a, "count", 200), spec=spec),
     "stabilizer": lambda a, spec, seed: suites.run_stabilizer(
         spec, _rank_at_least(a.n, 2, "the stabilizer suite"), seed,
-        matrices=a.matrices or 100, points=a.points or 10,
-        closure_pairs=a.count or 100),
+        matrices=_count(a, "matrices", 100), points=_count(a, "points", 10),
+        closure_pairs=_count(a, "count", 100)),
     "parahoric": lambda a, spec, seed: suites.run_parahoric(
         spec, _rank_at_least(a.n, 2, "the parahoric suite"), seed,
-        count=a.count or 100),
+        count=_count(a, "count", 100)),
     "sp": lambda a, spec, seed: suites.run_sp(
-        spec, _rank_at_least(a.n, 1, "the sp suite"), seed, count=a.count or 100),
+        spec, _rank_at_least(a.n, 1, "the sp suite"), seed,
+        count=_count(a, "count", 100)),
     "fans": _verify_fans,
     "hypersurface": _verify_hypersurface,
-    "schur": lambda a, spec, seed: suites.run_schur(seed, inputs=a.count or 10),
+    "schur": lambda a, spec, seed: suites.run_schur(seed, inputs=_count(a, "count", 10)),
     "boundary": _verify_boundary,
 }
 
@@ -327,13 +336,15 @@ def _cmd_hypersurface(args) -> int:
     from .weights import skeleton_member, tropical_hypersurface_member
 
     rep, n, lam = _char_params(args)
+    count = _count(args, "sample")
+    _field_spec(args)
     char = suites.character_from_params(rep, n, lam)
     seed = _require_seed(args)
     rng = _random.Random(seed)
     fan = weight_fan(char)
     samples = []
     agree = True
-    for _ in range(args.sample):
+    for _ in range(count):
         coords = tuple(random_fraction(rng, 12, 4) for _ in range(char.rank))
         member = tropical_hypersurface_member(char, args.p, coords)
         skel = skeleton_member(fan, coords)
@@ -368,6 +379,8 @@ def _cmd_plot(args) -> int:
     rep, n, lam = _char_params(args)
     char = suites.character_from_params(rep, n, lam)
     samples = args.sample if args.target == "hypersurface" else 0
+    if samples:
+        _field_spec(args)
     seed = _require_seed(args) if samples else 0
     svg = svgplot.render_fan_svg(char, p=args.p, samples=samples, seed=seed,
                                  walls=args.walls)

@@ -19,7 +19,7 @@ from .apartment import ApartmentPoint
 from .errors import (AllInfiniteError, DimensionMismatchError,
                      InvalidDirectionError)
 from .matrices import FieldMatrix, _require_det_one
-from .symplectic import SpApartmentPoint, embed_point, _require_symplectic
+from .symplectic import SpApartmentPoint, _embed, _require_symplectic
 from .tropical import NEG_INF, stabilizes_tropically, trop_vector
 from .weights import Cone, sl_identity_character, weight_fan
 
@@ -154,10 +154,9 @@ def sp_boundary_point(x: SpApartmentPoint, d: FanDirection) -> BoundaryPoint:
     n = x.n
     if len(d.point) != n:
         raise InvalidDirectionError("direction dimension does not match the point")
-    c = d.point
-    embedded_dir = c + tuple(-v for v in reversed(c))
+    embedded_dir = _embed(d.point)
     top = max(embedded_dir)
-    ys = embed_point(x).coords
+    ys = _embed(x.coords)
     return BoundaryPoint(tuple(
         ys[i] if embedded_dir[i] == top else NEG_INF for i in range(2 * n)))
 

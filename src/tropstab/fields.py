@@ -22,16 +22,32 @@ INF = math.inf
 Coercible = Union[int, Fraction, "FieldElement"]
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
+    """Miller-Rabin on the prime bases up to 41, which decides exactly below
+    3.3 * 10**24; ValueError from there on."""
+    if p >= _PRIME_LIMIT:
+        raise ValueError(f"prime out of range: {p} >= {_PRIME_LIMIT}")
+    if p in _PRIME_BASES:
+        return True
+    if p < 2 or p % 2 == 0:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _PRIME_BASES:
+        y = pow(b, d, p)
+        if y == 1:
+            continue
+        for _ in range(r):
+            if y == p - 1:
+                break
+            y = y * y % p
+        else:
             return False
-        d += 2
     return True
 
 
@@ -159,12 +175,6 @@ class FieldSpec:
             dense = [int(c) % self.p for c in coeffs]
         return FpTElement(self, _trim(dense), (1,))
 
-    def rational_function(self, num, den=(1,)) -> "FieldElement":
-        """Quotient of two polynomials in T."""
-        top = self.polynomial(num)
-        bottom = self.polynomial(den)
-        return top / bottom
-
     def zero(self) -> "FieldElement":
         return self.element(0)
 
@@ -231,12 +241,6 @@ class FieldElement:
 
     def is_integral(self) -> bool:
         return self.valuation() >= 0
-
-    def is_unit(self) -> bool:
-        return self.valuation() == 0
-
-    def is_one(self) -> bool:
-        return self == self.spec.one()
 
 
 class QpElement(FieldElement):

@@ -133,9 +133,6 @@ class FieldMatrix:
             self._det = minor(tuple(range(n)))
         return self._det
 
-    def is_invertible(self) -> bool:
-        return not self.determinant().is_zero()
-
     def inverse(self) -> "FieldMatrix":
         n = self.size
         a = [list(r) for r in self.rows]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .apartment import MonomialMatrix
 from .fields import FieldSpec
 from .matrices import FieldMatrix, perm_sign
-from .symplectic import antitranspose, is_symplectic
+from .symplectic import _embed, antitranspose, is_symplectic
 
 
 def random_fraction(rng: random.Random, max_num=6, max_den=6) -> Fraction:
@@ -32,8 +32,11 @@ def random_unit(spec: FieldSpec, rng: random.Random):
     """A valuation-zero element."""
     p = spec.p
     if spec.kind == "Qp":
-        num = rng.choice([a for a in range(1, 3 * p) if a % p])
-        den = rng.choice([a for a in range(1, 3 * p) if a % p])
+        # numerator and denominator: the k-th of the 3p - 3 integers in
+        # [1, 3p) prime to p is k + 1 + k // (p - 1), with k drawn exactly
+        # as rng.choice over a list of them would draw its index
+        num, den = (k + 1 + k // (p - 1)
+                    for k in (rng.randrange(3 * p - 3), rng.randrange(3 * p - 3)))
         sign = rng.choice((1, -1))
         return spec.element(Fraction(sign * num, den))
     coeffs = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randint(0, 2))]
@@ -222,10 +225,8 @@ def _sp_linear_generator(spec, n, rng, integral: bool) -> FieldMatrix:
     for rank one."""
     if n == 1:
         a = FieldMatrix(spec, [[random_unit(spec, rng)]])
-    elif integral:
-        a = random_sl_integral(spec, n, rng, 4)
     else:
-        a = random_sl(spec, n, rng, 4)
+        a = _sl_word_any_size(spec, n, rng, integral)
     inv = antitranspose(a).inverse()
     zero = spec.zero()
     rows = []
@@ -326,20 +327,14 @@ def random_ray_stabilizing(spec: FieldSpec, base, direction,
     return FieldMatrix(spec, rows)
 
 
-def _embed_vals(vec):
-    return list(vec) + [-v for v in reversed(vec)]
-
-
 def random_sp_ray_adapted(spec: FieldSpec, n: int, base, direction,
                           rng: random.Random, length=4) -> FieldMatrix:
     """Symplectic word fixing every point base + s * direction for all
     s >= 0: unit torus factors and block generators whose entries vanish at
     positions with growing embedded constraints and otherwise clear the
     bound at the ray's start, the antidiagonal mirror position included."""
-    base = [Fraction(c) for c in base]
-    direction = [Fraction(c) for c in direction]
-    y0 = _embed_vals(base)
-    dy = _embed_vals(direction)
+    y0 = _embed([Fraction(c) for c in base])
+    dy = _embed([Fraction(c) for c in direction])
 
     def bound(row, col):
         if dy[col] > dy[row]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import TropstabError
+from .errors import DivisionByZeroError, TropstabError
 from .fields import FieldSpec, FpTElement, QpElement
 from .matrices import FieldMatrix
 from .tropical import NEG_INF
@@ -72,19 +72,20 @@ def element_to_json(e):
 
 
 def element_from_json(spec: FieldSpec, v):
-    if spec.kind == "Qp":
-        return spec.element(fraction_from_json(v))
-    if isinstance(v, (int, str)):
-        return spec.element(fraction_from_json(v))
-    if isinstance(v, dict):
-        try:
-            num = {int(d): int(c) for d, c in v.get("num", {}).items()}
-            den = {int(d): int(c) for d, c in v.get("den", {"0": 1}).items()}
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise InputError(f"invalid rational-function element: {v!r}") from exc
-        if any(d < 0 for d in (*num, *den)):
-            raise InputError(f"negative degree in rational-function element: {v!r}")
-        return spec.polynomial(num) / spec.polynomial(den)
+    try:
+        if spec.kind == "Qp" or isinstance(v, (int, str)):
+            return spec.element(fraction_from_json(v))
+        if isinstance(v, dict):
+            try:
+                num = {int(d): int(c) for d, c in v.get("num", {}).items()}
+                den = {int(d): int(c) for d, c in v.get("den", {"0": 1}).items()}
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise InputError(f"invalid rational-function element: {v!r}") from exc
+            if any(d < 0 for d in (*num, *den)):
+                raise InputError(f"negative degree in rational-function element: {v!r}")
+            return spec.polynomial(num) / spec.polynomial(den)
+    except DivisionByZeroError as exc:
+        raise InputError(f"zero denominator modulo {spec.p}: {v!r}") from exc
     raise InputError(f"invalid element encoding: {v!r}")
 
 
@@ -95,11 +96,9 @@ def matrix_to_json(m: FieldMatrix):
 def matrix_from_json(spec: FieldSpec, data) -> FieldMatrix:
     if not isinstance(data, list) or not data:
         raise InputError("matrix payload must be a nonempty array of rows")
-    try:
-        rows = [[element_from_json(spec, e) for e in row] for row in data]
-    except TypeError as exc:
-        raise InputError("matrix payload must be an array of arrays") from exc
-    return FieldMatrix(spec, rows)
+    if any(not isinstance(row, list) or len(row) != len(data) for row in data):
+        raise InputError("matrix payload must be a square array of arrays")
+    return FieldMatrix(spec, [[element_from_json(spec, e) for e in row] for row in data])
 
 
 def point_to_json(coords):

@@ -30,10 +30,11 @@ from .compactification import (BoundaryPoint, FanDirection,
 from .fields import FieldSpec
 from .matrices import FieldMatrix
 from .serialize import (matrix_to_json, point_to_json, spec_to_json)
-from .symplectic import (SpApartmentPoint, sp_normalizer_action,
+from .symplectic import (SpApartmentPoint, sp_fixes_ray, sp_normalizer_action,
                          sp_parahoric_oracle, sp_stabilizer_membership)
-from .tropical import (NEG_INF, stabilizes_tropically, trop_add, trop_matvec,
-                       trop_mul, tropicalize, valuation_inequality_oracle)
+from .tropical import (NEG_INF, fixes_ray, stabilizes_tropically, trop_add,
+                       trop_matvec, trop_mul, tropicalize,
+                       valuation_inequality_oracle)
 from .weights import (WeightedCharacter, dominance_cone,
                       dominant_weight, normal_cone_member, partitions_of,
                       polytope_vertices, schur_eval_bialternant,
@@ -520,29 +521,6 @@ def run_schur(seed: int, inputs: int = 50, max_size: int = 6, max_rank: int = 4,
 # ----------------------------------------------------------------------
 # boundary stabilizers
 
-def _capped(sampler, cap):
-    """Resample until every finite entry valuation is within the cap.
-
-    The limit-coherence checks probe a finite stretch of a ray; an entry
-    whose constraint grows along the ray evades them exactly when its
-    valuation exceeds the probed horizon, so the generic samples must stay
-    below it."""
-    while True:
-        g = sampler()
-        if all(abs(e.valuation()) <= cap for row in g.rows for e in row
-               if not e.is_zero()):
-            return g
-
-
-#: The probed horizon of a ray; an exact ray-fixing predicate would need none.
-_RAY_STEPS = 10
-
-
-def _ray_probes(base, direction):
-    """The points base + s * direction for s = 0, ..., _RAY_STEPS."""
-    return (tuple(c + s * v for c, v in zip(base, direction)) for s in range(_RAY_STEPS + 1))
-
-
 def _random_boundary_point(rng, n, stratum_set):
     coords = [NEG_INF] * n
     for i in stratum_set:
@@ -605,15 +583,15 @@ def run_boundary(spec: FieldSpec, n: int, seed: int, count: int = 300):
     checks.append(_run("monomial_equivariance", monomial_cases(), not_equivariant))
 
     def ray_cases():
-        """Matrices fixing every probed point of a ray; the others are vacuous."""
+        """Matrices fixing the whole ray; the others are vacuous."""
         for k in range(count // 2):
             d = direction_for_stratum(rng.choice(strata), n)
             x = ApartmentPoint(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
             if k % 2 == 0:
                 g = sampling.random_ray_stabilizing(spec, x.coords, d.point, rng)
             else:
-                g = _capped(lambda: sampling.random_sl(spec, n, rng, 4), cap=5)
-            if all(stabilizes_tropically(g, y) for y in _ray_probes(x.coords, d.point)):
+                g = sampling.random_sl(spec, n, rng, 4)
+            if fixes_ray(g, x.coords, d.point):
                 yield g, x, d
 
     def limit_not_fixed(g, x, d):
@@ -657,7 +635,7 @@ def run_sp_boundary(spec: FieldSpec, seed: int, count: int = 200):
                    trivial_limit_differs)]
 
     def ray_cases():
-        """Matrices fixing every probed point of a ray; the others are vacuous."""
+        """Matrices fixing the whole ray; the others are vacuous."""
         for d in directions:
             for k in range(count):
                 x = SpApartmentPoint(tuple(Fraction(rng.randint(-1, 1))
@@ -665,9 +643,8 @@ def run_sp_boundary(spec: FieldSpec, seed: int, count: int = 200):
                 if k % 2 == 0:
                     g = sampling.random_sp_ray_adapted(spec, n, x.coords, d.point, rng)
                 else:
-                    g = _capped(lambda: sampling.random_sp(spec, n, rng, 3), cap=6)
-                if all(sp_stabilizer_membership(g, SpApartmentPoint(y))
-                       for y in _ray_probes(x.coords, d.point)):
+                    g = sampling.random_sp(spec, n, rng, 3)
+                if sp_fixes_ray(g, x, d.point):
                     yield g, x, d
 
     def limit_not_fixed(g, x, d):

@@ -4,8 +4,8 @@ special-linear apartment.
 The standard form is built from the antidiagonal identity; symplectic
 apartment points have n free rational coordinates and embed into the
 rank 2n-1 apartment as the palindromically antisymmetric vectors
-(x_1, ..., x_n, -x_n, ..., -x_1).  Stabilizer membership reduces through
-this embedding to the tropical fixed-point test.
+(x_1, ..., x_n, -x_n, ..., -x_1).  Point and ray stabilizer membership
+reduce through this embedding to the tropical fixed-point tests.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import (DimensionMismatchError, NotSymplecticError,
                      OutOfStarError)
 from .fields import FieldSpec
 from .matrices import FieldMatrix
-from .tropical import stabilizes_tropically
+from .tropical import fixes_ray, stabilizes_tropically
 
 
 def standard_form(spec: FieldSpec, n: int) -> FieldMatrix:
@@ -77,10 +77,14 @@ class SpApartmentPoint:
         return f"SpApartmentPoint({', '.join(str(c) for c in self.coords)})"
 
 
+def _embed(values) -> tuple:
+    """The palindromically antisymmetric vector (x, -reversed(x))."""
+    return tuple(values) + tuple(-v for v in reversed(values))
+
+
 def embed_point(x: SpApartmentPoint) -> ApartmentPoint:
     """Embedding into the special-linear apartment: (x, -reversed(x))."""
-    cs = x.coords
-    return ApartmentPoint(cs + tuple(-c for c in reversed(cs)))
+    return ApartmentPoint(_embed(x.coords))
 
 
 def _require_symplectic(g: FieldMatrix) -> None:
@@ -95,6 +99,14 @@ def sp_stabilizer_membership(g: FieldMatrix, x: SpApartmentPoint) -> bool:
     if g.size != 2 * x.n:
         raise DimensionMismatchError("matrix and point dimensions differ")
     return stabilizes_tropically(g, embed_point(x).coords)
+
+
+def sp_fixes_ray(g: FieldMatrix, x: SpApartmentPoint, d) -> bool:
+    """Does the symplectic matrix g fix x + s*d for every s >= 0?"""
+    _require_symplectic(g)
+    if g.size != 2 * x.n or len(d) != x.n:
+        raise DimensionMismatchError("matrix, point and direction dimensions differ")
+    return fixes_ray(g, _embed(x.coords), _embed(d))
 
 
 def sp_in_star_of_origin(coords) -> bool:

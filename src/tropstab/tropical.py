@@ -3,10 +3,9 @@
 Scalars are exact: either a rational number or the distinguished bottom
 element NEG_INF.  Matrices over a valued field tropicalize entrywise by
 minus the valuation, zero entries becoming NEG_INF, and act on vectors by
-max-plus matrix-vector product.  The two stabilization predicates at the
-end are the workhorses of the whole library: the direct fixed-point check
-and the valuation-inequality test that agrees with it on determinant-one
-matrices.
+max-plus matrix-vector product.  The predicates at the end are the
+workhorses of the whole library: the fixed-point checks of a point and of
+a ray, and the valuation-inequality test that agrees with the first.
 """
 
 from __future__ import annotations
@@ -120,19 +119,39 @@ def trop_matvec(matrix: Sequence[Sequence[TropScalar]], x: Sequence[TropScalar])
 
 def _scaled_int_vector(x):
     """Clear denominators: returns (entries as ints or None for NEG_INF, scale)."""
-    scale = 1
-    for e in x:
-        if e is NEG_INF:
-            continue
-        scale = math.lcm(scale, Fraction(e).denominator)
-    out = []
-    for e in x:
-        if e is NEG_INF:
-            out.append(None)
-        else:
-            q = Fraction(e)
-            out.append(q.numerator * (scale // q.denominator))
-    return out, scale
+    scale = math.lcm(*(e.denominator for e in x if e is not NEG_INF))
+    return [None if e is NEG_INF else e.numerator * (scale // e.denominator)
+            for e in x], scale
+
+
+def _fixes_ray(g: FieldMatrix, xs: tuple, ds: tuple) -> bool:
+    """Row i of the action on x + s*d is the max over finite terms j of
+    (trop(g)_ij + x_j) + s*d_j.  It is x_i + s*d_i for all s >= 0 exactly
+    when no term exceeds that line in intercept or slope and one meets it
+    in both; a NEG_INF x_i allows no finite term."""
+    if all(e is NEG_INF for e in xs):
+        raise AllInfiniteError("vector must have a finite entry")
+    trop = tropicalize(g)
+    n = g.size
+    if len(xs) != n or len(ds) != n:
+        raise DimensionMismatchError("matrix and vector dimensions differ")
+    scaled, scale = _scaled_int_vector(xs + ds)
+    xi, di = scaled[:n], scaled[n:]
+    for i in range(n):
+        row, top, slope = trop[i], xi[i], di[i]
+        attained = top is None
+        for j in range(n):
+            m = row[j]
+            if m is NEG_INF or xi[j] is None:
+                continue
+            t = m * scale + xi[j]
+            if top is None or t > top or di[j] > slope:
+                return False
+            if t == top and di[j] == slope:
+                attained = True
+        if not attained:
+            return False
+    return True
 
 
 def stabilizes_tropically(g: FieldMatrix, x: Sequence[TropScalar]) -> bool:
@@ -143,25 +162,18 @@ def stabilizes_tropically(g: FieldMatrix, x: Sequence[TropScalar]) -> bool:
     trop_matvec(tropicalize(g), x) == x, computed over scaled integers.
     """
     xs = trop_vector(x)
-    if all(e is NEG_INF for e in xs):
-        raise AllInfiniteError("vector must have a finite entry")
-    trop = tropicalize(g)
-    if len(xs) != g.size:
-        raise DimensionMismatchError("matrix and vector dimensions differ")
-    xi, scale = _scaled_int_vector(xs)
-    for i in range(g.size):
-        row = trop[i]
-        best = None
-        for j in range(g.size):
-            m = row[j]
-            if m is NEG_INF or xi[j] is None:
-                continue
-            t = m * scale + xi[j]
-            if best is None or t > best:
-                best = t
-        if best != xi[i]:
-            return False
-    return True
+    return _fixes_ray(g, xs, (0,) * len(xs))
+
+
+def fixes_ray(g: FieldMatrix, x: Sequence[TropScalar], d: Sequence) -> bool:
+    """Does the tropicalized matrix fix x + s*d for every s >= 0?
+
+    Exact, in O(n^2); x may have NEG_INF entries, the direction d may not.
+    """
+    ds = trop_vector(d)
+    if any(e is NEG_INF for e in ds):
+        raise DomainError("finite direction required")
+    return _fixes_ray(g, trop_vector(x), ds)
 
 
 def valuation_inequality_oracle(g: FieldMatrix, x: Sequence[TropScalar]) -> bool:

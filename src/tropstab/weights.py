@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .apartment import ApartmentPoint
 from .errors import (DimensionMismatchError, NotAVertexError,
                      RepeatedValuesError, TooManyPartsError,
                      TypeMismatchError, WeightMismatchError)
@@ -323,10 +322,6 @@ class Cone:
         return all(sum(c * x for c, x in zip(f, coords)) >= 0
                    for f in self.functionals)
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.functionals[0]) if self.functionals else 0
-
 
 @dataclass(frozen=True)
 class FanCone:
@@ -348,12 +343,7 @@ class Fan:
 
 def point_coords(x, rank: int) -> tuple:
     """Coordinates of an apartment point, symplectic point, or raw sequence."""
-    if isinstance(x, ApartmentPoint):
-        cs = x.coords
-    elif hasattr(x, "coords"):
-        cs = x.coords
-    else:
-        cs = tuple(Fraction(c) for c in x)
+    cs = x.coords if hasattr(x, "coords") else tuple(Fraction(c) for c in x)
     if len(cs) != rank:
         raise DimensionMismatchError("point dimension does not match the rank")
     return cs

@@ -88,8 +88,27 @@ def test_verify_semiring_deterministic(capsys):
     ["verify", "--suite", "sp", "--n", "0", "--seed", "1"],
     ["verify", "--suite", "fans", "--rep", "identity", "--n", "1", "--seed", "1"],
     ["fan", "--rep", "schur", "--lambda", "2,-1"],
+    ["verify", "--suite", "parahoric", "--n", "2", "--seed", "1", "--count", "-5"],
+    ["verify", "--suite", "semiring", "--seed", "1", "--count", "0"],
+    ["verify", "--suite", "stabilizer", "--n", "2", "--seed", "1", "--matrices", "0"],
+    ["verify", "--suite", "stabilizer", "--n", "2", "--seed", "1", "--points", "-1"],
+    ["verify", "--suite", "fans", "--rep", "identity", "--n", "2", "--seed", "1",
+     "--samples", "0"],
+    ["hypersurface", "--rep", "identity", "--n", "2", "--seed", "1", "--sample", "0"],
+    ["stabilize", "--matrix", '[[1,2],[3]]', "--point", '["0","0"]'],
+    ["stabilize", "--field", "fpt", "--p", "3",
+     "--matrix", '[[{"den":{"0":0}},"0"],["0","1"]]', "--point", '["0","0"]'],
+    ["stabilize", "--field", "fpt", "--p", "3",
+     "--matrix", '[["1/3","0"],["0","1"]]', "--point", '["0","0"]'],
+    ["stabilize", "--p", "3317044064679887385961981",
+     "--matrix", '[["1","1"],["0","1"]]', "--point", '["0","0"]'],
+    ["hypersurface", "--rep", "identity", "--n", "2", "--seed", "1", "--sample", "1",
+     "--p", "1"],
 ], ids=["negative-degree", "stabilizer-n1", "parahoric-n1", "boundary-n1",
-        "sp-n0", "fans-identity-n1", "fan-negative-part"])
+        "sp-n0", "fans-identity-n1", "fan-negative-part", "negative-count",
+        "zero-count", "zero-matrices", "negative-points", "zero-samples",
+        "zero-sample", "non-square", "zero-denominator", "vanishing-denominator",
+        "huge-p", "hypersurface-p1"])
 def test_bad_parameters_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,8 +17,9 @@ from tropstab.errors import (AllInfiniteError, DeterminantNotOneError,
                              InvalidDirectionError, NotSymplecticError)
 from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix
-from tropstab.symplectic import SpApartmentPoint, sp_stabilizer_membership
-from tropstab.tropical import NEG_INF, stabilizes_tropically
+from tropstab.symplectic import (SpApartmentPoint, sp_fixes_ray,
+                                 sp_stabilizer_membership)
+from tropstab.tropical import NEG_INF, fixes_ray, stabilizes_tropically
 from tropstab.weights import sl_identity_character, sp_standard_character, weight_fan
 
 Q2 = FieldSpec("Qp", 2)
@@ -159,21 +161,15 @@ def test_monomial_equivariance():
 
 def test_limit_coherence_one_directional():
     rng = random.Random(13)
-    n = 3
-    hits = 0
-    for _ in range(100):
-        stratum_set = rng.choice([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
-        d = direction_for_stratum(stratum_set, n)
-        x = ApartmentPoint(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
-        g = sampling.random_ray_stabilizing(Q2, x.coords, d.point, rng)
-        along = all(
-            stabilizes_tropically(g, tuple(c + s * v
-                                           for c, v in zip(x.coords, d.point)))
-            for s in range(11))
-        if along:
-            hits += 1
+    strata = [s for size in (1, 2, 3) for s in itertools.combinations(range(4), size)]
+    for spec in (Q2, F3T):
+        for _ in range(100):
+            n = rng.choice((3, 4))
+            d = direction_for_stratum(rng.choice([s for s in strata if max(s) < n]), n)
+            x = ApartmentPoint(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
+            g = sampling.random_ray_stabilizing(spec, x.coords, d.point, rng)
+            assert fixes_ray(g, x.coords, d.point)
             assert boundary_stabilizes(g, boundary_point_from_direction(x, d))
-    assert hits > 0
 
 
 def test_converse_of_limit_coherence_fails():
@@ -240,20 +236,13 @@ def test_sp_boundary_requires_symplectic():
 
 def test_sp_limit_coherence():
     rng = random.Random(23)
-    hits = 0
-    for c in ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)),
-              (Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(1))):
-        d = _sp4_direction(c)
-        for _ in range(30):
-            x = SpApartmentPoint(tuple(Fraction(rng.randint(-1, 1))
-                                       for _ in range(2)))
-            g = sampling.random_sp_ray_adapted(Q2, 2, x.coords, d.point, rng)
-            along = all(
-                sp_stabilizer_membership(
-                    g, SpApartmentPoint(tuple(b + s * v
-                                              for b, v in zip(x.coords, d.point))))
-                for s in range(11))
-            if along:
-                hits += 1
+    for spec in (Q2, F3T):
+        for c in ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)),
+                  (Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(1))):
+            d = _sp4_direction(c)
+            for _ in range(15):
+                x = SpApartmentPoint(tuple(Fraction(rng.randint(-1, 1))
+                                           for _ in range(2)))
+                g = sampling.random_sp_ray_adapted(spec, 2, x.coords, d.point, rng)
+                assert sp_fixes_ray(g, x, d.point)
                 assert sp_boundary_stabilizes(g, x, d)
-    assert hits > 0

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropstab.errors import DivisionByZeroError, DomainError
-from tropstab.fields import INF, FieldSpec
+from tropstab.fields import INF, FieldSpec, is_prime
 
 Q2 = FieldSpec("Qp", 2)
 Q3 = FieldSpec("Qp", 3)
@@ -31,6 +32,31 @@ def test_spec_validation():
         FieldSpec("Qp", 4)
     with pytest.raises(ValueError):
         FieldSpec("Laurent", 2)
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10 ** 4) if is_prime(n)] == \
+        [n for n in range(10 ** 4) if by_trial(n)]
+
+
+def test_is_prime_decides_huge_p_at_once():
+    start = time.perf_counter()
+    assert is_prime(10 ** 18 + 3)
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime(10 ** 18 + 1)
+    # strong pseudoprimes to the bases 2, 3, 5 and 7, and a Carmichael number
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(41041)
+    assert FieldSpec("Qp", 10 ** 18 + 3).p == 10 ** 18 + 3
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError):
+        FieldSpec("Qp", 2 ** 89 - 1)
 
 
 def test_valuation_examples():

@@ -10,9 +10,10 @@ from tropstab.errors import (DimensionMismatchError, NotSymplecticError,
 from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix
 from tropstab.symplectic import (SpApartmentPoint, antitranspose, embed_point,
-                                 is_symplectic, sp_in_star_of_origin,
-                                 sp_normalizer_action, sp_parahoric_oracle,
-                                 sp_stabilizer_membership, standard_form)
+                                 is_symplectic, sp_fixes_ray,
+                                 sp_in_star_of_origin, sp_normalizer_action,
+                                 sp_parahoric_oracle, sp_stabilizer_membership,
+                                 standard_form)
 
 Q2 = FieldSpec("Qp", 2)
 Q5 = FieldSpec("Qp", 5)
@@ -96,6 +97,8 @@ def test_requires_symplectic():
     g = FieldMatrix.diagonal(Q2, [2, 1, 1, 1])
     with pytest.raises(NotSymplecticError):
         sp_stabilizer_membership(g, SpApartmentPoint((0, 0)))
+    with pytest.raises(NotSymplecticError):
+        sp_fixes_ray(g, SpApartmentPoint((0, 0)), (1, 0))
 
 
 def test_rank_one_matches_special_linear():

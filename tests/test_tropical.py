@@ -12,8 +12,8 @@ from tropstab.errors import (AllInfiniteError, DeterminantNotOneError,
 from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix
 from tropstab.suites import composition_example_matrices
-from tropstab.tropical import (NEG_INF, stabilizes_tropically, trop_add,
-                               trop_matvec, trop_mul, tropicalize,
+from tropstab.tropical import (NEG_INF, fixes_ray, stabilizes_tropically,
+                               trop_add, trop_matvec, trop_mul, tropicalize,
                                valuation_inequality_oracle)
 
 Q2 = FieldSpec("Qp", 2)
@@ -123,6 +123,63 @@ def test_stabilizes_matches_matvec_definition():
             x = sampling.random_point(rng, n)
             direct = trop_matvec(tropicalize(g), x) == tuple(Fraction(c) for c in x)
             assert stabilizes_tropically(g, x) == direct
+
+
+def test_fixes_ray_matches_finite_probe():
+    # Integer directions keep every slope gap at least one, and entry
+    # valuations within 40 keep every intercept gap below 100, so every
+    # breakpoint of a row maximum against its target line lies below 100
+    # and the probes s = 0, ..., 200 decide the whole ray.
+    rng = random.Random(31)
+    agree = 0
+    for spec in (Q2, F3T) * 150:
+        while True:
+            n = rng.choice((2, 3))
+            x = [NEG_INF if rng.random() < 0.15 else c
+                 for c in sampling.random_point(rng, n)]
+            if all(c is NEG_INF for c in x):
+                continue
+            d = tuple(rng.randint(-2, 2) for _ in range(n))
+            style = rng.randrange(3)
+            if style == 0:
+                g = sampling.random_sl(spec, n, rng, 5)
+            elif style == 1:
+                g = sampling.random_stabilizing(
+                    spec, [0 if c is NEG_INF else c for c in x], rng)
+            else:
+                g = sampling.random_ray_stabilizing(
+                    spec, [0 if c is NEG_INF else c for c in x], d, rng)
+            if all(abs(e.valuation()) <= 40 for row in g.rows for e in row
+                   if not e.is_zero()):
+                break
+        m = tropicalize(g)
+        probes = (tuple(trop_mul(c, s * v) for c, v in zip(x, d)) for s in range(201))
+        probed = all(trop_matvec(m, y) == y for y in probes)
+        assert fixes_ray(g, x, d) == probed
+        assert fixes_ray(g, x, (0,) * n) == stabilizes_tropically(g, x)
+        agree += probed
+    assert 0 < agree < 300
+
+
+def test_fixes_ray_examples():
+    p = Q2.uniformizer()
+    g = FieldMatrix(Q2, [[1, p.inv()], [0, 1]])
+    # fixes (0, -1) + s(1, 0), whose second coordinate falls behind, but not
+    # the ray (0, -1) + s(0, 1), on which it rises past the first
+    assert fixes_ray(g, (0, -1), (1, 0))
+    assert not fixes_ray(g, (0, -1), (0, 1))
+    # fixes the points (0, -11) + s(0, 1) up to s = 10, a finite horizon's
+    # last probe, and moves them from s = 11 on
+    assert all(stabilizes_tropically(g, (0, -11 + s)) for s in range(11))
+    assert not stabilizes_tropically(g, (0, 0))
+    assert not fixes_ray(g, (0, -11), (0, 1))
+    assert fixes_ray(g, (0, NEG_INF), (0, 5))
+    with pytest.raises(DomainError):
+        fixes_ray(g, (0, 0), (0, NEG_INF))
+    with pytest.raises(DimensionMismatchError):
+        fixes_ray(g, (0, 0), (0, 0, 0))
+    with pytest.raises(AllInfiniteError):
+        fixes_ray(g, (NEG_INF, NEG_INF), (0, 0))
 
 
 def test_stabilizes_rejects_all_infinite():

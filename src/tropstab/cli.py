@@ -377,6 +377,8 @@ def _cmd_boundary_stabilize(args) -> int:
 
 def _cmd_plot(args) -> int:
     rep, n, lam = _char_params(args)
+    if args.sample < 0:
+        raise InputError("--sample must be at least 0")
     char = suites.character_from_params(rep, n, lam)
     samples = args.sample if args.target == "hypersurface" else 0
     if samples:

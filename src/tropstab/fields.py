@@ -52,7 +52,9 @@ def is_prime(p: int) -> bool:
 
 
 def int_valuation(n: int, p: int) -> int:
-    """Exponent of p in a nonzero integer."""
+    """Exponent of p in a nonzero integer; ValueError if n is 0 or p is below 2."""
+    if n == 0 or p < 2:
+        raise ValueError(f"valuation of {n} at {p} is undefined")
     n = abs(n)
     v = 0
     while n % p == 0:

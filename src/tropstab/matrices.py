@@ -25,6 +25,35 @@ def perm_sign(perm) -> int:
     return sign
 
 
+def _determinant(rows, zero):
+    """Exact determinant of a nonempty square matrix over a field, by forward
+    elimination with a row swap to the first nonzero pivot: the signed product
+    of the pivots, or `zero` on a zero column.  Works on field elements and on
+    Fractions.  Zero entries are skipped: a row is updated only if it has a
+    nonzero entry under the pivot, and only in the pivot row's nonzero columns.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    det, negate = None, False
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return zero
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            negate = not negate
+        top = a[col]
+        pivot = top[col]
+        support = [j for j in range(col + 1, n) if top[j]]
+        for row in a[col + 1:]:
+            if row[col]:
+                f = row[col] / pivot
+                for j in support:
+                    row[j] = row[j] - f * top[j]
+        det = pivot if det is None else det * pivot
+    return -det if negate else det
+
+
 class FieldMatrix:
     """Immutable n x n matrix with entries in a fixed valued field."""
 
@@ -57,10 +86,6 @@ class FieldMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __mul__(self, other: "FieldMatrix") -> "FieldMatrix":
         if not isinstance(other, FieldMatrix):
             return NotImplemented
@@ -85,14 +110,6 @@ class FieldMatrix:
             out.append(row)
         return FieldMatrix(self.spec, out)
 
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        if other.spec != self.spec or other.size != self.size:
-            raise DimensionMismatchError("matrix sum of incompatible matrices")
-        return FieldMatrix(self.spec, [[a + b for a, b in zip(r1, r2)]
-                                       for r1, r2 in zip(self.rows, other.rows)])
-
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
         if not isinstance(other, FieldMatrix):
             return NotImplemented
@@ -107,30 +124,9 @@ class FieldMatrix:
                                        for i in range(n)])
 
     def determinant(self):
-        """Exact determinant via cofactor expansion memoized on column subsets."""
+        """Exact determinant by Gaussian elimination over the field."""
         if self._det is None:
-            n = self.size
-            memo = {}
-
-            def minor(cols):
-                got = memo.get(cols)
-                if got is not None:
-                    return got
-                r = n - len(cols)
-                if len(cols) == 1:
-                    res = self.rows[r][cols[0]]
-                else:
-                    res = self.spec.zero()
-                    for k, c in enumerate(cols):
-                        e = self.rows[r][c]
-                        if e.is_zero():
-                            continue
-                        term = e * minor(cols[:k] + cols[k + 1:])
-                        res = res + term if k % 2 == 0 else res - term
-                memo[cols] = res
-                return res
-
-            self._det = minor(tuple(range(n)))
+            self._det = _determinant(self.rows, self.spec.zero())
         return self._det
 
     def inverse(self) -> "FieldMatrix":

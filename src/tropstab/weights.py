@@ -23,6 +23,7 @@ from .errors import (DimensionMismatchError, NotAVertexError,
                      TypeMismatchError, WeightMismatchError)
 from .feasibility import _primitive_vector, strictly_feasible
 from .fields import FieldSpec, int_valuation
+from .matrices import _determinant
 
 GROUP_SL = "sln"
 GROUP_SP = "sp2n"
@@ -224,26 +225,6 @@ def schur_eval_tableaux(lam, z: Sequence) -> Fraction:
     return total
 
 
-def _det_fractions(rows):
-    n = len(rows)
-    a = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
 def schur_eval_bialternant(lam, z: Sequence) -> Fraction:
     """Schur polynomial value as a ratio of alternant determinants."""
     lam = as_partition(lam)
@@ -253,9 +234,12 @@ def schur_eval_bialternant(lam, z: Sequence) -> Fraction:
         raise TooManyPartsError("partition has more parts than variables")
     if len(set(zs)) != n:
         raise RepeatedValuesError("bialternant requires pairwise distinct values")
+    if n == 0:
+        return Fraction(1)  # both alternants are empty, of determinant one
     padded = lam + (0,) * (n - len(lam))
-    num = _det_fractions([[zj ** (padded[i] + n - 1 - i) for zj in zs] for i in range(n)])
-    den = _det_fractions([[zj ** (n - 1 - i) for zj in zs] for i in range(n)])
+    zero = Fraction(0)
+    num = _determinant([[zj ** (padded[i] + n - 1 - i) for zj in zs] for i in range(n)], zero)
+    den = _determinant([[zj ** (n - 1 - i) for zj in zs] for i in range(n)], zero)
     return num / den
 
 

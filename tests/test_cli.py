@@ -104,11 +104,13 @@ def test_verify_semiring_deterministic(capsys):
      "--matrix", '[["1","1"],["0","1"]]', "--point", '["0","0"]'],
     ["hypersurface", "--rep", "identity", "--n", "2", "--seed", "1", "--sample", "1",
      "--p", "1"],
+    ["plot", "--target", "hypersurface", "--rep", "identity", "--n", "3",
+     "--sample", "-5", "--seed", "1"],
 ], ids=["negative-degree", "stabilizer-n1", "parahoric-n1", "boundary-n1",
         "sp-n0", "fans-identity-n1", "fan-negative-part", "negative-count",
         "zero-count", "zero-matrices", "negative-points", "zero-samples",
         "zero-sample", "non-square", "zero-denominator", "vanishing-denominator",
-        "huge-p", "hypersurface-p1"])
+        "huge-p", "hypersurface-p1", "plot-negative-sample"])
 def test_bad_parameters_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

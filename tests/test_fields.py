@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropstab.errors import DivisionByZeroError, DomainError
-from tropstab.fields import INF, FieldSpec, is_prime
+from tropstab.fields import INF, FieldSpec, int_valuation, is_prime
 
 Q2 = FieldSpec("Qp", 2)
 Q3 = FieldSpec("Qp", 3)
@@ -63,6 +63,18 @@ def test_valuation_examples():
     assert Q2.element(12).valuation() == 2
     assert Q3.element(0).valuation() == INF
     assert Q5.element(Fraction(1, 25)).valuation() == -2
+
+
+def test_int_valuation_rejects_small_p():
+    assert int_valuation(-12, 2) == 2
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError):
+            int_valuation(12, p)
+
+
+def test_int_valuation_rejects_zero():
+    with pytest.raises(ValueError):
+        int_valuation(0, 3)
 
 
 def test_valuation_rational_function():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix, perm_sign
 
 Q2 = FieldSpec("Qp", 2)
+Q3 = FieldSpec("Qp", 3)
 Q5 = FieldSpec("Qp", 5)
 F3T = FieldSpec("FpT", 3)
 
@@ -41,6 +43,59 @@ def test_determinant_multiplicative():
             a = sampling.random_sl(spec, 3, rng, 4)
             b = sampling.random_sl(spec, 3, rng, 4)
             assert (a * b).determinant() == a.determinant() * b.determinant()
+
+
+def _leibniz(m):
+    """Reference determinant: the signed sum over all permutations."""
+    total = m.spec.zero()
+    for perm in itertools.permutations(range(m.size)):
+        term = m.spec.element(perm_sign(perm))
+        for i, j in enumerate(perm):
+            term = term * m.rows[i][j]
+        total = total + term
+    return total
+
+
+def _random_entry(spec, rng):
+    return spec.zero() if rng.random() < 0.3 else sampling.random_element(spec, rng, -2, 2)
+
+
+def _unit_triangular_product(spec, n, rng):
+    one, zero = spec.one(), spec.zero()
+
+    def factor(lower):
+        return FieldMatrix(spec, [[one if i == j else sampling.random_element(spec, rng, -2, 2)
+                                   if (i > j) == lower else zero
+                                   for j in range(n)] for i in range(n)])
+    return factor(True) * factor(False)
+
+
+@pytest.mark.parametrize("spec, dense_spec, dense_n", [(Q2, Q3, 14), (F3T, F3T, 10)],
+                         ids=["Q2", "F3T"])
+def test_determinant_matches_leibniz(spec, dense_spec, dense_n):
+    rng = random.Random(11)
+    non_unit = 0
+    for n in range(1, 6):
+        for _ in range(6):
+            m = FieldMatrix(spec, [[_random_entry(spec, rng) for _ in range(n)]
+                                   for _ in range(n)])
+            det = m.determinant()
+            assert det == _leibniz(m)
+            non_unit += not det.is_zero() and det.valuation() != 0
+    assert non_unit > 0
+    swap = FieldMatrix(spec, [[0, 1, 2], [1, 1, 1], [2, 1, 2]])
+    assert swap.determinant() == _leibniz(swap) == spec.element(-2)
+    rows = [[_random_entry(spec, rng) for _ in range(4)] for _ in range(3)]
+    repeated = FieldMatrix(spec, rows + [rows[1]])
+    assert repeated.determinant() == _leibniz(repeated) == spec.zero()
+    rows.append([sampling.random_element(spec, rng) for _ in range(4)])
+    zero_column = FieldMatrix(spec, [r[:2] + [0] + r[3:] for r in rows])
+    assert zero_column.determinant() == _leibniz(zero_column) == spec.zero()
+    # dense products of unit-triangular factors: exponential-cost
+    # determinants would show up here as seconds of test time
+    dense = _unit_triangular_product(dense_spec, dense_n, rng)
+    assert all(not e.is_zero() for row in dense.rows for e in row)
+    assert dense.determinant() == dense_spec.one()
 
 
 def test_sampled_words_have_determinant_one():

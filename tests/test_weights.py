@@ -139,6 +139,7 @@ def test_schur_routes_agree():
 def test_schur_empty_partition():
     assert schur_eval((), (2, 3)) == 1
     assert schur_eval((0, 0), (2, 3)) == 1
+    assert schur_eval((), ()) == 1
 
 
 def test_bialternant_rejects_repeats():
@@ -275,6 +276,13 @@ def test_hypersurface_identity_rank_two():
 def test_hypersurface_accepts_field_spec():
     char = sl_identity_character(2)
     assert tropical_hypersurface_member(char, FieldSpec("Qp", 5), (1, 1))
+
+
+def test_hypersurface_rejects_p_below_two():
+    char = sl_identity_character(2)
+    for p in (1, 0):
+        with pytest.raises(ValueError):
+            tropical_hypersurface_member(char, p, (0, 0))
 
 
 def test_skeleton_examples():

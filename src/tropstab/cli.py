@@ -10,10 +10,9 @@ produce byte-identical output for identical inputs.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
+import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import suites, svgplot
@@ -21,8 +20,9 @@ from .apartment import ApartmentPoint, stabilizer_membership
 from .compactification import BoundaryPoint, boundary_stabilizes
 from .errors import TropstabError, UnknownSuiteError
 from .fields import FieldSpec
-from .serialize import (InputError, fan_to_json, matrix_from_json,
-                        point_from_json, point_to_json, spec_to_json)
+from .serialize import (InputError, fan_to_json, fraction_from_json,
+                        matrix_from_json, point_from_json, point_to_json,
+                        spec_to_json)
 from .symplectic import (SpApartmentPoint, embed_point, _require_symplectic,
                          sp_stabilizer_membership)
 from .tropical import NEG_INF, trop_matvec, tropicalize
@@ -34,13 +34,15 @@ def _load_payload(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError:
-        path = Path(text)
-        if path.exists():
-            try:
-                return json.loads(path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise InputError(f"file {text} does not contain valid JSON") from exc
-        raise InputError(f"neither valid JSON nor an existing file: {text!r}")
+        pass
+    except ValueError as exc:
+        raise InputError(f"invalid JSON payload: {exc}") from exc
+    try:
+        return json.loads(Path(text).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"neither valid JSON nor an existing file: {text!r}") from exc
+    except ValueError as exc:
+        raise InputError(f"file {text} does not contain valid JSON") from exc
 
 
 def _field_spec(args) -> FieldSpec:
@@ -62,10 +64,7 @@ def _parse_lambda(text: str):
 
 
 def _parse_values(text: str):
-    try:
-        return tuple(Fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"invalid value list: {text!r}") from exc
+    return tuple(fraction_from_json(part) for part in text.split(","))
 
 
 def _emit(args, text: str):
@@ -252,7 +251,9 @@ def _expected_cone_count(rep, n, lam):
         return 2 * n
     rank = n if n else len(lam)
     padded = tuple(lam) + (0,) * (rank - len(lam))
-    return len(set(itertools.permutations(padded)))
+    # distinct permutations of the padded partition: a multinomial coefficient
+    return math.factorial(len(padded)) // math.prod(
+        math.factorial(padded.count(v)) for v in set(padded))
 
 
 def _verify_fans(a, spec, seed):

@@ -31,7 +31,8 @@ def fraction_from_json(v) -> Fraction:
         raise InputError(f"not a rational: {v!r}")
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, str):
+    # no exponent notation: "1e10000000" alone would buy unbounded work
+    if isinstance(v, str) and "e" not in v.lower():
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:

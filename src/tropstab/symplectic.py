@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .apartment import (ApartmentPoint, MonomialMatrix, normalizer_action,
-                        _residue_flag_member)
+from .apartment import (ApartmentPoint, MonomialMatrix, in_star_of_origin,
+                        normalizer_action, _residue_flag_member)
 from .errors import (DimensionMismatchError, NotSymplecticError,
                      OutOfStarError)
 from .fields import FieldSpec
@@ -43,11 +43,29 @@ def antitranspose(m: FieldMatrix) -> FieldMatrix:
 
 
 def is_symplectic(m: FieldMatrix) -> bool:
-    """Does m preserve the standard symplectic form exactly?"""
-    if m.size % 2 != 0:
+    """Does m preserve the standard symplectic form exactly?
+
+    Compares (m^T psi m)_ij = sum over k < n of (m_ki m_k'j - m_k'i m_kj),
+    k' = 2n-1-k, with psi_ij for i < j only, skipping zero entries: the
+    diagonal and the lower triangle follow formally, in every characteristic.
+    """
+    size = m.size
+    if size % 2 != 0:
         raise DimensionMismatchError("symplectic matrices have even size")
-    psi = standard_form(m.spec, m.size // 2)
-    return m.transpose() * psi * m == psi
+    zero, one = m.spec.zero(), m.spec.one()
+    cols = list(zip(*m.rows))
+    for i, ci in enumerate(cols):
+        for j in range(i + 1, size):
+            cj, acc = cols[j], zero
+            for k in range(size // 2):
+                kk = size - 1 - k
+                if ci[k] and cj[kk]:
+                    acc = acc + ci[k] * cj[kk]
+                if ci[kk] and cj[k]:
+                    acc = acc - ci[kk] * cj[k]
+            if acc != (one if i + j == size - 1 else zero):
+                return False
+    return True
 
 
 class SpApartmentPoint:
@@ -110,15 +128,9 @@ def sp_fixes_ray(g: FieldMatrix, x: SpApartmentPoint, d) -> bool:
 
 
 def sp_in_star_of_origin(coords) -> bool:
-    """Star of the origin for the C_n arrangement: |2 x_i| < 1, |x_i ± x_j| < 1."""
-    n = len(coords)
-    for i in range(n):
-        if abs(2 * coords[i]) >= 1:
-            return False
-        for j in range(i + 1, n):
-            if abs(coords[i] - coords[j]) >= 1 or abs(coords[i] + coords[j]) >= 1:
-                return False
-    return True
+    """Star of the origin for the C_n arrangement: |2 x_i| < 1, |x_i ± x_j| < 1,
+    which are the pairwise differences of the embedded vector."""
+    return in_star_of_origin(_embed(coords))
 
 
 def sp_parahoric_oracle(g: FieldMatrix, x: SpApartmentPoint) -> bool:
@@ -134,10 +146,7 @@ def sp_parahoric_oracle(g: FieldMatrix, x: SpApartmentPoint) -> bool:
 def sp_normalizer_action(m: FieldMatrix, x: SpApartmentPoint) -> SpApartmentPoint:
     """Action of a symplectic monomial matrix, computed in the embedded picture."""
     _require_symplectic(m)
-    mono = MonomialMatrix.from_matrix(m)
-    y = normalizer_action(mono, embed_point(x))
-    cs = y.coords
-    n = len(cs) // 2
-    if any(cs[i] != -cs[len(cs) - 1 - i] for i in range(n)):
+    cs = normalizer_action(MonomialMatrix.from_matrix(m), embed_point(x)).coords
+    if _embed(cs[:x.n]) != cs:
         raise ValueError("matrix does not act on the symplectic apartment")
-    return SpApartmentPoint(cs[:n])
+    return SpApartmentPoint(cs[:x.n])

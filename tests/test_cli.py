@@ -1,8 +1,9 @@
+import itertools
 import json
 
 import pytest
 
-from tropstab.cli import main
+from tropstab.cli import _expected_cone_count, main
 
 
 def run_cli(capsys, *argv):
@@ -106,17 +107,33 @@ def test_verify_semiring_deterministic(capsys):
      "--p", "1"],
     ["plot", "--target", "hypersurface", "--rep", "identity", "--n", "3",
      "--sample", "-5", "--seed", "1"],
+    ["stabilize", "--matrix", "[[1,0],[0,1]]", "--point", '["1e5000","0"]'],
+    ["schur", "--lambda", "1", "--z", "1e5000,2"],
+    ["stabilize", "--matrix", "[[1,0],[0,1]]", "--point", f"[{'1' * 5001},0]"],
+    ["stabilize", "--matrix", ".", "--point", '["0","0"]'],
+    ["stabilize", "--matrix", "x" * 5000, "--point", '["0","0"]'],
 ], ids=["negative-degree", "stabilizer-n1", "parahoric-n1", "boundary-n1",
         "sp-n0", "fans-identity-n1", "fan-negative-part", "negative-count",
         "zero-count", "zero-matrices", "negative-points", "zero-samples",
         "zero-sample", "non-square", "zero-denominator", "vanishing-denominator",
-        "huge-p", "hypersurface-p1", "plot-negative-sample"])
+        "huge-p", "hypersurface-p1", "plot-negative-sample",
+        "exponent-point", "exponent-z", "huge-json-integer", "directory-payload",
+        "overlong-payload-name"])
 def test_bad_parameters_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     lines = err.splitlines()
     assert lines and all(line.startswith("error: ") for line in lines)
+
+
+def test_expected_cone_count_counts_distinct_permutations():
+    for lam, n in (((2, 1, 0), 3), ((2, 1), 4), ((2, 2, 1, 0), None), ((3, 1, 1), 5),
+                   ((1,), 1), ((4, 3), 1)):
+        rank = n if n else len(lam)
+        padded = lam + (0,) * (rank - len(lam))
+        assert _expected_cone_count("schur", n, lam) == \
+            len(set(itertools.permutations(padded)))
 
 
 def test_verify_requires_seed(capsys):

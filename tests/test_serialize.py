@@ -25,6 +25,13 @@ def test_fraction_strings():
         fraction_from_json("1/0")
     with pytest.raises(InputError):
         fraction_from_json(True)
+    # exponent notation is not an encoding: "1e10000000" alone would cost
+    # seconds to parse
+    for text in ("1e3", "2E-1", "1/1e5", "1e10000000"):
+        with pytest.raises(InputError):
+            fraction_from_json(text)
+    with pytest.raises(InputError):
+        fraction_from_json("1" * 5001)
 
 
 def test_trop_scalar_round_trip():

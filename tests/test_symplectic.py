@@ -17,6 +17,7 @@ from tropstab.symplectic import (SpApartmentPoint, antitranspose, embed_point,
 
 Q2 = FieldSpec("Qp", 2)
 Q5 = FieldSpec("Qp", 5)
+F2T = FieldSpec("FpT", 2)
 F3T = FieldSpec("FpT", 3)
 
 
@@ -180,8 +181,46 @@ def test_star_matches_embedded_arrangement():
 
 
 def test_samplers_self_check():
+    # the samplers return their words unchecked; these are the invariants
+    # the words have by construction
     rng = random.Random(31)
+    for spec in (Q5, F3T):
+        for n in (1, 2, 3):
+            for _ in range(4):
+                assert is_symplectic(sampling.random_sp_monomial(spec, n, rng))
+                g = sampling.random_sp_integral(spec, n, rng)
+                assert is_symplectic(g) and g.is_integral()
+                assert is_symplectic(sampling.random_sp(spec, n, rng))
+        # the directions of test_sp_limit_coherence
+        for c in ((1, 0), (1, 1), (0, -1), (-1, 1)):
+            for _ in range(4):
+                x = tuple(Fraction(rng.randint(-1, 1)) for _ in range(2))
+                g = sampling.random_sp_ray_adapted(spec, 2, x, c, rng)
+                assert is_symplectic(g)
+
+
+def _is_symplectic_by_product(m):
+    """The definition: m^T psi m == psi, by two matrix products."""
+    psi = standard_form(m.spec, m.size // 2)
+    return m.transpose() * psi * m == psi
+
+
+@pytest.mark.parametrize("spec", [Q2, F2T, F3T], ids=["Q2", "F2T", "F3T"])
+def test_is_symplectic_matches_product_definition(spec):
+    # characteristic 2 included: there an antisymmetric form need not have
+    # a zero diagonal, and the entrywise check must not assume it does
+    rng = random.Random(43)
+    samplers = (sampling.random_sp_monomial, sampling.random_sp_integral,
+                sampling.random_sp)
+    rejected = 0
     for n in (1, 2, 3):
-        assert is_symplectic(sampling.random_sp_integral(Q5, n, rng))
-        assert is_symplectic(sampling.random_sp_monomial(Q5, n, rng))
-        assert is_symplectic(sampling.random_sp(F3T, n, rng))
+        for _ in range(6):
+            g = rng.choice(samplers)(spec, n, rng)
+            assert is_symplectic(g) and _is_symplectic_by_product(g)
+            rows = [list(r) for r in g.rows]
+            i, j = rng.randrange(2 * n), rng.randrange(2 * n)
+            rows[i][j] = rows[i][j] + sampling.random_element(spec, rng, -1, 1)
+            h = FieldMatrix(spec, rows)
+            assert is_symplectic(h) == _is_symplectic_by_product(h)
+            rejected += not is_symplectic(h)
+    assert rejected > 0

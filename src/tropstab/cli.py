@@ -180,11 +180,11 @@ def _char_params(args):
     n = args.n
     if args.rep == "schur" and lam is None:
         raise InputError("--lambda is required for the schur representation")
-    least = {"identity": 2, "sp": 1}.get(args.rep)
-    if least is not None:
-        if n is None:
-            raise InputError("--n is required for this representation")
-        _rank_at_least(n, least, f"the {args.rep} representation")
+    if n is not None:
+        _rank_at_least(n, 2 if args.rep == "identity" else 1,
+                       f"the {args.rep} representation")
+    elif args.rep != "schur":
+        raise InputError("--n is required for this representation")
     return args.rep, n, lam
 
 
@@ -249,7 +249,7 @@ def _expected_cone_count(rep, n, lam):
         return n
     if rep == "sp":
         return 2 * n
-    rank = n if n else len(lam)
+    rank = len(lam) if n is None else n
     padded = tuple(lam) + (0,) * (rank - len(lam))
     # distinct permutations of the padded partition: a multinomial coefficient
     return math.factorial(len(padded)) // math.prod(
@@ -319,11 +319,15 @@ def _cmd_schur(args) -> int:
     values = _parse_values(args.z)
     tabl = schur_eval_tableaux(lam, values)
     bial = schur_eval_bialternant(lam, values)
+    try:
+        shown = str(tabl), str(bial)
+    except ValueError as exc:  # more digits than Python converts to text
+        raise InputError("the result has too many digits to print") from exc
     doc = {
         "lambda": list(lam),
         "z": [str(v) for v in values],
-        "tableaux": str(tabl),
-        "bialternant": str(bial),
+        "tableaux": shown[0],
+        "bialternant": shown[1],
         "agree": tabl == bial,
     }
     _emit_json(args, doc)
@@ -363,6 +367,8 @@ def _cmd_boundary_stabilize(args) -> int:
     matrix = matrix_from_json(spec, _load_payload(args.matrix))
     coords = point_from_json(_load_payload(args.point))
     bp = BoundaryPoint(coords)
+    if args.group == "sp2n":
+        _require_symplectic(matrix)
     value = boundary_stabilizes(matrix, bp)
     doc = {
         "field": spec_to_json(spec),

@@ -94,15 +94,19 @@ def direction_for_stratum(indices, n: int) -> FanDirection:
     return FanDirection(cone, tuple(v - shift for v in c))
 
 
+def _limit(ys, ds) -> BoundaryPoint:
+    """Limit of ys + s*ds as s grows: the coordinates where ds attains its
+    maximum stay finite, the others go to minus infinity."""
+    if len(ds) != len(ys):
+        raise InvalidDirectionError("direction dimension does not match the point")
+    top = max(ds)
+    return BoundaryPoint(tuple(y if e == top else NEG_INF for y, e in zip(ys, ds)))
+
+
 def boundary_point_from_direction(x: ApartmentPoint, d: FanDirection) -> BoundaryPoint:
     """Limit of x along the direction: coordinates stay finite exactly where
     the coordinate weights attain their maximum on the direction point."""
-    n = x.n
-    if len(d.point) != n:
-        raise InvalidDirectionError("direction dimension does not match the point")
-    top = max(d.point)
-    return BoundaryPoint(tuple(
-        x.coords[i] if d.point[i] == top else NEG_INF for i in range(n)))
+    return _limit(x.coords, d.point)
 
 
 def boundary_stabilizes(g: FieldMatrix, b: BoundaryPoint) -> bool:
@@ -151,14 +155,7 @@ def sp_boundary_point(x: SpApartmentPoint, d: FanDirection) -> BoundaryPoint:
     """Embedded limit point: the weights of the standard symplectic
     representation evaluated on the direction decide which of the 2n
     embedded coordinates stay finite."""
-    n = x.n
-    if len(d.point) != n:
-        raise InvalidDirectionError("direction dimension does not match the point")
-    embedded_dir = _embed(d.point)
-    top = max(embedded_dir)
-    ys = _embed(x.coords)
-    return BoundaryPoint(tuple(
-        ys[i] if embedded_dir[i] == top else NEG_INF for i in range(2 * n)))
+    return _limit(_embed(x.coords), _embed(d.point))
 
 
 def sp_boundary_stabilizes(g: FieldMatrix, x: SpApartmentPoint, d: FanDirection) -> bool:

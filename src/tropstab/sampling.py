@@ -1,11 +1,11 @@
 """Seeded random generators for elements, matrices, words, and points.
 
 Every function takes an explicit random.Random so that a reported seed
-reproduces a run exactly.  Matrix words are built by row operations from
-generators that are determinant-one by construction: elementary
-transvections, unit monomial matrices, and torus elements; symplectic
-words additionally use form-compatible block generators and are symplectic
-by construction; the symplectic predicates check the form at entry.
+reproduces a run exactly.  Words of both groups are built by row
+operations in place, without matrix products or inverses: transvections,
+unit scalings, permutations and torus factors, and entrywise torus
+conjugates.  Symplectic words are symplectic by construction; the
+symplectic predicates check the form where they are entered.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from .apartment import MonomialMatrix
 from .fields import FieldSpec
 from .matrices import FieldMatrix, perm_sign
-from .symplectic import _embed, antitranspose
+from .symplectic import _embed
 
 
 def random_fraction(rng: random.Random, max_num=6, max_den=6) -> Fraction:
@@ -74,10 +74,20 @@ def _left_scale(rows, i, u):
 
 
 def _left_permute(rows, perm):
-    out = [None] * len(rows)
+    """Move row i to perm[i]; on 2n rows for n entries of perm, also row i'
+    to perm[i]', with k' = 2n-1-k."""
+    out, last = list(rows), len(rows) - 1
     for i, target in enumerate(perm):
         out[target] = rows[i]
+        if len(rows) > len(perm):
+            out[last - target] = rows[last - i]
     rows[:] = out
+
+
+def _left_sp_scale(rows, i, u):
+    """Left multiply by the torus element with u at i and u^{-1} at i'."""
+    _left_scale(rows, i, u)
+    _left_scale(rows, len(rows) - 1 - i, u.inv())
 
 
 def _units_with_product(spec, n, rng, sign=1):
@@ -116,23 +126,39 @@ def random_torus(spec: FieldSpec, n: int, rng: random.Random, emax=2) -> FieldMa
     return FieldMatrix.diagonal(spec, [u * pi ** e for u, e in zip(units, exps)])
 
 
-def random_sl_integral(spec: FieldSpec, n: int, rng: random.Random, length=6) -> FieldMatrix:
-    """A word in integral transvections and unit monomial matrices."""
-    rows = _identity_rows(spec, n)
+def _left_integral_word(spec, rows, n, rng, length):
+    """Left multiply the first n rows by a word in integral transvections and
+    unit monomial matrices.  On 2n rows each step s also acts as its mirror
+    (s^†)^{-1} on the last n: E_ij(a) with E_j'i'(-a), a unit u on row i
+    with u^{-1} on row i', a permutation with its mirror."""
+    last, mirrored = len(rows) - 1, len(rows) > n
     for _ in range(length):
         if rng.random() < 0.75:
             i, j = rng.sample(range(n), 2)
-            _left_transvection(rows, i, j, random_integral(spec, rng))
+            a = random_integral(spec, rng)
+            _left_transvection(rows, i, j, a)
+            if mirrored:
+                _left_transvection(rows, last - j, last - i, -a)
         else:
             mono = random_monomial(spec, n, rng)
             for i, s in enumerate(mono.scalars):
-                _left_scale(rows, i, s)
+                (_left_sp_scale if mirrored else _left_scale)(rows, i, s)
             _left_permute(rows, mono.perm)
+
+
+def random_sl_integral(spec: FieldSpec, n: int, rng: random.Random, length=6) -> FieldMatrix:
+    """A word in integral transvections and unit monomial matrices."""
+    rows = _identity_rows(spec, n)
+    _left_integral_word(spec, rows, n, rng, length)
     return FieldMatrix(spec, rows)
 
 
-def conjugate(g: FieldMatrix, t: FieldMatrix) -> FieldMatrix:
-    return t * g * t.inverse()
+def _torus_conjugate(g: FieldMatrix, t: FieldMatrix) -> FieldMatrix:
+    """t g t^{-1} for a diagonal t, entrywise: t_i g_ij t_j^{-1}."""
+    diag = [t.rows[i][i] for i in range(t.size)]
+    inv = [d.inv() for d in diag]
+    return FieldMatrix(g.spec, [[d * e * v for e, v in zip(row, inv)]
+                                for d, row in zip(diag, g.rows)])
 
 
 def random_sl(spec: FieldSpec, n: int, rng: random.Random, length=6) -> FieldMatrix:
@@ -143,7 +169,7 @@ def random_sl(spec: FieldSpec, n: int, rng: random.Random, length=6) -> FieldMat
         return random_sl_integral(spec, n, rng, length)
     if style == 1:
         word = random_sl_integral(spec, n, rng, length)
-        return conjugate(word, random_torus(spec, n, rng))
+        return _torus_conjugate(word, random_torus(spec, n, rng))
     rows = _identity_rows(spec, n)
     for _ in range(length):
         i, j = rng.sample(range(n), 2)
@@ -181,51 +207,20 @@ def random_stabilizing(spec: FieldSpec, coords, rng: random.Random, length=6) ->
 # ----------------------------------------------------------------------
 # symplectic words
 
-def _sp_block_generator(spec, n, rng, upper: bool, integral: bool) -> FieldMatrix:
-    """[[1, B], [0, 1]] or [[1, 0], [C, 1]] with the block antidiagonal-symmetric."""
-    def entry(i, j):
-        if rng.random() < 0.4:
-            return spec.zero()
-        if integral:
-            return random_integral(spec, rng, allow_zero=False)
-        return random_element(spec, rng, -1, 2)
-
-    return _sp_block_matrix(spec, n, entry, upper)
-
-
-def _sp_block_matrix(spec, n, entries, upper: bool) -> FieldMatrix:
-    """[[1, B], [0, 1]] or [[1, 0], [B, 1]] for the n x n block B fixed under
-    reflection in the antidiagonal, with entries(i, j) on and above it."""
-    block = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n - i):
-            block[i][j] = entries(i, j)
-    rows = _identity_rows(spec, 2 * n)
+def _left_sp_block(rows, n, entries, upper: bool):
+    """Left multiply by [[1, B], [0, 1]] or [[1, 0], [B, 1]] for the n x n
+    block B fixed under reflection in the antidiagonal, with entries(i, j)
+    on and above it: one transvection per nonzero entry of B."""
+    block = [[entries(i, j) for j in range(n - i)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             b = block[i][j] if i + j <= n - 1 else block[n - 1 - j][n - 1 - i]
+            if not b:
+                continue
             if upper:
-                rows[i][n + j] = b
+                _left_transvection(rows, i, n + j, b)
             else:
-                rows[n + i][j] = b
-    return FieldMatrix(spec, rows)
-
-
-def _sp_linear_generator(spec, n, rng, integral: bool) -> FieldMatrix:
-    """[[A, 0], [0, (A^†)^{-1}]] with A a determinant-one word, or a unit
-    for rank one."""
-    if n == 1:
-        a = FieldMatrix(spec, [[random_unit(spec, rng)]])
-    else:
-        a = _sl_word_any_size(spec, n, rng, integral)
-    inv = antitranspose(a).inverse()
-    zero = spec.zero()
-    rows = []
-    for i in range(n):
-        rows.append(list(a.rows[i]) + [zero] * n)
-    for i in range(n):
-        rows.append([zero] * n + list(inv.rows[i]))
-    return FieldMatrix(spec, rows)
+                _left_transvection(rows, n + i, j, b)
 
 
 def sp_torus(spec: FieldSpec, n: int, entries) -> FieldMatrix:
@@ -234,56 +229,60 @@ def sp_torus(spec: FieldSpec, n: int, entries) -> FieldMatrix:
     return FieldMatrix.diagonal(spec, ss + [s.inv() for s in reversed(ss)])
 
 
-def random_sp_torus(spec: FieldSpec, n: int, rng: random.Random, emax=1) -> FieldMatrix:
-    pi = spec.uniformizer()
-    return sp_torus(spec, n, [random_unit(spec, rng) * pi ** rng.randint(-emax, emax)
-                              for _ in range(n)])
+def _left_sp_monomial(rows, n, rng):
+    """Left multiply by a random signed permutation, as random_sp_monomial."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    _left_permute(rows, perm)
+    last = 2 * n - 1
+    for i in range(n):
+        if rng.random() < 0.5:
+            rows[i], rows[last - i] = rows[last - i], [-e for e in rows[i]]
 
 
 def random_sp_monomial(spec: FieldSpec, n: int, rng: random.Random) -> FieldMatrix:
     """A signed-permutation symplectic matrix: an embedded permutation of the
     first n coordinates composed with sign flips in symplectic planes."""
     rows = _identity_rows(spec, 2 * n)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    full = [0] * (2 * n)
-    for i, t in enumerate(perm):
-        full[i] = t
-        full[2 * n - 1 - i] = 2 * n - 1 - t
-    _left_permute(rows, full)
-    for i in range(n):
-        if rng.random() < 0.5:
-            a, b = i, 2 * n - 1 - i
-            rows[a], rows[b] = rows[b], [-e for e in rows[a]]
+    _left_sp_monomial(rows, n, rng)
     return FieldMatrix(spec, rows)
 
 
 def random_sp_integral(spec: FieldSpec, n: int, rng: random.Random, length=5) -> FieldMatrix:
-    """An integral symplectic word."""
-    g = FieldMatrix.identity(spec, 2 * n)
+    """An integral symplectic word: integral block generators, [[A, 0],
+    [0, (A^†)^{-1}]] for an integral word or unit A, signed permutations."""
+    def entry(i, j):
+        if rng.random() < 0.4:
+            return spec.zero()
+        return random_integral(spec, rng, allow_zero=False)
+
+    rows = _identity_rows(spec, 2 * n)
     for _ in range(length):
         kind = rng.randrange(4)
-        if kind == 0:
-            f = _sp_block_generator(spec, n, rng, upper=True, integral=True)
-        elif kind == 1:
-            f = _sp_block_generator(spec, n, rng, upper=False, integral=True)
-        elif kind == 2:
-            f = _sp_linear_generator(spec, n, rng, integral=True)
+        if kind < 2:
+            _left_sp_block(rows, n, entry, upper=kind == 0)
+        elif kind == 3:
+            _left_sp_monomial(rows, n, rng)
+        elif n == 1:
+            _left_sp_scale(rows, 0, random_unit(spec, rng))
         else:
-            f = random_sp_monomial(spec, n, rng)
-        g = f * g
-    return g
+            _left_integral_word(spec, rows, n, rng, 4)
+    return FieldMatrix(spec, rows)
 
 
 def random_sp(spec: FieldSpec, n: int, rng: random.Random, length=5) -> FieldMatrix:
-    """A symplectic word, integral or torus-twisted."""
+    """A symplectic word, integral, torus-conjugated, or times a torus element."""
     g = random_sp_integral(spec, n, rng, length)
     style = rng.randrange(3)
+    if style == 0:
+        return g
+    pi = spec.uniformizer()
+    t = sp_torus(spec, n, [random_unit(spec, rng) * pi ** rng.randint(-1, 1)
+                           for _ in range(n)])
     if style == 1:
-        g = conjugate(g, random_sp_torus(spec, n, rng))
-    elif style == 2:
-        g = random_sp_torus(spec, n, rng) * g
-    return g
+        return _torus_conjugate(g, t)
+    return FieldMatrix(spec, [[t.rows[i][i] * e for e in row]
+                              for i, row in enumerate(g.rows)])
 
 
 def random_ray_stabilizing(spec: FieldSpec, base, direction,
@@ -338,15 +337,15 @@ def random_sp_ray_adapted(spec: FieldSpec, n: int, base, direction,
             return random_element(spec, rng, b, b + 1)
         return entry
 
-    g = FieldMatrix.identity(spec, 2 * n)
+    rows = _identity_rows(spec, 2 * n)
     for _ in range(length):
         kind = rng.randrange(3)
         if kind == 0:
-            f = sp_torus(spec, n, [random_unit(spec, rng) for _ in range(n)])
+            for i, u in enumerate([random_unit(spec, rng) for _ in range(n)]):
+                _left_sp_scale(rows, i, u)
         else:
-            f = _sp_block_matrix(spec, n, bounded_entry(kind == 1), kind == 1)
-        g = f * g
-    return g
+            _left_sp_block(rows, n, bounded_entry(kind == 1), kind == 1)
+    return FieldMatrix(spec, rows)
 
 
 def _sl_word_any_size(spec, k, rng, integral):

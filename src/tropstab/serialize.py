@@ -17,6 +17,12 @@ from .tropical import NEG_INF
 from .weights import Fan, canonical_weight
 
 
+#: The largest degree an F_p(T) payload may use.  Elements are dense
+#: coefficient lists, so a degree costs its size in memory and its square in
+#: time at every multiplication.
+MAX_DEGREE = 1000
+
+
 class InputError(TropstabError):
     """Malformed external payload."""
 
@@ -84,6 +90,8 @@ def element_from_json(spec: FieldSpec, v):
                 raise InputError(f"invalid rational-function element: {v!r}") from exc
             if any(d < 0 for d in (*num, *den)):
                 raise InputError(f"negative degree in rational-function element: {v!r}")
+            if any(d > MAX_DEGREE for d in (*num, *den)):
+                raise InputError(f"degree above {MAX_DEGREE} in rational-function element")
             return spec.polynomial(num) / spec.polynomial(den)
     except DivisionByZeroError as exc:
         raise InputError(f"zero denominator modulo {spec.p}: {v!r}") from exc

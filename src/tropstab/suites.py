@@ -79,6 +79,27 @@ def _not_closed(member, x, coords, g, h):
     return None
 
 
+def _not_equivariant(member, act, g, m, w, x):
+    """Witness that g fixing x and m g m^{-1} fixing w.x disagree, for m the
+    matrix of the normalizer element w; None when they agree."""
+    if member(g, x) == member(m * g * m.inverse(), act(w, x)):
+        return None
+    return {"matrix": matrix_to_json(g), "monomial": matrix_to_json(m),
+            "point": point_to_json(x.coords)}
+
+
+def _limit_coherence(candidates, fixes, limit_fixed):
+    """limit_coherence: each candidate (g, x, d) whose g fixes the ray x + s*d
+    must fix its limit; the others are vacuous, and some case must be left."""
+    def limit_not_fixed(g, x, d):
+        return None if limit_fixed(g, x, d) else {
+            "matrix": matrix_to_json(g), "point": point_to_json(x.coords),
+            "direction": point_to_json(d.point)}
+
+    rays = ((g, x, d) for g, x, d in candidates if fixes(g, x, d.point))
+    return _nonvacuous(_run("limit_coherence", rays, limit_not_fixed))
+
+
 # ----------------------------------------------------------------------
 # semiring laws and the failure of composition
 
@@ -261,15 +282,9 @@ def run_parahoric(spec: FieldSpec, n: int, seed: int, count: int = 200):
                    sampling.random_monomial(spec, n, rng),
                    ApartmentPoint(sampling.random_point(rng, n)))
 
-    def not_equivariant(g, mono, x):
-        m = mono.to_matrix()
-        same = stabilizer_membership(g, x) == \
-            stabilizer_membership(m * g * m.inverse(), normalizer_action(mono, x))
-        return None if same else {"matrix": matrix_to_json(g),
-                                  "monomial": matrix_to_json(m),
-                                  "point": point_to_json(x.coords)}
-
-    checks.append(_run("normalizer_equivariance", normalizer_cases(), not_equivariant))
+    checks.append(_run("normalizer_equivariance", normalizer_cases(), lambda g, mono, x:
+                       _not_equivariant(stabilizer_membership, normalizer_action,
+                                        g, mono.to_matrix(), mono, x)))
 
     def address_cases():
         for blocks in faces:
@@ -313,8 +328,9 @@ def run_sp(spec: FieldSpec, n: int, seed: int, count: int = 300):
             x = SpApartmentPoint(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
             t = sampling.sp_torus(spec, n, [spec.uniformizer() ** -int(c)
                                             for c in x.coords])
-            yield (x, t * sampling.random_sp_integral(spec, n, rng) * t.inverse(),
-                   t * sampling.random_sp_integral(spec, n, rng) * t.inverse())
+            yield (x,
+                   sampling._torus_conjugate(sampling.random_sp_integral(spec, n, rng), t),
+                   sampling._torus_conjugate(sampling.random_sp_integral(spec, n, rng), t))
 
     checks.append(_run("group_closure", closure_cases(), lambda x, g, h:
                        _not_closed(sp_stabilizer_membership, x, x.coords, g, h)))
@@ -325,14 +341,9 @@ def run_sp(spec: FieldSpec, n: int, seed: int, count: int = 300):
                    sampling.random_sp_monomial(spec, n, rng),
                    SpApartmentPoint(sampling.random_point(rng, n)))
 
-    def not_equivariant(g, w, x):
-        same = sp_stabilizer_membership(g, x) == \
-            sp_stabilizer_membership(w * g * w.inverse(), sp_normalizer_action(w, x))
-        return None if same else {"matrix": matrix_to_json(g),
-                                  "monomial": matrix_to_json(w),
-                                  "point": point_to_json(x.coords)}
-
-    checks.append(_run("weyl_equivariance", weyl_cases(), not_equivariant))
+    checks.append(_run("weyl_equivariance", weyl_cases(), lambda g, w, x:
+                       _not_equivariant(sp_stabilizer_membership, sp_normalizer_action,
+                                        g, w, w, x)))
 
     def star_cases():
         for _ in range(count // 2):
@@ -374,7 +385,7 @@ def character_from_params(rep: str, n: int | None = None, lam=None) -> WeightedC
         return sp_standard_character(n)
     if rep == "schur":
         lam = tuple(lam)
-        return sl_partition_character(lam, n if n else len(lam))
+        return sl_partition_character(lam, len(lam) if n is None else n)
     raise ValueError(f"unknown representation tag {rep!r}")
 
 
@@ -572,18 +583,12 @@ def run_boundary(spec: FieldSpec, n: int, seed: int, count: int = 300):
                    sampling.random_monomial(spec, n, rng),
                    _boundary_matrix(spec, n, stratum_set, rng))
 
-    def not_equivariant(b, mono, g):
-        m = mono.to_matrix()
-        same = boundary_stabilizes(g, b) == \
-            boundary_stabilizes(m * g * m.inverse(), permute_boundary(b, mono.perm))
-        return None if same else {"matrix": matrix_to_json(g),
-                                  "monomial": matrix_to_json(m),
-                                  "point": point_to_json(b.coords)}
-
-    checks.append(_run("monomial_equivariance", monomial_cases(), not_equivariant))
+    checks.append(_run("monomial_equivariance", monomial_cases(), lambda b, mono, g:
+                       _not_equivariant(boundary_stabilizes,
+                                        lambda w, c: permute_boundary(c, w.perm),
+                                        g, mono.to_matrix(), mono, b)))
 
     def ray_cases():
-        """Matrices fixing the whole ray; the others are vacuous."""
         for k in range(count // 2):
             d = direction_for_stratum(rng.choice(strata), n)
             x = ApartmentPoint(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
@@ -591,16 +596,11 @@ def run_boundary(spec: FieldSpec, n: int, seed: int, count: int = 300):
                 g = sampling.random_ray_stabilizing(spec, x.coords, d.point, rng)
             else:
                 g = sampling.random_sl(spec, n, rng, 4)
-            if fixes_ray(g, x.coords, d.point):
-                yield g, x, d
+            yield g, x, d
 
-    def limit_not_fixed(g, x, d):
-        limit = boundary_point_from_direction(x, d)
-        return None if boundary_stabilizes(g, limit) else {
-            "matrix": matrix_to_json(g), "point": point_to_json(x.coords),
-            "direction": point_to_json(d.point)}
-
-    checks.append(_nonvacuous(_run("limit_coherence", ray_cases(), limit_not_fixed)))
+    checks.append(_limit_coherence(
+        ray_cases(), lambda g, x, v: fixes_ray(g, x.coords, v),
+        lambda g, x, d: boundary_stabilizes(g, boundary_point_from_direction(x, d))))
 
     return _report("boundary", {"seed": seed, "n": n,
                                 "field": spec_to_json(spec), "count": count},
@@ -635,7 +635,6 @@ def run_sp_boundary(spec: FieldSpec, seed: int, count: int = 200):
                    trivial_limit_differs)]
 
     def ray_cases():
-        """Matrices fixing the whole ray; the others are vacuous."""
         for d in directions:
             for k in range(count):
                 x = SpApartmentPoint(tuple(Fraction(rng.randint(-1, 1))
@@ -644,15 +643,9 @@ def run_sp_boundary(spec: FieldSpec, seed: int, count: int = 200):
                     g = sampling.random_sp_ray_adapted(spec, n, x.coords, d.point, rng)
                 else:
                     g = sampling.random_sp(spec, n, rng, 3)
-                if sp_fixes_ray(g, x, d.point):
-                    yield g, x, d
+                yield g, x, d
 
-    def limit_not_fixed(g, x, d):
-        return None if sp_boundary_stabilizes(g, x, d) else {
-            "matrix": matrix_to_json(g), "point": point_to_json(x.coords),
-            "direction": point_to_json(d.point)}
-
-    checks.append(_nonvacuous(_run("limit_coherence", ray_cases(), limit_not_fixed)))
+    checks.append(_limit_coherence(ray_cases(), sp_fixes_ray, sp_boundary_stabilizes))
 
     return _report("sp-boundary", {"seed": seed, "n": n,
                                    "field": spec_to_json(spec), "count": count},

@@ -111,20 +111,25 @@ def _require_symplectic(g: FieldMatrix) -> None:
         raise NotSymplecticError("matrix does not preserve the symplectic form")
 
 
-def sp_stabilizer_membership(g: FieldMatrix, x: SpApartmentPoint) -> bool:
-    """Is the symplectic matrix g in the stabilizer of the apartment point x?"""
+def _guard_and_embed(g: FieldMatrix, x: SpApartmentPoint, *directions) -> tuple:
+    """Check that g is symplectic of size 2n for the n coordinates of x and
+    of each direction, then return the embedded point and directions."""
     _require_symplectic(g)
     if g.size != 2 * x.n:
         raise DimensionMismatchError("matrix and point dimensions differ")
-    return stabilizes_tropically(g, embed_point(x).coords)
+    if any(len(d) != x.n for d in directions):
+        raise DimensionMismatchError("direction and point dimensions differ")
+    return (_embed(x.coords),) + tuple(_embed(d) for d in directions)
+
+
+def sp_stabilizer_membership(g: FieldMatrix, x: SpApartmentPoint) -> bool:
+    """Is the symplectic matrix g in the stabilizer of the apartment point x?"""
+    return stabilizes_tropically(g, *_guard_and_embed(g, x))
 
 
 def sp_fixes_ray(g: FieldMatrix, x: SpApartmentPoint, d) -> bool:
     """Does the symplectic matrix g fix x + s*d for every s >= 0?"""
-    _require_symplectic(g)
-    if g.size != 2 * x.n or len(d) != x.n:
-        raise DimensionMismatchError("matrix, point and direction dimensions differ")
-    return fixes_ray(g, _embed(x.coords), _embed(d))
+    return fixes_ray(g, *_guard_and_embed(g, x, d))
 
 
 def sp_in_star_of_origin(coords) -> bool:
@@ -135,12 +140,10 @@ def sp_in_star_of_origin(coords) -> bool:
 
 def sp_parahoric_oracle(g: FieldMatrix, x: SpApartmentPoint) -> bool:
     """Residue-flag test through the embedding, valid on the star of the origin."""
-    _require_symplectic(g)
-    if g.size != 2 * x.n:
-        raise DimensionMismatchError("matrix and point dimensions differ")
-    if not sp_in_star_of_origin(x.coords):
+    y, = _guard_and_embed(g, x)
+    if not in_star_of_origin(y):
         raise OutOfStarError("point outside the star of the origin")
-    return _residue_flag_member(g, embed_point(x).coords)
+    return _residue_flag_member(g, y)
 
 
 def sp_normalizer_action(m: FieldMatrix, x: SpApartmentPoint) -> SpApartmentPoint:

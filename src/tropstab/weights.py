@@ -28,6 +28,15 @@ from .matrices import _determinant
 GROUP_SL = "sln"
 GROUP_SP = "sp2n"
 
+#: Signs a Weyl element may give a coordinate: SL_n only permutes, Sp_2n also flips.
+_WEYL_SIGNS = {GROUP_SL: (1,), GROUP_SP: (1, -1)}
+
+
+def _weyl_signs(group: str) -> tuple:
+    if group not in _WEYL_SIGNS:
+        raise ValueError(f"unknown group tag {group!r}")
+    return _WEYL_SIGNS[group]
+
 
 # ----------------------------------------------------------------------
 # partitions, tableaux, Kostka numbers, Schur polynomials
@@ -285,15 +294,10 @@ class WeylElement:
 
 def weyl_elements(group: str, n: int):
     """All Weyl elements: permutations, or signed permutations for the symplectic type."""
-    if group == GROUP_SL:
-        for perm in itertools.permutations(range(n)):
-            yield WeylElement(perm, (1,) * n)
-    elif group == GROUP_SP:
-        for perm in itertools.permutations(range(n)):
-            for signs in itertools.product((1, -1), repeat=n):
-                yield WeylElement(perm, signs)
-    else:
-        raise ValueError(f"unknown group tag {group!r}")
+    choices = _weyl_signs(group)
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product(choices, repeat=n):
+            yield WeylElement(perm, signs)
 
 
 @dataclass(frozen=True)
@@ -359,8 +363,10 @@ def dominant_weight(char: WeightedCharacter) -> tuple:
 def _check_weyl(char: WeightedCharacter, w: WeylElement):
     if len(w.perm) != char.rank:
         raise TypeMismatchError("Weyl element rank does not match the character")
-    if char.group == GROUP_SL and any(s != 1 for s in w.signs):
-        raise TypeMismatchError("signed permutations act only on the symplectic type")
+    choices = _weyl_signs(char.group)
+    if any(s not in choices for s in w.signs):
+        raise TypeMismatchError(
+            f"Weyl elements of type {char.group} take only the signs {choices}")
 
 
 def _cone_of_vertex(char: WeightedCharacter, mu0) -> Cone:
@@ -452,14 +458,13 @@ def skeleton_member(fan: Fan, x) -> bool:
 
 def weyl_cone(group: str, n: int, w: WeylElement) -> Cone:
     """The w-image of the leading Weyl chamber, as an H-representation."""
-    if group not in (GROUP_SL, GROUP_SP):
-        raise ValueError(f"unknown group tag {group!r}")
+    choices = _weyl_signs(group)
     base = []
     for i in range(n - 1):
         row = [0] * n
         row[i], row[i + 1] = 1, -1
         base.append(tuple(row))
-    if group == GROUP_SP:
+    if -1 in choices:  # the sign flip of the last coordinate is a simple reflection
         last = [0] * n
         last[n - 1] = 1
         base.append(tuple(last))

@@ -112,13 +112,20 @@ def test_verify_semiring_deterministic(capsys):
     ["stabilize", "--matrix", "[[1,0],[0,1]]", "--point", f"[{'1' * 5001},0]"],
     ["stabilize", "--matrix", ".", "--point", '["0","0"]'],
     ["stabilize", "--matrix", "x" * 5000, "--point", '["0","0"]'],
+    ["fan", "--rep", "schur", "--lambda", "2,1", "--n", "0"],
+    ["verify", "--suite", "fans", "--rep", "schur", "--lambda", "2,1", "--n", "0",
+     "--seed", "1"],
+    ["stabilize", "--field", "fpt", "--p", "3",
+     "--matrix", '[[{"num":{"10000000":1}},"0"],["0","1"]]', "--point", '["0","0"]'],
+    ["schur", "--lambda", "3", "--z", "9" * 2000 + ",1"],
 ], ids=["negative-degree", "stabilizer-n1", "parahoric-n1", "boundary-n1",
         "sp-n0", "fans-identity-n1", "fan-negative-part", "negative-count",
         "zero-count", "zero-matrices", "negative-points", "zero-samples",
         "zero-sample", "non-square", "zero-denominator", "vanishing-denominator",
         "huge-p", "hypersurface-p1", "plot-negative-sample",
         "exponent-point", "exponent-z", "huge-json-integer", "directory-payload",
-        "overlong-payload-name"])
+        "overlong-payload-name", "fan-schur-n0", "fans-schur-n0", "huge-degree",
+        "unprintable-schur"])
 def test_bad_parameters_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -211,6 +218,25 @@ def test_boundary_stabilize_command(capsys):
                          "--point", '["0","-inf"]',
                          "--matrix", '[["1","0"],["1","1"]]')
     assert doc["stabilizes"] is False
+
+
+def test_boundary_stabilize_symplectic_group(capsys):
+    point = '["0","-inf","-inf","-inf"]'
+    not_symplectic = ('[["1","1","0","0"],["0","1","0","0"],'
+                      '["0","0","1","0"],["0","0","0","1"]]')
+    symplectic = ('[["1","1","0","0"],["0","1","0","0"],'
+                  '["0","0","1","-1"],["0","0","0","1"]]')
+    for command in (["boundary-stabilize"], ["stabilize", "--boundary"]):
+        code, out, err = run_cli(capsys, *command, "--group", "sp2n",
+                                 "--matrix", not_symplectic, "--point", point)
+        assert code == 3 and out == ""
+        assert err == "error: matrix does not preserve the symplectic form\n"
+        code, doc = run_json(capsys, *command, "--group", "sp2n",
+                             "--matrix", symplectic, "--point", point)
+        assert code == 0 and doc["stabilizes"] is True
+    code, doc = run_json(capsys, "boundary-stabilize", "--matrix", not_symplectic,
+                         "--point", point)
+    assert code == 0 and doc["stabilizes"] is True
 
 
 def test_plot_identity_rank_two(capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from tropstab import sampling
 from tropstab.fields import FieldSpec
-from tropstab.serialize import (InputError, element_from_json, element_to_json,
+from tropstab.serialize import (MAX_DEGREE, InputError, element_from_json,
+                                element_to_json,
                                 fraction_from_json, fraction_to_str,
                                 matrix_from_json, matrix_to_json,
                                 point_from_json, point_to_json, spec_from_json,
@@ -61,6 +62,16 @@ def test_fpt_element_round_trip():
     assert element_from_json(F3T, data) == e
     assert element_from_json(F3T, 2) == F3T.element(2)
     assert element_from_json(F3T, "1/2") == F3T.element(Fraction(1, 2))
+
+
+def test_fpt_degree_bound():
+    t = F3T.uniformizer()
+    top = str(MAX_DEGREE)
+    assert element_from_json(F3T, {"num": {top: 1}}) == t ** MAX_DEGREE
+    assert element_from_json(F3T, {"num": {"0": 1}, "den": {top: 1}}) == t ** -MAX_DEGREE
+    for data in ({"num": {str(MAX_DEGREE + 1): 1}}, {"den": {"10000000": 1}}):
+        with pytest.raises(InputError):
+            element_from_json(F3T, data)
 
 
 def test_matrix_round_trip():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -224,3 +225,212 @@ def test_is_symplectic_matches_product_definition(spec):
             assert is_symplectic(h) == _is_symplectic_by_product(h)
             rejected += not is_symplectic(h)
     assert rejected > 0
+
+
+# ----------------------------------------------------------------------
+# reference samplers: the generator matrices multiplied out, as the words
+# were built before they became row operations
+
+def _elementary(spec, n, i, j, a):
+    rows = [list(r) for r in FieldMatrix.identity(spec, n).rows]
+    rows[i][j] = a
+    return FieldMatrix(spec, rows)
+
+
+def _ref_conjugate(g, t):
+    return t * g * t.inverse()
+
+
+def _ref_sl_integral(spec, n, rng, length=6):
+    g = FieldMatrix.identity(spec, n)
+    for _ in range(length):
+        if rng.random() < 0.75:
+            i, j = rng.sample(range(n), 2)
+            g = _elementary(spec, n, i, j, sampling.random_integral(spec, rng)) * g
+        else:
+            g = sampling.random_monomial(spec, n, rng).to_matrix() * g
+    return g
+
+
+def _ref_sl(spec, n, rng, length=6):
+    style = rng.randrange(3)
+    if style == 0:
+        return _ref_sl_integral(spec, n, rng, length)
+    if style == 1:
+        word = _ref_sl_integral(spec, n, rng, length)
+        return _ref_conjugate(word, sampling.random_torus(spec, n, rng))
+    g = FieldMatrix.identity(spec, n)
+    for _ in range(length):
+        i, j = rng.sample(range(n), 2)
+        g = _elementary(spec, n, i, j, sampling.random_element(spec, rng, -2, 2)) * g
+    return g
+
+
+def _ref_sp_block_matrix(spec, n, entries, upper):
+    block = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n - i):
+            block[i][j] = entries(i, j)
+    rows = [list(r) for r in FieldMatrix.identity(spec, 2 * n).rows]
+    for i in range(n):
+        for j in range(n):
+            b = block[i][j] if i + j <= n - 1 else block[n - 1 - j][n - 1 - i]
+            if upper:
+                rows[i][n + j] = b
+            else:
+                rows[n + i][j] = b
+    return FieldMatrix(spec, rows)
+
+
+def _ref_sp_block_generator(spec, n, rng, upper):
+    def entry(i, j):
+        if rng.random() < 0.4:
+            return spec.zero()
+        return sampling.random_integral(spec, rng, allow_zero=False)
+
+    return _ref_sp_block_matrix(spec, n, entry, upper)
+
+
+def _ref_sp_linear_generator(spec, n, rng):
+    if n == 1:
+        a = FieldMatrix(spec, [[sampling.random_unit(spec, rng)]])
+    else:
+        a = _ref_sl_integral(spec, n, rng, 4)
+    inv = antitranspose(a).inverse()
+    zero = spec.zero()
+    rows = [list(a.rows[i]) + [zero] * n for i in range(n)]
+    rows += [[zero] * n + list(inv.rows[i]) for i in range(n)]
+    return FieldMatrix(spec, rows)
+
+
+def _ref_sp_monomial(spec, n, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    full = [0] * (2 * n)
+    for i, t in enumerate(perm):
+        full[i] = t
+        full[2 * n - 1 - i] = 2 * n - 1 - t
+    zero, one = spec.zero(), spec.one()
+    rows = [[zero] * (2 * n) for _ in range(2 * n)]
+    for i, t in enumerate(full):
+        rows[t][i] = one
+    for i in range(n):
+        if rng.random() < 0.5:
+            a, b = i, 2 * n - 1 - i
+            rows[a], rows[b] = rows[b], [-e for e in rows[a]]
+    return FieldMatrix(spec, rows)
+
+
+def _ref_sp_integral(spec, n, rng, length=5):
+    g = FieldMatrix.identity(spec, 2 * n)
+    for _ in range(length):
+        kind = rng.randrange(4)
+        if kind < 2:
+            f = _ref_sp_block_generator(spec, n, rng, upper=kind == 0)
+        elif kind == 2:
+            f = _ref_sp_linear_generator(spec, n, rng)
+        else:
+            f = _ref_sp_monomial(spec, n, rng)
+        g = f * g
+    return g
+
+
+def _ref_sp_torus(spec, n, rng, emax=1):
+    pi = spec.uniformizer()
+    return sampling.sp_torus(spec, n, [sampling.random_unit(spec, rng)
+                                       * pi ** rng.randint(-emax, emax)
+                                       for _ in range(n)])
+
+
+def _ref_sp(spec, n, rng, length=5):
+    g = _ref_sp_integral(spec, n, rng, length)
+    style = rng.randrange(3)
+    if style == 1:
+        g = _ref_conjugate(g, _ref_sp_torus(spec, n, rng))
+    elif style == 2:
+        g = _ref_sp_torus(spec, n, rng) * g
+    return g
+
+
+def _ref_sp_ray_adapted(spec, n, base, direction, rng, length=4):
+    y0 = embed_point(SpApartmentPoint(base)).coords
+    dy = tuple(Fraction(c) for c in direction)
+    dy = dy + tuple(-c for c in reversed(dy))
+
+    def bound(row, col):
+        if dy[col] > dy[row]:
+            return None
+        return math.ceil(y0[col] - y0[row])
+
+    def bounded_entry(upper):
+        def entry(i, j):
+            if rng.random() < 0.5:
+                return spec.zero()
+            if upper:
+                bounds = (bound(i, n + j), bound(n - 1 - j, n + (n - 1 - i)))
+            else:
+                bounds = (bound(n + i, j), bound(n + (n - 1 - j), n - 1 - i))
+            if any(b is None for b in bounds):
+                return spec.zero()
+            b = max(bounds)
+            return sampling.random_element(spec, rng, b, b + 1)
+        return entry
+
+    g = FieldMatrix.identity(spec, 2 * n)
+    for _ in range(length):
+        kind = rng.randrange(3)
+        if kind == 0:
+            f = sampling.sp_torus(spec, n, [sampling.random_unit(spec, rng)
+                                            for _ in range(n)])
+        else:
+            f = _ref_sp_block_matrix(spec, n, bounded_entry(kind == 1), kind == 1)
+        g = f * g
+    return g
+
+
+@pytest.mark.parametrize("spec", [Q2, Q5, F3T], ids=["Q2", "Q5", "F3T"])
+def test_row_operation_words_match_generator_products(spec):
+    rng = random.Random(47)
+    ref = random.Random()
+    for n in (1, 2, 3):
+        directions = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(4)]
+        pairs = [(sampling.random_sp_integral, _ref_sp_integral),
+                 (sampling.random_sp, _ref_sp),
+                 (sampling.random_sp_monomial, _ref_sp_monomial)]
+        if n > 1:
+            pairs.append((sampling.random_sl, _ref_sl))
+        for d in directions:
+            base = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+            pairs.append((lambda s, k, r, b=base, d=d:
+                          sampling.random_sp_ray_adapted(s, k, b, d, r),
+                          lambda s, k, r, b=base, d=d: _ref_sp_ray_adapted(s, k, b, d, r)))
+        for new, old in pairs * 6:
+            ref.setstate(rng.getstate())
+            assert new(spec, n, rng) == old(spec, n, ref)
+            assert rng.getstate() == ref.getstate()
+
+
+def test_samplers_make_no_matrix_product_or_inverse(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("matrix product or inverse in a sampler")
+
+    monkeypatch.setattr(FieldMatrix, "__mul__", refuse)
+    monkeypatch.setattr(FieldMatrix, "inverse", refuse)
+    rng = random.Random(53)
+    for spec in (Q2, F3T):
+        for n in (1, 2, 3):
+            for _ in range(8):
+                sampling.random_sp_integral(spec, n, rng)
+                sampling.random_sp(spec, n, rng)
+                sampling.random_sp_monomial(spec, n, rng)
+                sampling.random_sp_ray_adapted(spec, n, (0,) * n, (1,) + (0,) * (n - 1), rng)
+                if n == 1:
+                    continue
+                sampling.random_monomial(spec, n, rng)
+                sampling.random_torus(spec, n, rng)
+                sampling.random_sl_integral(spec, n, rng)
+                sampling.random_sl(spec, n, rng)
+                sampling.random_sl_nonintegral(spec, n, rng)
+                sampling.random_stabilizing(spec, (0,) * n, rng)
+                sampling.random_ray_stabilizing(spec, (0,) * n, (1,) + (0,) * (n - 1), rng)
+                sampling.random_block_triangular(spec, n, [0], rng)

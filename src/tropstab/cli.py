@@ -183,6 +183,8 @@ def _char_params(args):
     if n is not None:
         _rank_at_least(n, 2 if args.rep == "identity" else 1,
                        f"the {args.rep} representation")
+        if args.rep == "schur" and len(as_partition(lam)) > n:
+            raise InputError(f"--lambda has more than --n = {n} nonzero parts")
     elif args.rep != "schur":
         raise InputError("--n is required for this representation")
     return args.rep, n, lam

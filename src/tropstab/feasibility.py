@@ -3,7 +3,9 @@
 Fourier-Motzkin elimination on homogeneous systems f(x) > 0 with integer
 coefficient rows.  Combining a row with positive and one with negative
 coefficient in the pivot variable keeps strictness, so the system is
-feasible exactly when no all-zero row is ever produced.
+feasible exactly when no all-zero row is ever produced.  That holds in any
+elimination order; the variable eliminated next is the one with the fewest
+positive-times-negative row pairs, which keeps the systems small.
 """
 
 from __future__ import annotations
@@ -30,7 +32,11 @@ def strictly_feasible(rows) -> bool:
         if not any(r):
             return False
         work.add(_primitive_vector(r))
-    for var in range(dim):
+    left = list(range(dim))
+    while work:
+        var = min(left, key=lambda v: sum(r[v] > 0 for r in work)
+                  * sum(r[v] < 0 for r in work))
+        left.remove(var)
         pos = [r for r in work if r[var] > 0]
         neg = [r for r in work if r[var] < 0]
         nxt = {r for r in work if r[var] == 0}
@@ -41,6 +47,4 @@ def strictly_feasible(rows) -> bool:
                     return False
                 nxt.add(_primitive_vector(comb))
         work = nxt
-        if not work:
-            return True
     return True

@@ -35,8 +35,8 @@ from .symplectic import (SpApartmentPoint, sp_fixes_ray, sp_normalizer_action,
 from .tropical import (NEG_INF, fixes_ray, stabilizes_tropically, trop_add,
                        trop_matvec, trop_mul, tropicalize,
                        valuation_inequality_oracle)
-from .weights import (WeightedCharacter, dominance_cone,
-                      dominant_weight, normal_cone_member, partitions_of,
+from .weights import (WeightedCharacter, dominance_cone, dominant_weight,
+                      integer_coords, normal_cone_member, partitions_of,
                       polytope_vertices, schur_eval_bialternant,
                       schur_eval_tableaux, skeleton_member,
                       sl_identity_character, sl_partition_character,
@@ -426,21 +426,23 @@ def run_fans(rep: str, seed: int, n: int | None = None, lam=None,
 
     # one stream of sample points serves the membership and the cover
     # check: the membership check records the points it examined against
-    # every cone, and the ones some cone contains
+    # every cone, and the ones some cone contains.  Each point is cleared
+    # of denominators once; the cones test the integer multiple.
     points, covered = [], set()
 
     def membership_cases():
         for _ in range(samples):
             x = _sample_coords(rng, char.rank)
+            xi, _ = integer_coords(x, char.rank)
             for fc in fan.maximal_cones:
-                yield x, fc
+                yield x, xi, fc
             points.append(x)
 
-    def memberships_differ(x, fc):
-        by_cone = fc.cone.contains(x)
+    def memberships_differ(x, xi, fc):
+        by_cone = fc.cone.contains(xi)
         if by_cone:
             covered.add(x)
-        by_vertex = normal_cone_member(char, fc.vertex, x)
+        by_vertex = normal_cone_member(char, fc.vertex, xi)
         return None if by_cone == by_vertex else {
             "point": point_to_json(x), "vertex": list(fc.vertex),
             "h_representation": by_cone, "normal_cone": by_vertex}
@@ -451,16 +453,17 @@ def run_fans(rep: str, seed: int, n: int | None = None, lam=None,
                        None if x in covered else {"point": point_to_json(x)}))
 
     probes = [_sample_coords(rng, char.rank) for _ in range(min(samples, 200))]
+    probes = [(x, integer_coords(x, char.rank)[0]) for x in probes]
 
     def chamber_cases():
         for w in weyl_elements(char.group, char.rank):
             chamber = weyl_cone(char.group, char.rank, w)
             big = dominance_cone(char, w)
-            for x in probes:
-                yield chamber, big, x
+            for x, xi in probes:
+                yield chamber, big, x, xi
 
-    def escapes_cone(chamber, big, x):
-        return None if not chamber.contains(x) or big.contains(x) else {
+    def escapes_cone(chamber, big, x, xi):
+        return None if not chamber.contains(xi) or big.contains(xi) else {
             "point": point_to_json(x), "weyl": [list(f) for f in chamber.functionals]}
 
     checks.append(_run("weyl_cone_containment", chamber_cases(), escapes_cone))

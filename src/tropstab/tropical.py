@@ -118,7 +118,8 @@ def trop_matvec(matrix: Sequence[Sequence[TropScalar]], x: Sequence[TropScalar])
 
 
 def _scaled_int_vector(x):
-    """Clear denominators: returns (entries as ints or None for NEG_INF, scale)."""
+    """Clear denominators: (entries of scale * x as ints, None for NEG_INF,
+    and the least positive integer scale that makes them integral)."""
     scale = math.lcm(*(e.denominator for e in x if e is not NEG_INF))
     return [None if e is NEG_INF else e.numerator * (scale // e.denominator)
             for e in x], scale

@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .errors import (DimensionMismatchError, NotAVertexError,
@@ -24,6 +25,7 @@ from .errors import (DimensionMismatchError, NotAVertexError,
 from .feasibility import _primitive_vector, strictly_feasible
 from .fields import FieldSpec, int_valuation
 from .matrices import _determinant
+from .tropical import _scaled_int_vector
 
 GROUP_SL = "sln"
 GROUP_SP = "sp2n"
@@ -300,6 +302,18 @@ def weyl_elements(group: str, n: int):
             yield WeylElement(perm, signs)
 
 
+def weyl_orbit(group: str, mu) -> set:
+    """The distinct images w.apply(mu) over all Weyl elements w, built
+    coordinate by coordinate: the work follows the orbit, not the group."""
+    choices = _weyl_signs(group)
+    orbit = set()
+    for a in set(mu):
+        i = mu.index(a)
+        rest = weyl_orbit(group, mu[:i] + mu[i + 1:]) if len(mu) > 1 else {()}
+        orbit.update((s * a,) + r for s in choices for r in rest)
+    return orbit
+
+
 @dataclass(frozen=True)
 class Cone:
     """Closed polyhedral cone in H-representation: all functionals nonnegative."""
@@ -307,8 +321,9 @@ class Cone:
     functionals: tuple
 
     def contains(self, coords) -> bool:
-        return all(sum(c * x for c, x in zip(f, coords)) >= 0
-                   for f in self.functionals)
+        """Decided on a positive integer multiple of the rational point coords."""
+        xi, _ = _scaled_int_vector(coords)
+        return all(sum(map(mul, f, xi)) >= 0 for f in self.functionals)
 
 
 @dataclass(frozen=True)
@@ -329,22 +344,24 @@ class Fan:
         return len(self.maximal_cones)
 
 
-def point_coords(x, rank: int) -> tuple:
-    """Coordinates of an apartment point, symplectic point, or raw sequence."""
-    cs = x.coords if hasattr(x, "coords") else tuple(Fraction(c) for c in x)
+def integer_coords(x, rank: int):
+    """(xi, scale) with xi = scale * x integral and scale > 0, for an
+    apartment point, a symplectic point or a rational sequence x."""
+    cs = x.coords if hasattr(x, "coords") else tuple(
+        c if isinstance(c, int) else Fraction(c) for c in x)
     if len(cs) != rank:
         raise DimensionMismatchError("point dimension does not match the rank")
-    return cs
+    return _scaled_int_vector(cs)
 
 
-def weight_eval(mu, coords) -> Fraction:
-    return sum((Fraction(m) * c for m, c in zip(mu, coords)), Fraction(0))
+def weight_eval(mu, coords):
+    return sum(map(mul, mu, coords))
 
 
 def dominant_weight(char: WeightedCharacter) -> tuple:
     """The extreme weight that dominates a regular point of the leading chamber."""
     if char._dominant is None:
-        probe = tuple(Fraction(char.rank - i) for i in range(char.rank))
+        probe = tuple(range(char.rank, 0, -1))
         best = None
         best_val = None
         tie = False
@@ -381,20 +398,16 @@ def _cone_of_vertex(char: WeightedCharacter, mu0) -> Cone:
 def dominance_cone(char: WeightedCharacter, w: WeylElement) -> Cone:
     """Locus where the w-image of the leading extreme weight dominates all weights."""
     _check_weyl(char, w)
-    return _cone_of_vertex(char, w.apply(dominant_weight(char)))
+    mu0 = w.apply(dominant_weight(char))
+    return next(fc.cone for fc in weight_fan(char).maximal_cones if fc.vertex == mu0)
 
 
 def weight_fan(char: WeightedCharacter) -> Fan:
     """All dominance cones, one per extreme weight in the Weyl orbit."""
     if char._fan is None:
-        dom = dominant_weight(char)
-        seen = {}
-        for w in weyl_elements(char.group, char.rank):
-            mu0 = w.apply(dom)
-            if mu0 not in seen:
-                seen[mu0] = _cone_of_vertex(char, mu0)
+        orbit = sorted(weyl_orbit(char.group, dominant_weight(char)))
         char._fan = Fan(char.group, char.rank,
-                        tuple(FanCone(v, seen[v]) for v in sorted(seen)))
+                        tuple(FanCone(v, _cone_of_vertex(char, v)) for v in orbit))
     return char._fan
 
 
@@ -416,9 +429,9 @@ def normal_cone_member(char: WeightedCharacter, mu, x) -> bool:
     mu = tuple(int(a) for a in mu)
     if mu not in polytope_vertices(char):
         raise NotAVertexError(f"{mu} is not a vertex of the weight polytope")
-    coords = point_coords(x, char.rank)
-    top = weight_eval(mu, coords)
-    return all(weight_eval(nu, coords) <= top for nu in char.weights)
+    xi, _ = integer_coords(x, char.rank)
+    top = weight_eval(mu, xi)
+    return all(weight_eval(nu, xi) <= top for nu in char._map)
 
 
 # ----------------------------------------------------------------------
@@ -429,14 +442,15 @@ def tropical_hypersurface_member(char: WeightedCharacter, field, x) -> bool:
 
     Each weight contributes minus the p-adic valuation of its multiplicity
     plus the pairing with x; membership means the maximum is attained at
-    least twice.  Multiplicities are read in characteristic zero.
+    least twice.  Multiplicities are read in characteristic zero.  The
+    terms are compared scaled by the positive integer that clears x.
     """
     p = field.p if isinstance(field, FieldSpec) else int(field)
-    coords = point_coords(x, char.rank)
+    xi, scale = integer_coords(x, char.rank)
     best = None
     count = 0
-    for mu, c in char.items():
-        t = weight_eval(mu, coords) - int_valuation(c, p)
+    for mu, c in char._map.items():
+        t = weight_eval(mu, xi) - int_valuation(c, p) * scale
         if best is None or t > best:
             best, count = t, 1
         elif t == best:
@@ -446,10 +460,10 @@ def tropical_hypersurface_member(char: WeightedCharacter, field, x) -> bool:
 
 def skeleton_member(fan: Fan, x) -> bool:
     """Is x in at least two distinct maximal cones of the fan?"""
-    coords = point_coords(x, fan.rank)
+    xi, _ = integer_coords(x, fan.rank)
     hits = 0
     for fc in fan.maximal_cones:
-        if fc.cone.contains(coords):
+        if fc.cone.contains(xi):
             hits += 1
             if hits >= 2:
                 return True

@@ -118,6 +118,14 @@ def test_verify_semiring_deterministic(capsys):
     ["stabilize", "--field", "fpt", "--p", "3",
      "--matrix", '[[{"num":{"10000000":1}},"0"],["0","1"]]', "--point", '["0","0"]'],
     ["schur", "--lambda", "3", "--z", "9" * 2000 + ",1"],
+    ["fan", "--rep", "schur", "--lambda", "2,1", "--n", "1"],
+    ["verify", "--suite", "fans", "--rep", "schur", "--lambda", "2,1", "--n", "1",
+     "--seed", "1"],
+    ["verify", "--suite", "hypersurface", "--rep", "schur", "--lambda", "3,2,1,0",
+     "--n", "2", "--seed", "1"],
+    ["hypersurface", "--rep", "schur", "--lambda", "2,1", "--n", "1", "--seed", "1",
+     "--sample", "5"],
+    ["plot", "--target", "fan", "--rep", "schur", "--lambda", "2,1", "--n", "1"],
 ], ids=["negative-degree", "stabilizer-n1", "parahoric-n1", "boundary-n1",
         "sp-n0", "fans-identity-n1", "fan-negative-part", "negative-count",
         "zero-count", "zero-matrices", "negative-points", "zero-samples",
@@ -125,7 +133,9 @@ def test_verify_semiring_deterministic(capsys):
         "huge-p", "hypersurface-p1", "plot-negative-sample",
         "exponent-point", "exponent-z", "huge-json-integer", "directory-payload",
         "overlong-payload-name", "fan-schur-n0", "fans-schur-n0", "huge-degree",
-        "unprintable-schur"])
+        "unprintable-schur", "fan-too-many-parts", "fans-too-many-parts",
+        "hypersurface-suite-too-many-parts", "hypersurface-too-many-parts",
+        "plot-too-many-parts"])
 def test_bad_parameters_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from tropstab.errors import (NotAVertexError, RepeatedValuesError,
                              TooManyPartsError, TypeMismatchError,
                              WeightMismatchError)
-from tropstab.feasibility import strictly_feasible
+from tropstab.feasibility import _primitive_vector, strictly_feasible
 from tropstab.fields import FieldSpec
-from tropstab.weights import (GROUP_SL, GROUP_SP, WeylElement, dominance_cone,
+from tropstab.weights import (GROUP_SL, GROUP_SP, WeightedCharacter,
+                              WeylElement, dominance_cone,
                               dominant_weight, kostka_number,
                               normal_cone_member, partitions_of,
                               polytope_vertices, schur_eval,
@@ -19,7 +20,7 @@ from tropstab.weights import (GROUP_SL, GROUP_SP, WeylElement, dominance_cone,
                               skeleton_member, sl_identity_character,
                               sl_partition_character, sp_standard_character,
                               tropical_hypersurface_member, weight_fan,
-                              weyl_cone, weyl_elements)
+                              weyl_cone, weyl_elements, weyl_orbit)
 
 
 # ----------------------------------------------------------------------
@@ -47,6 +48,42 @@ def test_strictly_feasible_matches_grid_search(rows):
         assert got
     # no witness on the grid does not prove infeasibility, so only one
     # direction is asserted
+
+
+def _fixed_order_feasible(rows):
+    """Reference: Fourier-Motzkin eliminating the variables left to right."""
+    work = set()
+    for r in rows:
+        if not any(r):
+            return False
+        work.add(_primitive_vector(r))
+    for var in range(len(rows[0])):
+        nxt = {r for r in work if r[var] == 0}
+        for a in (r for r in work if r[var] > 0):
+            for b in (r for r in work if r[var] < 0):
+                comb = tuple(-b[var] * ak + a[var] * bk for ak, bk in zip(a, b))
+                if not any(comb):
+                    return False
+                nxt.add(_primitive_vector(comb))
+        work = nxt
+    return True
+
+
+def test_strictly_feasible_matches_fixed_order_elimination():
+    rng = random.Random(12)
+    answers = set()
+    for _ in range(400):
+        dim = rng.randint(2, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(1, 12))]
+        if rng.random() < 0.3:
+            # a nonnegative combination negated makes the system infeasible
+            picked = rng.sample(rows, rng.randint(1, len(rows)))
+            rows.append(tuple(-sum(r[i] for r in picked) for i in range(dim)))
+        want = _fixed_order_feasible(rows)
+        assert strictly_feasible(rows) == want, rows
+        answers.add(want)
+    assert answers == {True, False}
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +269,16 @@ def test_vertices_examples():
     assert polytope_vertices(sp_standard_character(1)) == frozenset({(1,), (-1,)})
 
 
+@pytest.mark.parametrize("group, mu", [
+    (GROUP_SL, (1, 0)), (GROUP_SL, (2, 1, 0)), (GROUP_SL, (1, 1, 0, 0)),
+    (GROUP_SL, (0, 0, 0, 0)), (GROUP_SL, (2, 2, 1, 0, 0)), (GROUP_SL, (3, 2, 2, 1, 1, 0)),
+    (GROUP_SL, (2, -1, 0, 0, -1, 2)), (GROUP_SP, (0,)), (GROUP_SP, (1,)),
+    (GROUP_SP, (2, 2)), (GROUP_SP, (1, 0, 0)), (GROUP_SP, (2, 1, 1)),
+    (GROUP_SP, (3, 2, 1, 0)), (GROUP_SP, (1, 1, 0, 0)), (GROUP_SP, (2, -2, 0, 1))])
+def test_weyl_orbit_is_distinct_images(group, mu):
+    assert weyl_orbit(group, mu) == {w.apply(mu) for w in weyl_elements(group, len(mu))}
+
+
 def test_vertices_are_weyl_orbit():
     for char in (sl_identity_character(4), sp_standard_character(3),
                  sl_partition_character((2, 1, 0), 3)):
@@ -260,6 +307,90 @@ def test_cone_membership_equals_normal_cone():
                       for _ in range(char.rank))
             for fc in fan.maximal_cones:
                 assert fc.cone.contains(x) == normal_cone_member(char, fc.vertex, x)
+
+
+# ----------------------------------------------------------------------
+# integer predicates against a Fraction reference
+
+def _dot(mu, x):
+    return sum((Fraction(m) * Fraction(c) for m, c in zip(mu, x)), Fraction(0))
+
+
+def _reference_contains(cone, x):
+    return all(_dot(f, x) >= 0 for f in cone.functionals)
+
+
+def _reference_hypersurface(char, p, x):
+    def val(c):
+        k = 0
+        while c % p == 0:
+            c, k = c // p, k + 1
+        return k
+    terms = [_dot(mu, x) - val(c) for mu, c in char.items()]
+    return terms.count(max(terms)) >= 2
+
+
+def _oracle_points(rng, char, rounds):
+    """Random points with denominators 1 to 12, some coordinates zero, and
+    points on reflecting hyperplanes, which carry the walls of the fan."""
+    n = char.rank
+    for _ in range(rounds):
+        x = [Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(n)]
+        if rng.random() < 0.3:
+            x[rng.randrange(n)] = Fraction(0)
+        yield tuple(x)
+        i, j = rng.randrange(n), rng.randrange(n)
+        y = list(x)
+        if char.group == GROUP_SP and rng.random() < 0.5:
+            y[i], y[j] = (x[i] - x[j]) / 2, (x[j] - x[i]) / 2  # on x_i = -x_j
+        else:
+            y[i] = y[j] = (x[i] + x[j]) / 2
+        yield tuple(y)
+    yield (Fraction(0),) * n
+
+
+@pytest.mark.parametrize("char", [
+    sl_identity_character(3), sl_identity_character(4), sl_identity_character(5),
+    sp_standard_character(2), sp_standard_character(3),
+    sl_partition_character((2, 1, 0), 3), sl_partition_character((3, 2, 1, 0, 0), 5)],
+    ids=["identity-3", "identity-4", "identity-5", "sp-2", "sp-3", "schur-210",
+         "schur-32100"])
+def test_integer_predicates_match_fraction_reference(char):
+    rng = random.Random(char.rank * 31 + len(char.weights))
+    fan = weight_fan(char)
+    verts = polytope_vertices(char)
+    # the Fraction reference is slow: fewer points for fans of many cones
+    for x in _oracle_points(rng, char, min(60, 1200 // len(fan))):
+        hits = 0
+        for fc in fan.maximal_cones:
+            want = _reference_contains(fc.cone, x)
+            assert fc.cone.contains(x) == want, (x, fc.vertex)
+            hits += want
+        for v in verts:
+            top = _dot(v, x)
+            assert normal_cone_member(char, v, x) == \
+                all(_dot(nu, x) <= top for nu in char.weights), (x, v)
+        assert skeleton_member(fan, x) == (hits >= 2), x
+        for p in (2, 3):
+            assert tropical_hypersurface_member(char, p, x) == \
+                _reference_hypersurface(char, p, x), (x, p)
+
+
+def test_hypersurface_valuation_ties_scale_with_the_point():
+    # vertex multiplicities divisible by p move the ties off the fan's walls,
+    # to x_j - x_i = v_p(c_j) - v_p(c_i)
+    char = WeightedCharacter(GROUP_SL, 3, {(1, 0, 0): 2, (0, 1, 0): 3, (0, 0, 1): 12})
+    rng = random.Random(13)
+    answers = set()
+    for _ in range(300):
+        p = rng.choice((2, 3))
+        x = [Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(3)]
+        i, j = rng.sample(range(3), 2)
+        x[j] = x[i] + rng.randint(-2, 2)
+        want = _reference_hypersurface(char, p, x)
+        assert tropical_hypersurface_member(char, p, x) == want, (x, p)
+        answers.add(want)
+    assert answers == {True, False}
 
 
 # ----------------------------------------------------------------------

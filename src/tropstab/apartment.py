@@ -22,8 +22,9 @@ from .matrices import FieldMatrix, perm_sign, _require_det_one
 from .tropical import stabilizes_tropically
 
 
-class ApartmentPoint:
-    """A point of the rank n-1 apartment, stored as sum-zero rationals."""
+class CoordinatePoint:
+    """A point given by exact coordinates, rational unless a subclass
+    normalises them otherwise; equal to points of its own type only."""
 
     __slots__ = ("coords",)
 
@@ -31,15 +32,14 @@ class ApartmentPoint:
         cs = tuple(Fraction(c) for c in coords)
         if not cs:
             raise ValueError("empty coordinate vector")
-        shift = sum(cs) / len(cs)
-        self.coords = tuple(c - shift for c in cs)
+        self.coords = cs
 
     @property
     def n(self) -> int:
         return len(self.coords)
 
     def __eq__(self, other):
-        if not isinstance(other, ApartmentPoint):
+        if type(other) is not type(self):
             return NotImplemented
         return self.coords == other.coords
 
@@ -47,7 +47,18 @@ class ApartmentPoint:
         return hash(self.coords)
 
     def __repr__(self):
-        return f"ApartmentPoint({', '.join(str(c) for c in self.coords)})"
+        return f"{type(self).__name__}({', '.join(str(c) for c in self.coords)})"
+
+
+class ApartmentPoint(CoordinatePoint):
+    """A point of the rank n-1 apartment, stored as sum-zero rationals."""
+
+    __slots__ = ()
+
+    def __init__(self, coords):
+        super().__init__(coords)
+        shift = sum(self.coords) / self.n
+        self.coords = tuple(c - shift for c in self.coords)
 
 
 def origin(n: int) -> ApartmentPoint:

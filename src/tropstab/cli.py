@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -258,8 +259,18 @@ def _expected_cone_count(rep, n, lam):
         math.factorial(padded.count(v)) for v in set(padded))
 
 
+#: verify --suite fans checks every Weyl element: SL n <= 7, Sp n <= 5.
+MAX_WEYL_ORDER = 5040
+
+
 def _verify_fans(a, spec, seed):
     rep, n, lam = _char_params(a)
+    order = 1
+    for k in range(1, (len(lam) if n is None else n) + 1):
+        order *= 2 * k if rep == "sp" else k
+        if order > MAX_WEYL_ORDER:  # stops by k = 8, however large --n is
+            raise InputError(f"the fans suite runs over the Weyl group, whose "
+                             f"order must be at most {MAX_WEYL_ORDER}")
     return suites.run_fans(rep, seed, n=n, lam=lam, samples=_count(a, "samples", 500),
                            expected_cones=_expected_cone_count(rep, n, lam))
 
@@ -337,27 +348,15 @@ def _cmd_schur(args) -> int:
 
 
 def _cmd_hypersurface(args) -> int:
-    import random as _random
-
-    from .sampling import random_fraction
-    from .weights import skeleton_member, tropical_hypersurface_member
-
     rep, n, lam = _char_params(args)
     count = _count(args, "sample")
     _field_spec(args)
     char = suites.character_from_params(rep, n, lam)
     seed = _require_seed(args)
-    rng = _random.Random(seed)
-    fan = weight_fan(char)
-    samples = []
-    agree = True
-    for _ in range(count):
-        coords = tuple(random_fraction(rng, 12, 4) for _ in range(char.rank))
-        member = tropical_hypersurface_member(char, args.p, coords)
-        skel = skeleton_member(fan, coords)
-        agree = agree and member == skel
-        samples.append({"point": point_to_json(coords), "member": member,
-                        "skeleton": skel})
+    samples = [{"point": point_to_json(x), "member": member, "skeleton": skel}
+               for x, member, skel in suites.hypersurface_samples(
+                   char, args.p, random.Random(seed), count, 12)]
+    agree = all(s["member"] == s["skeleton"] for s in samples)
     doc = {"field_p": args.p, "rep": rep, "seed": seed,
            "samples": samples, "agree_all": agree}
     _emit_json(args, doc)
@@ -414,6 +413,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.group == "sp2n" and args.command not in ("stabilize", "boundary-stabilize") \
+                and getattr(args, "suite", None) not in ("boundary", "sp"):
+            raise InputError("--group sp2n is read only by stabilize, boundary-stabilize "
+                             "and verify --suite boundary or sp; use --suite sp or --rep sp")
         return _DISPATCH[args.command](args)
     except (InputError, UnknownSuiteError) as exc:
         print(f"error: {exc}", file=sys.stderr)

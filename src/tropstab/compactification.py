@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .apartment import ApartmentPoint
+from .apartment import ApartmentPoint, CoordinatePoint
 from .errors import (AllInfiniteError, DimensionMismatchError,
                      InvalidDirectionError)
 from .matrices import FieldMatrix, _require_det_one
@@ -33,10 +33,10 @@ def stratum(x) -> frozenset:
     return fin
 
 
-class BoundaryPoint:
+class BoundaryPoint(CoordinatePoint):
     """A point of the compactified apartment, anchored at its first finite entry."""
 
-    __slots__ = ("coords", "stratum")
+    __slots__ = ("stratum",)
 
     def __init__(self, coords):
         xs = trop_vector(coords)
@@ -47,21 +47,6 @@ class BoundaryPoint:
         self.coords = tuple(
             NEG_INF if e is NEG_INF else Fraction(e) - anchor for e in xs)
         self.stratum = frozenset(fin)
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, BoundaryPoint):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return f"BoundaryPoint({', '.join(repr(c) for c in self.coords)})"
 
 
 @dataclass(frozen=True)

@@ -203,8 +203,7 @@ def run_stabilizer(spec: FieldSpec, n: int, seed: int, matrices: int = 500,
             if rng.random() < 0.5:
                 x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
             else:
-                x = tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4)))
-                          for _ in range(n))
+                x = sampling.random_point(rng, n, 4, 4)
             yield (x, sampling.random_stabilizing(spec, x, rng),
                    sampling.random_stabilizing(spec, x, rng))
 
@@ -389,11 +388,6 @@ def character_from_params(rep: str, n: int | None = None, lam=None) -> WeightedC
     raise ValueError(f"unknown representation tag {rep!r}")
 
 
-def _sample_coords(rng, rank):
-    return tuple(Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4)))
-                 for _ in range(rank))
-
-
 def _character_params(params, n, lam):
     if n is not None:
         params["n"] = n
@@ -432,7 +426,7 @@ def run_fans(rep: str, seed: int, n: int | None = None, lam=None,
 
     def membership_cases():
         for _ in range(samples):
-            x = _sample_coords(rng, char.rank)
+            x = sampling.random_point(rng, char.rank, 12, 4)
             xi, _ = integer_coords(x, char.rank)
             for fc in fan.maximal_cones:
                 yield x, xi, fc
@@ -452,7 +446,8 @@ def run_fans(rep: str, seed: int, n: int | None = None, lam=None,
     checks.append(_run("fan_covers_samples", ((x,) for x in points), lambda x:
                        None if x in covered else {"point": point_to_json(x)}))
 
-    probes = [_sample_coords(rng, char.rank) for _ in range(min(samples, 200))]
+    probes = [sampling.random_point(rng, char.rank, 12, 4)
+              for _ in range(min(samples, 200))]
     probes = [(x, integer_coords(x, char.rank)[0]) for x in probes]
 
     def chamber_cases():
@@ -472,21 +467,24 @@ def run_fans(rep: str, seed: int, n: int | None = None, lam=None,
         {"seed": seed, "rep": rep, "samples": samples}, n, lam), checks)
 
 
+def hypersurface_samples(char: WeightedCharacter, p: int, rng, count: int, bound: int):
+    """Lazy stream of (x, hypersurface member, skeleton member) for count
+    points drawn with numerators in [-bound, bound] and denominators 1..4:
+    the one comparison behind the suite, the command and the figure."""
+    fan = weight_fan(char)
+    for _ in range(count):
+        x = sampling.random_point(rng, char.rank, bound, 4)
+        yield x, tropical_hypersurface_member(char, p, x), skeleton_member(fan, x)
+
+
 def run_hypersurface(rep: str, p: int, seed: int, n: int | None = None,
                      lam=None, samples: int = 2000):
     char = character_from_params(rep, n, lam)
-    rng = random.Random(seed)
-    fan = weight_fan(char)
-
-    def loci_differ(x):
-        hyper = tropical_hypersurface_member(char, p, x)
-        skel = skeleton_member(fan, x)
-        return None if hyper == skel else {"point": point_to_json(x),
-                                           "hypersurface": hyper, "skeleton": skel}
-
     checks = [_run("hypersurface_equals_skeleton",
-                   ((_sample_coords(rng, char.rank),) for _ in range(samples)),
-                   loci_differ)]
+                   hypersurface_samples(char, p, random.Random(seed), samples, 12),
+                   lambda x, hyper, skel: None if hyper == skel else {
+                       "point": point_to_json(x), "hypersurface": hyper,
+                       "skeleton": skel})]
     return _report("hypersurface", _character_params(
         {"seed": seed, "rep": rep, "p": p, "samples": samples}, n, lam), checks)
 
@@ -538,7 +536,7 @@ def run_schur(seed: int, inputs: int = 50, max_size: int = 6, max_rank: int = 4,
 def _random_boundary_point(rng, n, stratum_set):
     coords = [NEG_INF] * n
     for i in stratum_set:
-        coords[i] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+        coords[i] = sampling.random_fraction(rng, 4, 3)
     return BoundaryPoint(coords)
 
 

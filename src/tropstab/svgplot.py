@@ -16,10 +16,9 @@ from fractions import Fraction
 
 from .errors import UnsupportedRankError
 from .feasibility import _primitive_vector
-from .sampling import random_fraction
+from .suites import hypersurface_samples
 from .weights import (GROUP_SL, GROUP_SP, WeightedCharacter, polytope_vertices,
-                      skeleton_member, tropical_hypersurface_member,
-                      weight_fan, weight_eval)
+                      weight_eval)
 
 
 def fan_rays(char: WeightedCharacter) -> list:
@@ -84,7 +83,6 @@ def render_fan_svg(char: WeightedCharacter, *, p: int | None = None,
     ]
 
     if walls:
-        seen = set()
         if char.group == GROUP_SL:
             pairs = [(0, 1), (0, 2), (1, 2)]
             for (i, j), m in itertools.product(pairs, range(-3, 4)):
@@ -99,10 +97,6 @@ def render_fan_svg(char: WeightedCharacter, *, p: int | None = None,
                 dx, dy = _project(char, direction)
                 norm = math.hypot(dx, dy)
                 dx, dy = dx / norm, dy / norm
-                key = (round(bx, 6), round(by, 6), round(dx, 6), round(dy, 6))
-                if key in seen:
-                    continue
-                seen.add(key)
                 x0, y0 = to_screen((bx - 8 * dx, by - 8 * dy))
                 x1, y1 = to_screen((bx + 8 * dx, by + 8 * dy))
                 parts.append(
@@ -136,14 +130,10 @@ def render_fan_svg(char: WeightedCharacter, *, p: int | None = None,
             f'data-ray="{",".join(str(c) for c in ray)}"/>')
 
     if samples:
-        rng = random.Random(seed)
-        fan = weight_fan(char)
-        pp = p if p is not None else 2
         kept = 0
-        for _ in range(samples):
-            coords = tuple(random_fraction(rng, 16, 4) for _ in range(char.rank))
-            member = tropical_hypersurface_member(char, pp, coords)
-            if member != skeleton_member(fan, coords):
+        for coords, member, skel in hypersurface_samples(
+                char, p if p is not None else 2, random.Random(seed), samples, 16):
+            if member != skel:
                 raise AssertionError("hypersurface and skeleton disagree in figure")
             if not member:
                 continue

@@ -10,10 +10,8 @@ reduce through this embedding to the tropical fixed-point tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .apartment import (ApartmentPoint, MonomialMatrix, in_star_of_origin,
-                        normalizer_action, _residue_flag_member)
+from .apartment import (ApartmentPoint, CoordinatePoint, MonomialMatrix,
+                        in_star_of_origin, normalizer_action, _residue_flag_member)
 from .errors import (DimensionMismatchError, NotSymplecticError,
                      OutOfStarError)
 from .fields import FieldSpec
@@ -68,31 +66,10 @@ def is_symplectic(m: FieldMatrix) -> bool:
     return True
 
 
-class SpApartmentPoint:
+class SpApartmentPoint(CoordinatePoint):
     """A point of the symplectic apartment: n free rational coordinates."""
 
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        cs = tuple(Fraction(c) for c in coords)
-        if not cs:
-            raise ValueError("empty coordinate vector")
-        self.coords = cs
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, SpApartmentPoint):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(("sp", self.coords))
-
-    def __repr__(self):
-        return f"SpApartmentPoint({', '.join(str(c) for c in self.coords)})"
+    __slots__ = ()
 
 
 def _embed(values) -> tuple:

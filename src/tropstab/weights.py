@@ -345,10 +345,9 @@ class Fan:
 
 
 def integer_coords(x, rank: int):
-    """(xi, scale) with xi = scale * x integral and scale > 0, for an
-    apartment point, a symplectic point or a rational sequence x."""
-    cs = x.coords if hasattr(x, "coords") else tuple(
-        c if isinstance(c, int) else Fraction(c) for c in x)
+    """(xi, scale) with xi = scale * x integral and scale > 0, for a
+    sequence x of integers and rationals."""
+    cs = tuple(c if isinstance(c, int) else Fraction(c) for c in x)
     if len(cs) != rank:
         raise DimensionMismatchError("point dimension does not match the rank")
     return _scaled_int_vector(cs)

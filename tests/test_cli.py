@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -126,6 +127,21 @@ def test_verify_semiring_deterministic(capsys):
     ["hypersurface", "--rep", "schur", "--lambda", "2,1", "--n", "1", "--seed", "1",
      "--sample", "5"],
     ["plot", "--target", "fan", "--rep", "schur", "--lambda", "2,1", "--n", "1"],
+    ["verify", "--suite", "stabilizer", "--group", "sp2n", "--n", "2", "--seed", "1"],
+    ["verify", "--suite", "parahoric", "--group", "sp2n", "--n", "2", "--seed", "1"],
+    ["verify", "--suite", "fans", "--rep", "sp", "--group", "sp2n", "--n", "2",
+     "--seed", "1"],
+    ["fan", "--rep", "identity", "--n", "2", "--group", "sp2n"],
+    ["hypersurface", "--rep", "identity", "--n", "3", "--group", "sp2n", "--seed", "1",
+     "--sample", "5"],
+    ["plot", "--target", "fan", "--rep", "identity", "--n", "3", "--group", "sp2n"],
+    ["schur", "--lambda", "2,1", "--z", "1,2", "--group", "sp2n"],
+    ["verify", "--suite", "fans", "--rep", "identity", "--n", "8", "--seed", "1"],
+    ["verify", "--suite", "fans", "--rep", "sp", "--n", "6", "--seed", "1"],
+    ["verify", "--suite", "fans", "--rep", "schur", "--lambda", "2,1", "--n", "8",
+     "--seed", "1"],
+    ["verify", "--suite", "fans", "--rep", "identity", "--n", str(10 ** 12),
+     "--seed", "1"],
 ], ids=["negative-degree", "stabilizer-n1", "parahoric-n1", "boundary-n1",
         "sp-n0", "fans-identity-n1", "fan-negative-part", "negative-count",
         "zero-count", "zero-matrices", "negative-points", "zero-samples",
@@ -135,13 +151,46 @@ def test_verify_semiring_deterministic(capsys):
         "overlong-payload-name", "fan-schur-n0", "fans-schur-n0", "huge-degree",
         "unprintable-schur", "fan-too-many-parts", "fans-too-many-parts",
         "hypersurface-suite-too-many-parts", "hypersurface-too-many-parts",
-        "plot-too-many-parts"])
+        "plot-too-many-parts", "stabilizer-sp2n", "parahoric-sp2n", "fans-sp2n",
+        "fan-sp2n", "hypersurface-sp2n", "plot-sp2n", "schur-sp2n",
+        "fans-identity-weyl-order", "fans-sp-weyl-order", "fans-schur-weyl-order",
+        "fans-huge-n"])
 def test_bad_parameters_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     lines = err.splitlines()
     assert lines and all(line.startswith("error: ") for line in lines)
+
+
+#: sha256 of the stdout of commands whose bytes no report digest covers:
+#: the hypersurface samples, the fan and overlay figures, and a fan.
+COMMAND_DIGESTS = [
+    ("hypersurface --rep identity --n 3 --sample 200 --seed 11 --p 3",
+     "cbbff96df0d8765b4177ec68c6a950bb57700712471f22fdf2f75eb011ed81aa"),
+    ("hypersurface --rep sp --n 2 --sample 500 --seed 11 --p 3",
+     "0ebb84374a5d1df145176f3429f6f4055db36e46d1d6dd4fc6a03efb39643f30"),
+    ("hypersurface --rep schur --lambda 2,1,0 --sample 200 --seed 11 --p 2",
+     "61e120c08e087eaa02105a667b8ebd4b79e870f2a7e9e697b218d266f7f9c0e5"),
+    ("plot --target fan --rep identity --n 3 --walls",
+     "8aa32049a4b792f61bb74919a634ef81aa59c3ca57c0caf460d85a5e6e42c291"),
+    ("plot --target fan --rep sp --n 2 --walls",
+     "7619de98dbadd784b250f6b08bdd2f216c6f71fba58d4020065d76ca7f451fed"),
+    ("plot --target hypersurface --rep identity --n 3 --sample 400 --seed 5",
+     "183258db53fc0efe6233a7c83af5880c00bb12c54b44a895d622862f71048907"),
+    ("plot --target hypersurface --rep sp --n 2 --sample 2000 --seed 5 --walls",
+     "5035dac536fe5ba46489ba1c5645df9193583eaa3bca497bf8bae61d53bef3f9"),
+    ("fan --rep identity --n 4",
+     "ee2f5318f55ee9780d9def063a1fdf613865a35f6811f9876ecbcbc87ecf5c62"),
+]
+
+
+@pytest.mark.parametrize("command,digest", COMMAND_DIGESTS,
+                         ids=[c for c, _ in COMMAND_DIGESTS])
+def test_command_output_digest(capsys, command, digest):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_expected_cone_count_counts_distinct_permutations():
@@ -349,6 +398,14 @@ def test_verify_fans_reports_cone_count(capsys):
     assert code == 0
     count_check = [c for c in doc["checks"] if c["name"] == "maximal_cone_count"]
     assert count_check and count_check[0]["pass"]
+
+
+def test_verify_fans_accepts_the_largest_weyl_order(capsys):
+    # 7! = 5,040 and 2^5 * 5! = 3,840; one step up is rejected with exit 2
+    for rep, n in (("identity", "7"), ("sp", "5")):
+        code, doc = run_json(capsys, "verify", "--suite", "fans", "--rep", rep,
+                             "--n", n, "--seed", "1", "--samples", "1")
+        assert code == 0 and doc["pass"]
 
 
 def test_hypersurface_sp_representation(capsys):

@@ -43,6 +43,15 @@ def test_boundary_point_canonical_form():
     assert b != BoundaryPoint((0, NEG_INF, 3))
 
 
+def test_points_of_different_types_never_compare_equal():
+    coords = (0, 0)
+    points = [ApartmentPoint(coords), SpApartmentPoint(coords), BoundaryPoint(coords)]
+    assert all(p.coords == points[0].coords for p in points)
+    for a, b in itertools.permutations(points, 2):
+        assert a != b and not a == b
+    assert len(set(points)) == 3
+
+
 def test_fan_direction_validation():
     fan = weight_fan(sl_identity_character(3))
     top = next(fc for fc in fan.maximal_cones if fc.vertex == (1, 0, 0))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import (DeterminantNotOneError, DimensionMismatchError,
-                     OutOfStarError)
+                     InputError, OutOfStarError)
 from .fields import FieldSpec
 from .matrices import FieldMatrix, perm_sign, _require_det_one
 from .tropical import stabilizes_tropically
@@ -31,7 +31,7 @@ class CoordinatePoint:
     def __init__(self, coords):
         cs = tuple(Fraction(c) for c in coords)
         if not cs:
-            raise ValueError("empty coordinate vector")
+            raise InputError("empty coordinate vector")
         self.coords = cs
 
     @property
@@ -75,12 +75,12 @@ def translation_point(diag) -> ApartmentPoint:
         n = diag.size
         if any(not diag.rows[i][j].is_zero()
                for i in range(n) for j in range(n) if i != j):
-            raise ValueError("matrix is not diagonal")
+            raise InputError("matrix is not diagonal")
         entries = tuple(diag.rows[i][i] for i in range(n))
     else:
         entries = tuple(diag)
     if not entries:
-        raise ValueError("empty diagonal")
+        raise InputError("empty diagonal")
     spec = entries[0].spec
     product = reduce(lambda a, b: a * b, entries)
     if product != spec.one():
@@ -104,9 +104,9 @@ class MonomialMatrix:
     def __post_init__(self):
         n = len(self.perm)
         if sorted(self.perm) != list(range(n)) or len(self.scalars) != n:
-            raise ValueError("invalid permutation data")
+            raise InputError("invalid permutation data")
         if any(s.is_zero() for s in self.scalars):
-            raise ValueError("monomial scalars must be nonzero")
+            raise InputError("monomial scalars must be nonzero")
         det = reduce(lambda a, b: a * b, self.scalars)
         if perm_sign(self.perm) < 0:
             det = -det
@@ -129,7 +129,7 @@ class MonomialMatrix:
         for i in range(n):
             hits = [r for r in range(n) if not g.rows[r][i].is_zero()]
             if len(hits) != 1:
-                raise ValueError("matrix is not monomial")
+                raise InputError("matrix is not monomial")
             perm[i] = hits[0]
             scalars[i] = g.rows[hits[0]][i]
         return cls(g.spec, tuple(perm), tuple(scalars))

@@ -19,11 +19,10 @@ from pathlib import Path
 from . import suites, svgplot
 from .apartment import ApartmentPoint, stabilizer_membership
 from .compactification import BoundaryPoint, boundary_stabilizes
-from .errors import TropstabError, UnknownSuiteError
+from .errors import InputError, TropstabError, UnknownSuiteError
 from .fields import FieldSpec
-from .serialize import (InputError, fan_to_json, fraction_from_json,
-                        matrix_from_json, point_from_json, point_to_json,
-                        spec_to_json)
+from .serialize import (fan_to_json, fraction_from_json, matrix_from_json,
+                        point_from_json, point_to_json, spec_to_json)
 from .symplectic import (SpApartmentPoint, embed_point, _require_symplectic,
                          sp_stabilizer_membership)
 from .tropical import NEG_INF, trop_matvec, tropicalize
@@ -47,11 +46,7 @@ def _load_payload(text: str):
 
 
 def _field_spec(args) -> FieldSpec:
-    kind = {"qp": "Qp", "fpt": "FpT"}[args.field]
-    try:
-        return FieldSpec(kind, args.p)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return FieldSpec({"qp": "Qp", "fpt": "FpT"}[args.field], args.p)
 
 
 def _parse_lambda(text: str):
@@ -162,9 +157,20 @@ def _require_seed(args):
     return args.seed
 
 
-def _rank_at_least(n, least, what):
+#: The largest --n of any command, and the largest Schur rank that a
+#: --lambda without --n implies.  Two suites grow exponentially in n and take
+#: less: parahoric runs over the ordered set partitions of n (4,683 at
+#: n = 6), boundary over the 2^n - 1 strata.
+MAX_RANK = 32
+MAX_PARAHORIC_RANK = 5
+MAX_BOUNDARY_RANK = 10
+
+
+def _rank_in(n, least, what, most=MAX_RANK):
     if n < least:
         raise InputError(f"--n must be at least {least} for {what}")
+    if n > most:
+        raise InputError(f"--n must be at most {most} for {what}")
     return n
 
 
@@ -182,12 +188,13 @@ def _char_params(args):
     if args.rep == "schur" and lam is None:
         raise InputError("--lambda is required for the schur representation")
     if n is not None:
-        _rank_at_least(n, 2 if args.rep == "identity" else 1,
-                       f"the {args.rep} representation")
+        _rank_in(n, 2 if args.rep == "identity" else 1, f"the {args.rep} representation")
         if args.rep == "schur" and len(as_partition(lam)) > n:
             raise InputError(f"--lambda has more than --n = {n} nonzero parts")
     elif args.rep != "schur":
         raise InputError("--n is required for this representation")
+    elif len(lam) > MAX_RANK:
+        raise InputError(f"--lambda without --n must have at most {MAX_RANK} parts")
     return args.rep, n, lam
 
 
@@ -284,7 +291,8 @@ def _verify_hypersurface(a, spec, seed):
 def _verify_boundary(a, spec, seed):
     if a.group == "sp2n":
         return suites.run_sp_boundary(spec, seed, count=_count(a, "count", 100))
-    return suites.run_boundary(spec, _rank_at_least(a.n, 2, "the boundary suite"),
+    return suites.run_boundary(spec, _rank_in(a.n, 2, "the boundary suite",
+                                              MAX_BOUNDARY_RANK),
                                seed, count=_count(a, "count", 100))
 
 
@@ -294,14 +302,14 @@ _SUITES = {
     "semiring": lambda a, spec, seed: suites.run_semiring(
         seed, count=_count(a, "count", 200), spec=spec),
     "stabilizer": lambda a, spec, seed: suites.run_stabilizer(
-        spec, _rank_at_least(a.n, 2, "the stabilizer suite"), seed,
+        spec, _rank_in(a.n, 2, "the stabilizer suite"), seed,
         matrices=_count(a, "matrices", 100), points=_count(a, "points", 10),
         closure_pairs=_count(a, "count", 100)),
     "parahoric": lambda a, spec, seed: suites.run_parahoric(
-        spec, _rank_at_least(a.n, 2, "the parahoric suite"), seed,
+        spec, _rank_in(a.n, 2, "the parahoric suite", MAX_PARAHORIC_RANK), seed,
         count=_count(a, "count", 100)),
     "sp": lambda a, spec, seed: suites.run_sp(
-        spec, _rank_at_least(a.n, 1, "the sp suite"), seed,
+        spec, _rank_in(a.n, 1, "the sp suite"), seed,
         count=_count(a, "count", 100)),
     "fans": _verify_fans,
     "hypersurface": _verify_hypersurface,

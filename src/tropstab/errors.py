@@ -5,6 +5,10 @@ class TropstabError(Exception):
     """Base class for all library-specific errors."""
 
 
+class InputError(TropstabError, ValueError):
+    """Malformed input: an external payload, or an argument out of range."""
+
+
 class DomainError(TropstabError):
     """Operation applied outside its domain, e.g. reducing a non-integral element."""
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .errors import InputError
+
 
 def _primitive_vector(row) -> tuple:
     """The integer vector divided by the gcd of its entries."""
@@ -26,7 +28,7 @@ def strictly_feasible(rows) -> bool:
         return True
     dim = len(rows[0])
     if any(len(r) != dim for r in rows):
-        raise ValueError("functionals of mixed dimensions")
+        raise InputError("functionals of mixed dimensions")
     work = set()
     for r in rows:
         if not any(r):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DivisionByZeroError, DomainError
+from .errors import DivisionByZeroError, DomainError, InputError
 
 #: Valuation of the zero element.
 INF = math.inf
@@ -28,9 +28,9 @@ _PRIME_LIMIT = 3317044064679887385961981
 
 def is_prime(p: int) -> bool:
     """Miller-Rabin on the prime bases up to 41, which decides exactly below
-    3.3 * 10**24; ValueError from there on."""
+    3.3 * 10**24; InputError from there on."""
     if p >= _PRIME_LIMIT:
-        raise ValueError(f"prime out of range: {p} >= {_PRIME_LIMIT}")
+        raise InputError(f"prime out of range: {p} >= {_PRIME_LIMIT}")
     if p in _PRIME_BASES:
         return True
     if p < 2 or p % 2 == 0:
@@ -52,9 +52,9 @@ def is_prime(p: int) -> bool:
 
 
 def int_valuation(n: int, p: int) -> int:
-    """Exponent of p in a nonzero integer; ValueError if n is 0 or p is below 2."""
+    """Exponent of p in a nonzero integer; InputError if n is 0 or p is below 2."""
     if n == 0 or p < 2:
-        raise ValueError(f"valuation of {n} at {p} is undefined")
+        raise InputError(f"valuation of {n} at {p} is undefined")
     n = abs(n)
     v = 0
     while n % p == 0:
@@ -140,15 +140,15 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.kind not in ("Qp", "FpT"):
-            raise ValueError(f"unsupported field kind: {self.kind!r}")
+            raise InputError(f"unsupported field kind: {self.kind!r}")
         if not is_prime(self.p):
-            raise ValueError(f"residue characteristic must be prime, got {self.p}")
+            raise InputError(f"residue characteristic must be prime, got {self.p}")
 
     def element(self, value: Coercible) -> "FieldElement":
         """Coerce an int, a Fraction, or an element of the same field."""
         if isinstance(value, FieldElement):
             if value.spec != self:
-                raise ValueError("element belongs to a different field")
+                raise InputError("element belongs to a different field")
             return value
         value = Fraction(value)
         if self.kind == "Qp":
@@ -201,7 +201,7 @@ class FieldElement:
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.spec != self.spec:
-                raise ValueError("elements of different fields")
+                raise InputError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
             return self.spec.element(other)

@@ -25,31 +25,37 @@ def perm_sign(perm) -> int:
     return sign
 
 
-def _determinant(rows, zero):
-    """Exact determinant of a nonempty square matrix over a field, by forward
-    elimination with a row swap to the first nonzero pivot: the signed product
-    of the pivots, or `zero` on a zero column.  Works on field elements and on
-    Fractions.  Zero entries are skipped: a row is updated only if it has a
-    nonzero entry under the pivot, and only in the pivot row's nonzero columns.
-    """
-    a = [list(r) for r in rows]
-    n = len(a)
+def _identity_rows(spec, n):
+    one, zero = spec.one(), spec.zero()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _add_multiple(row, a, source, cols):
+    """row[j] += a * source[j] for j in cols, the nonzero columns of source."""
+    for j in cols:
+        row[j] = row[j] + a * source[j]
+
+
+def _eliminate(rows, zero):
+    """Forward elimination in place, over field elements or Fractions, on the
+    first len(rows) columns; longer rows carry their extra columns along.
+    Swaps in the first nonzero pivot, skips zeros under it and in its row.
+    Returns the signed product of the pivots, or `zero` on a zero column."""
+    n = len(rows)
     det, negate = None, False
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
         if piv is None:
             return zero
         if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+            rows[col], rows[piv] = rows[piv], rows[col]
             negate = not negate
-        top = a[col]
+        top = rows[col]
         pivot = top[col]
-        support = [j for j in range(col + 1, n) if top[j]]
-        for row in a[col + 1:]:
+        support = [j for j in range(col + 1, len(top)) if top[j]]
+        for row in rows[col + 1:]:
             if row[col]:
-                f = row[col] / pivot
-                for j in support:
-                    row[j] = row[j] - f * top[j]
+                _add_multiple(row, -(row[col] / pivot), top, support)
         det = pivot if det is None else det * pivot
     return -det if negate else det
 
@@ -71,8 +77,7 @@ class FieldMatrix:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "FieldMatrix":
-        one, zero = spec.one(), spec.zero()
-        return cls(spec, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls(spec, _identity_rows(spec, n))
 
     @classmethod
     def diagonal(cls, spec: FieldSpec, entries) -> "FieldMatrix":
@@ -91,23 +96,13 @@ class FieldMatrix:
             return NotImplemented
         if other.spec != self.spec or other.size != self.size:
             raise DimensionMismatchError("matrix product of incompatible matrices")
-        n = self.size
-        zero = self.spec.zero()
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a = self.rows[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.rows[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
+        right = other.rows
+        supports = [[j for j, b in enumerate(row) if b] for row in right]
+        out = [[self.spec.zero()] * self.size for _ in right]
+        for row, left in zip(out, self.rows):
+            for k, a in enumerate(left):
+                if a:
+                    _add_multiple(row, a, right[k], supports[k])
         return FieldMatrix(self.spec, out)
 
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
@@ -126,30 +121,25 @@ class FieldMatrix:
     def determinant(self):
         """Exact determinant by Gaussian elimination over the field."""
         if self._det is None:
-            self._det = _determinant(self.rows, self.spec.zero())
+            self._det = _eliminate([list(r) for r in self.rows], self.spec.zero())
         return self._det
 
     def inverse(self) -> "FieldMatrix":
+        """Forward elimination of [g | 1], then back substitution on the right."""
         n = self.size
-        a = [list(r) for r in self.rows]
-        b = [list(r) for r in FieldMatrix.identity(self.spec, n).rows]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is not invertible")
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                b[col], b[piv] = b[piv], b[col]
-            inv = a[col][col].inv()
-            a[col] = [e * inv for e in a[col]]
-            b[col] = [e * inv for e in b[col]]
-            for r in range(n):
-                if r == col or a[r][col].is_zero():
-                    continue
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return FieldMatrix(self.spec, b)
+        rows = [list(r) + e for r, e in zip(self.rows, _identity_rows(self.spec, n))]
+        if not _eliminate(rows, self.spec.zero()):
+            raise SingularMatrixError("matrix is not invertible")
+        out, supports = [None] * n, [None] * n
+        for i in reversed(range(n)):
+            row, x = rows[i], rows[i][n:]
+            for j in range(i + 1, n):
+                if row[j]:
+                    _add_multiple(x, -row[j], out[j], supports[j])
+            inv = row[i].inv()
+            out[i] = [inv * e for e in x]
+            supports[i] = [k for k, e in enumerate(x) if e]
+        return FieldMatrix(self.spec, out)
 
     def is_integral(self) -> bool:
         return all(e.is_integral() for row in self.rows for e in row)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .apartment import MonomialMatrix
 from .fields import FieldSpec
-from .matrices import FieldMatrix, perm_sign
+from .matrices import FieldMatrix, _add_multiple, _identity_rows, perm_sign
 from .symplectic import _embed
 
 
@@ -59,14 +59,10 @@ def random_integral(spec: FieldSpec, rng: random.Random, allow_zero=True):
 # ----------------------------------------------------------------------
 # row-operation word builders
 
-def _identity_rows(spec, n):
-    one, zero = spec.one(), spec.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def _left_transvection(rows, i, j, a):
     """Left multiply by the elementary matrix with entry a at (i, j)."""
-    rows[i] = [x + a * y for x, y in zip(rows[i], rows[j])]
+    if a:
+        _add_multiple(rows[i], a, rows[j], [k for k, e in enumerate(rows[j]) if e])
 
 
 def _left_scale(rows, i, u):

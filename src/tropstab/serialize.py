@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivisionByZeroError, TropstabError
+from .errors import DivisionByZeroError, InputError
 from .fields import FieldSpec, FpTElement, QpElement
 from .matrices import FieldMatrix
 from .tropical import NEG_INF
@@ -21,10 +21,6 @@ from .weights import Fan, canonical_weight
 #: coefficient lists, so a degree costs its size in memory and its square in
 #: time at every multiplication.
 MAX_DEGREE = 1000
-
-
-class InputError(TropstabError):
-    """Malformed external payload."""
 
 
 def fraction_to_str(q: Fraction) -> str:

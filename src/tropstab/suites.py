@@ -27,6 +27,7 @@ from .compactification import (BoundaryPoint, FanDirection,
                                boundary_block_oracle, boundary_point_from_direction,
                                boundary_stabilizes, direction_for_stratum,
                                permute_boundary, sp_boundary_stabilizes)
+from .errors import InputError
 from .fields import FieldSpec
 from .matrices import FieldMatrix
 from .serialize import (matrix_to_json, point_to_json, spec_to_json)
@@ -137,7 +138,7 @@ def run_semiring(seed: int, count: int = 200, spec: FieldSpec | None = None):
               for name, law in laws]
 
     def homogeneity_cases():
-        for _ in range(count // 2):
+        for _ in range(max(1, count // 2)):
             n = rng.choice((2, 3))
             yield (tropicalize(sampling.random_sl(spec, n, rng, 4)),
                    sampling.random_point(rng, n), sampling.random_fraction(rng))
@@ -291,7 +292,7 @@ def run_parahoric(spec: FieldSpec, n: int, seed: int, count: int = 200):
             b = face_point(blocks, n, spread=Fraction(1, 3 * len(blocks)))
             if face_address(a) != face_address(b):
                 yield blocks, a, b, None
-            for _ in range(count // 4):
+            for _ in range(max(1, count // 4)):
                 yield blocks, a, b, sampling.random_sl(spec, n, rng, 4)
 
     def address_misleads(blocks, a, b, g):
@@ -323,7 +324,7 @@ def run_sp(spec: FieldSpec, n: int, seed: int, count: int = 300):
                    else {"matrix": matrix_to_json(g)})]
 
     def closure_cases():
-        for _ in range(count // 2):
+        for _ in range(max(1, count // 2)):
             x = SpApartmentPoint(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
             t = sampling.sp_torus(spec, n, [spec.uniformizer() ** -int(c)
                                             for c in x.coords])
@@ -335,7 +336,7 @@ def run_sp(spec: FieldSpec, n: int, seed: int, count: int = 300):
                        _not_closed(sp_stabilizer_membership, x, x.coords, g, h)))
 
     def weyl_cases():
-        for _ in range(count // 2):
+        for _ in range(max(1, count // 2)):
             yield (sampling.random_sp(spec, n, rng),
                    sampling.random_sp_monomial(spec, n, rng),
                    SpApartmentPoint(sampling.random_point(rng, n)))
@@ -345,7 +346,7 @@ def run_sp(spec: FieldSpec, n: int, seed: int, count: int = 300):
                                         g, w, w, x)))
 
     def star_cases():
-        for _ in range(count // 2):
+        for _ in range(max(1, count // 2)):
             yield (sampling.random_sp(spec, n, rng),
                    SpApartmentPoint(tuple(Fraction(rng.randint(-3, 3), 8)
                                           for _ in range(n))))
@@ -385,7 +386,7 @@ def character_from_params(rep: str, n: int | None = None, lam=None) -> WeightedC
     if rep == "schur":
         lam = tuple(lam)
         return sl_partition_character(lam, len(lam) if n is None else n)
-    raise ValueError(f"unknown representation tag {rep!r}")
+    raise InputError(f"unknown representation tag {rep!r}")
 
 
 def _character_params(params, n, lam):
@@ -578,7 +579,7 @@ def run_boundary(spec: FieldSpec, n: int, seed: int, count: int = 300):
                        full_stratum_differs))
 
     def monomial_cases():
-        for _ in range(count // 2):
+        for _ in range(max(1, count // 2)):
             stratum_set = rng.choice(strata)
             yield (_random_boundary_point(rng, n, stratum_set),
                    sampling.random_monomial(spec, n, rng),
@@ -590,7 +591,7 @@ def run_boundary(spec: FieldSpec, n: int, seed: int, count: int = 300):
                                         g, mono.to_matrix(), mono, b)))
 
     def ray_cases():
-        for k in range(count // 2):
+        for k in range(max(1, count // 2)):
             d = direction_for_stratum(rng.choice(strata), n)
             x = ApartmentPoint(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
             if k % 2 == 0:

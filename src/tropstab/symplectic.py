@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .apartment import (ApartmentPoint, CoordinatePoint, MonomialMatrix,
                         in_star_of_origin, normalizer_action, _residue_flag_member)
-from .errors import (DimensionMismatchError, NotSymplecticError,
+from .errors import (DimensionMismatchError, InputError, NotSymplecticError,
                      OutOfStarError)
 from .fields import FieldSpec
 from .matrices import FieldMatrix
@@ -128,5 +128,5 @@ def sp_normalizer_action(m: FieldMatrix, x: SpApartmentPoint) -> SpApartmentPoin
     _require_symplectic(m)
     cs = normalizer_action(MonomialMatrix.from_matrix(m), embed_point(x)).coords
     if _embed(cs[:x.n]) != cs:
-        raise ValueError("matrix does not act on the symplectic apartment")
+        raise InputError("matrix does not act on the symplectic apartment")
     return SpApartmentPoint(cs[:x.n])

@@ -19,12 +19,12 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .errors import (DimensionMismatchError, NotAVertexError,
+from .errors import (DimensionMismatchError, InputError, NotAVertexError,
                      RepeatedValuesError, TooManyPartsError,
                      TypeMismatchError, WeightMismatchError)
 from .feasibility import _primitive_vector, strictly_feasible
 from .fields import FieldSpec, int_valuation
-from .matrices import _determinant
+from .matrices import _eliminate
 from .tropical import _scaled_int_vector
 
 GROUP_SL = "sln"
@@ -36,7 +36,7 @@ _WEYL_SIGNS = {GROUP_SL: (1,), GROUP_SP: (1, -1)}
 
 def _weyl_signs(group: str) -> tuple:
     if group not in _WEYL_SIGNS:
-        raise ValueError(f"unknown group tag {group!r}")
+        raise InputError(f"unknown group tag {group!r}")
     return _WEYL_SIGNS[group]
 
 
@@ -47,9 +47,9 @@ def as_partition(lam) -> tuple:
     """Validate and normalize a partition: weakly decreasing, trailing zeros dropped."""
     t = tuple(int(a) for a in lam)
     if any(a < 0 for a in t):
-        raise ValueError("partition parts must be nonnegative")
+        raise InputError("partition parts must be nonnegative")
     if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
-        raise ValueError("partition parts must be weakly decreasing")
+        raise InputError("partition parts must be weakly decreasing")
     while t and t[-1] == 0:
         t = t[:-1]
     return t
@@ -64,7 +64,7 @@ def kostka_number(lam, mu) -> int:
     lam = as_partition(lam)
     mu = tuple(int(m) for m in mu)
     if any(m < 0 for m in mu):
-        raise ValueError("content entries must be nonnegative")
+        raise InputError("content entries must be nonnegative")
     if sum(lam) != sum(mu):
         raise WeightMismatchError("partition size and content size differ")
     if not lam:
@@ -129,18 +129,18 @@ class WeightedCharacter:
 
     def __init__(self, group: str, rank: int, multiplicities):
         if group not in (GROUP_SL, GROUP_SP):
-            raise ValueError(f"unknown group tag {group!r}")
+            raise InputError(f"unknown group tag {group!r}")
         mp = {}
         for mu, c in dict(multiplicities).items():
             mu = tuple(int(a) for a in mu)
             if len(mu) != rank:
-                raise ValueError("weight length does not match the rank")
+                raise InputError("weight length does not match the rank")
             c = int(c)
             if c < 1:
-                raise ValueError("multiplicities must be positive")
+                raise InputError("multiplicities must be positive")
             mp[mu] = c
         if not mp:
-            raise ValueError("empty character")
+            raise InputError("empty character")
         self.group = group
         self.rank = rank
         self._map = mp
@@ -173,7 +173,7 @@ class WeightedCharacter:
 def sl_identity_character(n: int) -> WeightedCharacter:
     """Weights of the identity representation: the n coordinate characters."""
     if n < 2:
-        raise ValueError("rank at least two required")
+        raise InputError("rank at least two required")
     weights = {}
     for i in range(n):
         e = [0] * n
@@ -185,7 +185,7 @@ def sl_identity_character(n: int) -> WeightedCharacter:
 def sp_standard_character(n: int) -> WeightedCharacter:
     """Weights of the standard symplectic representation: plus-minus coordinates."""
     if n < 1:
-        raise ValueError("rank at least one required")
+        raise InputError("rank at least one required")
     weights = {}
     for i in range(n):
         for s in (1, -1):
@@ -249,8 +249,8 @@ def schur_eval_bialternant(lam, z: Sequence) -> Fraction:
         return Fraction(1)  # both alternants are empty, of determinant one
     padded = lam + (0,) * (n - len(lam))
     zero = Fraction(0)
-    num = _determinant([[zj ** (padded[i] + n - 1 - i) for zj in zs] for i in range(n)], zero)
-    den = _determinant([[zj ** (n - 1 - i) for zj in zs] for i in range(n)], zero)
+    num = _eliminate([[zj ** (padded[i] + n - 1 - i) for zj in zs] for i in range(n)], zero)
+    den = _eliminate([[zj ** (n - 1 - i) for zj in zs] for i in range(n)], zero)
     return num / den
 
 
@@ -371,7 +371,7 @@ def dominant_weight(char: WeightedCharacter) -> tuple:
             elif val == best_val:
                 tie = True
         if tie:
-            raise ValueError("character has no unique leading extreme weight")
+            raise InputError("character has no unique leading extreme weight")
         char._dominant = best
     return char._dominant
 

@@ -142,6 +142,20 @@ def test_verify_semiring_deterministic(capsys):
      "--seed", "1"],
     ["verify", "--suite", "fans", "--rep", "identity", "--n", str(10 ** 12),
      "--seed", "1"],
+    ["fan", "--rep", "identity", "--n", str(10 ** 12)],
+    ["fan", "--rep", "sp", "--n", "33"],
+    ["fan", "--rep", "schur", "--lambda", ",".join(["1"] + ["0"] * 32)],
+    ["plot", "--rep", "identity", "--n", str(10 ** 8)],
+    ["hypersurface", "--rep", "sp", "--n", str(10 ** 8), "--sample", "1", "--seed", "1"],
+    ["verify", "--suite", "stabilizer", "--n", str(10 ** 8), "--seed", "1",
+     "--matrices", "1", "--points", "1", "--count", "1"],
+    ["verify", "--suite", "sp", "--n", "33", "--seed", "1", "--count", "1"],
+    ["verify", "--suite", "hypersurface", "--rep", "identity", "--n", "33",
+     "--seed", "1"],
+    ["verify", "--suite", "parahoric", "--n", "6", "--seed", "1", "--count", "1"],
+    ["verify", "--suite", "parahoric", "--n", "12", "--seed", "1", "--count", "1"],
+    ["verify", "--suite", "boundary", "--n", "11", "--seed", "1", "--count", "1"],
+    ["verify", "--suite", "boundary", "--n", "40", "--seed", "1", "--count", "1"],
 ], ids=["negative-degree", "stabilizer-n1", "parahoric-n1", "boundary-n1",
         "sp-n0", "fans-identity-n1", "fan-negative-part", "negative-count",
         "zero-count", "zero-matrices", "negative-points", "zero-samples",
@@ -154,7 +168,10 @@ def test_verify_semiring_deterministic(capsys):
         "plot-too-many-parts", "stabilizer-sp2n", "parahoric-sp2n", "fans-sp2n",
         "fan-sp2n", "hypersurface-sp2n", "plot-sp2n", "schur-sp2n",
         "fans-identity-weyl-order", "fans-sp-weyl-order", "fans-schur-weyl-order",
-        "fans-huge-n"])
+        "fans-huge-n", "fan-huge-n", "fan-sp-n33", "fan-schur-33-parts",
+        "plot-huge-n", "hypersurface-huge-n", "stabilizer-huge-n", "sp-n33",
+        "hypersurface-suite-n33", "parahoric-n6", "parahoric-n12", "boundary-n11",
+        "boundary-n40"])
 def test_bad_parameters_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -164,7 +181,8 @@ def test_bad_parameters_exit_2(capsys, argv):
 
 
 #: sha256 of the stdout of commands whose bytes no report digest covers:
-#: the hypersurface samples, the fan and overlay figures, and a fan.
+#: the hypersurface samples, the fan and overlay figures, a fan, and the
+#: README's hypersurface suite run through verify.
 COMMAND_DIGESTS = [
     ("hypersurface --rep identity --n 3 --sample 200 --seed 11 --p 3",
      "cbbff96df0d8765b4177ec68c6a950bb57700712471f22fdf2f75eb011ed81aa"),
@@ -182,6 +200,9 @@ COMMAND_DIGESTS = [
      "5035dac536fe5ba46489ba1c5645df9193583eaa3bca497bf8bae61d53bef3f9"),
     ("fan --rep identity --n 4",
      "ee2f5318f55ee9780d9def063a1fdf613865a35f6811f9876ecbcbc87ecf5c62"),
+    ("verify --suite hypersurface --rep schur --lambda 2,1,0 --p 2 --seed 7 "
+     "--samples 1000",
+     "6b70943ab1a8594eed07e9a7e7d3e0bb3028a6dddbb3050f55aa53b362a55248"),
 ]
 
 
@@ -406,6 +427,21 @@ def test_verify_fans_accepts_the_largest_weyl_order(capsys):
         code, doc = run_json(capsys, "verify", "--suite", "fans", "--rep", rep,
                              "--n", n, "--seed", "1", "--samples", "1")
         assert code == 0 and doc["pass"]
+
+
+def test_verify_accepts_the_largest_ranks(capsys):
+    # one step up from each exits 2; the count-1 boundary run at n = 2 once
+    # failed its limit check on zero rays
+    for suite, n in (("parahoric", "5"), ("boundary", "10"), ("boundary", "2")):
+        code, doc = run_json(capsys, "verify", "--suite", suite, "--n", n,
+                             "--seed", "1", "--count", "1")
+        assert code == 0 and doc["pass"]
+    for rep in ("identity", "sp"):
+        code, doc = run_json(capsys, "fan", "--rep", rep, "--n", "32")
+        assert code == 0 and doc["rank"] == 32
+    code, doc = run_json(capsys, "fan", "--rep", "schur", "--lambda",
+                         ",".join(["1"] + ["0"] * 31))
+    assert code == 0 and len(doc["cones"]) == 32
 
 
 def test_hypersurface_sp_representation(capsys):

@@ -121,6 +121,74 @@ def test_inverse_of_singular():
         FieldMatrix(Q2, [[1, 1], [1, 1]]).inverse()
 
 
+def _product(a, b):
+    """Reference product: entry (i, j) is the sum over k of a_ik b_kj."""
+    n = a.size
+    return [[sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), a.spec.zero())
+             for j in range(n)] for i in range(n)]
+
+
+def _with_zero_row_and_column(spec, rows, i, j):
+    return FieldMatrix(spec, [[0 if r == i or c == j else e for c, e in enumerate(row)]
+                              for r, row in enumerate(rows)])
+
+
+@pytest.mark.parametrize("spec", [Q2, F3T], ids=["Q2", "F3T"])
+def test_product_matches_definition(spec):
+    rng = random.Random(29)
+    for n in range(1, 6):
+        for _ in range(4):
+            a, b = (FieldMatrix(spec, [[_random_entry(spec, rng) for _ in range(n)]
+                                       for _ in range(n)]) for _ in range(2))
+            assert (a * b).rows == tuple(map(tuple, _product(a, b)))
+            i, j = rng.randrange(n), rng.randrange(n)
+            a0 = _with_zero_row_and_column(spec, a.rows, i, j)
+            b0 = _with_zero_row_and_column(spec, b.rows, j, i)
+            for x, y in ((a0, b), (a, b0), (a0, b0)):
+                assert (x * y).rows == tuple(map(tuple, _product(x, y)))
+            assert all(e.is_zero() for e in (a0 * b).rows[i])
+            assert all(row[i].is_zero() for row in (a * b0).rows)
+
+
+def _adjugate(m):
+    """Reference adjugate: entry (i, j) is the (j, i) cofactor by Leibniz."""
+    n = m.size
+    if n == 1:
+        return [[m.spec.one()]]
+
+    def minor(r, c):
+        return FieldMatrix(m.spec, [[e for k, e in enumerate(row) if k != c]
+                                    for q, row in enumerate(m.rows) if q != r])
+    return [[_leibniz(minor(j, i)) * (-1) ** (i + j) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("spec", [Q2, F3T], ids=["Q2", "F3T"])
+def test_inverse_matches_adjugate(spec):
+    rng = random.Random(31)
+    swaps = non_unit = 0
+    for n in range(1, 6):
+        for trial in range(8):
+            rows = [[_random_entry(spec, rng) for _ in range(n)] for _ in range(n)]
+            if trial % 2 and n > 1:
+                rows[0][0] = spec.zero()  # the first pivot needs a row swap
+            m = FieldMatrix(spec, rows)
+            det = _leibniz(m)
+            if det.is_zero():
+                with pytest.raises(SingularMatrixError):
+                    m.inverse()
+                continue
+            assert m.determinant() == det
+            adj = _adjugate(m)
+            assert m.inverse().rows == tuple(tuple(e / det for e in row) for row in adj)
+            swaps += m.rows[0][0].is_zero()
+            non_unit += det.valuation() != 0
+    assert swaps > 0 and non_unit > 0
+    for singular in ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], [[1, 2, 0], [2, 4, 0], [0, 0, 1]]):
+        with pytest.raises(SingularMatrixError):
+            FieldMatrix(spec, singular).inverse()
+
+
 def test_residue_matrix():
     m = FieldMatrix(Q5, [[Fraction(7, 2), 5], [0, 1]])
     assert m.residue() == ((1, 0), (0, 1))

@@ -9,12 +9,14 @@ fail at a chosen case and checks what the report says about it.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
 from tropstab import suites
 from tropstab.fields import FieldSpec
+from tropstab.matrices import FieldMatrix
 from tropstab.serialize import matrix_to_json, point_to_json
 
 Q2 = FieldSpec("Qp", 2)
@@ -147,3 +149,97 @@ def test_runner_draws_no_case_after_the_witness():
     assert check == {"name": "probe", "pass": False, "cases": 4,
                      "counterexample": {"i": 3}}
     assert drawn == [0, 1, 2, 3]
+
+
+#: Small runs at count 1 (parahoric also 2 and 3), where a check with a
+#: count // 2 or count // 4 stream would examine no case at all.
+COUNT_ONE_RUNS = [
+    ("run_semiring", (11,), {"count": 1, "spec": Q2}),
+    ("run_stabilizer", (Q2, 2, 12), {"matrices": 1, "points": 1, "closure_pairs": 1}),
+    ("run_parahoric", (Q2, 2, 13), {"count": 1}),
+    ("run_parahoric", (Q2, 2, 13), {"count": 2}),
+    ("run_parahoric", (F3T, 3, 13), {"count": 3}),
+    ("run_sp", (Q2, 1, 15), {"count": 1}),
+    ("run_sp", (F3T, 2, 15), {"count": 1}),
+    ("run_boundary", (Q2, 2, 1), {"count": 1}),
+    ("run_boundary", (F3T, 3, 14), {"count": 1}),
+    ("run_sp_boundary", (Q2, 16), {"count": 1}),
+    ("run_fans", ("identity", 17), {"n": 3, "samples": 1, "expected_cones": 3}),
+    ("run_fans", ("sp", 17), {"n": 2, "samples": 1, "expected_cones": 4}),
+    ("run_hypersurface", ("schur", 2, 18), {"n": 3, "lam": (2, 1, 0), "samples": 1}),
+    ("run_schur", (19,), {"inputs": 1, "max_size": 2, "max_rank": 2, "linear_inputs": 1}),
+]
+
+
+@pytest.mark.parametrize("runner, args, kwargs", COUNT_ONE_RUNS,
+                         ids=[f"{r[0]}-{i}" for i, r in enumerate(COUNT_ONE_RUNS)])
+def test_every_check_examines_a_case_at_count_one(runner, args, kwargs):
+    report = getattr(suites, runner)(*args, **kwargs)
+    assert report["pass"], report
+    assert all(c["cases"] >= 1 for c in report["checks"]), report
+
+
+def _witness(report, name, keys):
+    """The named check failed with a counterexample of exactly these keys,
+    and the report still serialises."""
+    check = next(c for c in report["checks"] if c["name"] == name)
+    assert not check["pass"] and not report["pass"]
+    assert set(check["counterexample"]) == keys
+    json.dumps(report, sort_keys=True)
+    return check
+
+
+def test_closure_witness_names_a_generator_that_does_not_fix(monkeypatch):
+    monkeypatch.setattr(suites, "stabilizes_tropically", lambda g, x: False)
+    report = suites.run_stabilizer(Q2, 2, 12, matrices=0, points=0, closure_pairs=3)
+    check = _witness(report, "group_closure", {"reason", "matrix", "point"})
+    assert check["cases"] == 1
+
+
+def test_closure_witness_names_both_generators(monkeypatch):
+    calls = itertools.count()
+    # g and h fix the point, g h does not
+    monkeypatch.setattr(suites, "stabilizes_tropically", lambda g, x: next(calls) < 2)
+    report = suites.run_stabilizer(Q2, 2, 12, matrices=0, points=0, closure_pairs=3)
+    check = _witness(report, "group_closure", {"g", "h", "point"})
+    assert check["cases"] == 1
+
+
+def test_equivariance_witness(monkeypatch):
+    # the image point is None, and only None is fixed
+    monkeypatch.setattr(suites, "normalizer_action", lambda w, x: None)
+    monkeypatch.setattr(suites, "stabilizer_membership", lambda g, x: x is None)
+    report = suites.run_parahoric(Q2, 3, 13, count=2)
+    check = _witness(report, "normalizer_equivariance", {"matrix", "monomial", "point"})
+    assert check["cases"] == 1
+
+
+def test_composition_grid_witness(monkeypatch):
+    monkeypatch.setattr(suites, "composition_example_matrices",
+                        lambda spec: (FieldMatrix.identity(spec, 2),) * 2)
+    report = suites.run_semiring(11, count=2)
+    check = _witness(report, "composition_formulas_on_grid",
+                     {"point", "product", "composed"})
+    assert check["cases"] == 2  # the identity agrees with the formulas at (-1, -1)
+
+
+def test_face_address_witnesses(monkeypatch):
+    addresses = itertools.count()
+    monkeypatch.setattr(suites, "face_address", lambda x: next(addresses))
+    report = suites.run_parahoric(Q2, 2, 13, count=4)
+    check = _witness(report, "face_address_constancy", {"blocks", "reason"})
+    assert check["cases"] == 1
+    assert check["counterexample"]["blocks"] == [[0], [1]]
+    monkeypatch.undo()
+    first = suites.face_point(((0,), (1,)), 2)
+    monkeypatch.setattr(suites, "stabilizer_membership", lambda g, x: x == first)
+    report = suites.run_parahoric(Q2, 2, 13, count=4)
+    check = _witness(report, "face_address_constancy", {"matrix", "first", "second"})
+    assert check["cases"] == 1
+
+
+def test_linear_schur_witness(monkeypatch):
+    monkeypatch.setattr(suites, "schur_eval_tableaux", lambda lam, z: None)
+    report = suites.run_schur(19, inputs=1, max_size=1, max_rank=1, linear_inputs=3)
+    check = _witness(report, "linear_schur_is_coordinate_sum", {"values"})
+    assert check["cases"] == 1

@@ -430,8 +430,8 @@ def test_verify_fans_accepts_the_largest_weyl_order(capsys):
 
 
 def test_verify_accepts_the_largest_ranks(capsys):
-    # one step up from each exits 2; the count-1 boundary run at n = 2 once
-    # failed its limit check on zero rays
+    # one step up from each exits 2; at count 1 the boundary suite still
+    # draws a ray for its limit check
     for suite, n in (("parahoric", "5"), ("boundary", "10"), ("boundary", "2")):
         code, doc = run_json(capsys, "verify", "--suite", suite, "--n", n,
                              "--seed", "1", "--count", "1")

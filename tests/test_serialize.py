@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tropstab import sampling
+from tropstab import errors, sampling
+from tropstab.apartment import ApartmentPoint
+from tropstab.feasibility import strictly_feasible
 from tropstab.fields import FieldSpec
 from tropstab.serialize import (MAX_DEGREE, InputError, element_from_json,
                                 element_to_json,
@@ -12,6 +14,7 @@ from tropstab.serialize import (MAX_DEGREE, InputError, element_from_json,
                                 point_from_json, point_to_json, spec_from_json,
                                 spec_to_json, trop_from_json, trop_to_json)
 from tropstab.tropical import NEG_INF
+from tropstab.weights import as_partition
 
 Q5 = FieldSpec("Qp", 5)
 F3T = FieldSpec("FpT", 3)
@@ -88,3 +91,12 @@ def test_point_round_trip():
     assert point_from_json(point_to_json(coords)) == list(coords)
     with pytest.raises(InputError):
         point_from_json([])
+
+
+def test_library_argument_errors_are_input_errors():
+    assert InputError is errors.InputError
+    assert issubclass(InputError, errors.TropstabError)
+    for call in (lambda: FieldSpec("Qp", 4), lambda: as_partition((1, 2)),
+                 lambda: strictly_feasible([(1, 0), (1,)]), lambda: ApartmentPoint(())):
+        with pytest.raises(InputError):
+            call()

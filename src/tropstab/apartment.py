@@ -198,14 +198,8 @@ def parahoric_oracle(g: FieldMatrix, x: ApartmentPoint) -> bool:
         raise DimensionMismatchError("matrix and point dimensions differ")
     if not in_star_of_origin(cs):
         raise OutOfStarError("point outside the star of the origin")
-    return _residue_flag_member(g, cs)
-
-
-def _residue_flag_member(g: FieldMatrix, coords) -> bool:
-    """Is g integral with reduction block upper triangular for the blocks
-    of indices of equal coordinate, ordered by decreasing value?"""
     if not g.is_integral():
         return False
     res = g.residue()
     return all(res[i][j] == 0 for i in range(g.size) for j in range(g.size)
-               if coords[i] < coords[j])
+               if cs[i] < cs[j])

@@ -10,6 +10,7 @@ produce byte-identical output for identical inputs.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -74,6 +75,7 @@ def _emit_json(args, doc) -> None:
     _emit(args, json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", choices=("qp", "fpt"), default="qp",
@@ -260,7 +262,8 @@ def _expected_cone_count(rep, n, lam):
     if rep == "sp":
         return 2 * n
     rank = len(lam) if n is None else n
-    padded = tuple(lam) + (0,) * (rank - len(lam))
+    part = as_partition(lam)
+    padded = part + (0,) * (rank - len(part))
     # distinct permutations of the padded partition: a multinomial coefficient
     return math.factorial(len(padded)) // math.prod(
         math.factorial(padded.count(v)) for v in set(padded))
@@ -272,12 +275,10 @@ MAX_WEYL_ORDER = 5040
 
 def _verify_fans(a, spec, seed):
     rep, n, lam = _char_params(a)
-    order = 1
-    for k in range(1, (len(lam) if n is None else n) + 1):
-        order *= 2 * k if rep == "sp" else k
-        if order > MAX_WEYL_ORDER:  # stops by k = 8, however large --n is
-            raise InputError(f"the fans suite runs over the Weyl group, whose "
-                             f"order must be at most {MAX_WEYL_ORDER}")
+    rank = len(lam) if n is None else n
+    if math.factorial(rank) * (2 ** rank if rep == "sp" else 1) > MAX_WEYL_ORDER:
+        raise InputError(f"the fans suite runs over the Weyl group, whose "
+                         f"order must be at most {MAX_WEYL_ORDER}")
     return suites.run_fans(rep, seed, n=n, lam=lam, samples=_count(a, "samples", 500),
                            expected_cones=_expected_cone_count(rep, n, lam))
 

@@ -26,11 +26,7 @@ from .weights import Cone, sl_identity_character, weight_fan
 
 def stratum(x) -> frozenset:
     """Indices of the finite entries of a tropical vector."""
-    xs = trop_vector(x)
-    fin = frozenset(i for i, e in enumerate(xs) if e is not NEG_INF)
-    if not fin:
-        raise AllInfiniteError("vector has no finite entry")
-    return fin
+    return BoundaryPoint(x).stratum
 
 
 class BoundaryPoint(CoordinatePoint):
@@ -97,8 +93,6 @@ def boundary_point_from_direction(x: ApartmentPoint, d: FanDirection) -> Boundar
 def boundary_stabilizes(g: FieldMatrix, b: BoundaryPoint) -> bool:
     """Does g fix the boundary point tropically?"""
     _require_det_one(g)
-    if g.size != b.n:
-        raise DimensionMismatchError("matrix and point dimensions differ")
     return stabilizes_tropically(g, b.coords)
 
 
@@ -146,7 +140,4 @@ def sp_boundary_point(x: SpApartmentPoint, d: FanDirection) -> BoundaryPoint:
 def sp_boundary_stabilizes(g: FieldMatrix, x: SpApartmentPoint, d: FanDirection) -> bool:
     """Does the symplectic matrix g fix the embedded limit point tropically?"""
     _require_symplectic(g)
-    b = sp_boundary_point(x, d)
-    if g.size != b.n:
-        raise DimensionMismatchError("matrix and point dimensions differ")
-    return stabilizes_tropically(g, b.coords)
+    return boundary_stabilizes(g, sp_boundary_point(x, d))

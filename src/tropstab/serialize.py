@@ -80,8 +80,10 @@ def element_from_json(spec: FieldSpec, v):
             return spec.element(fraction_from_json(v))
         if isinstance(v, dict):
             try:
-                num = {int(d): int(c) for d, c in v.get("num", {}).items()}
-                den = {int(d): int(c) for d, c in v.get("den", {"0": 1}).items()}
+                maps = v.get("num", {}), v.get("den", {"0": 1})
+                if any(type(c) not in (int, str) for m in maps for c in m.values()):
+                    raise TypeError("coefficients are integers or integer strings")
+                num, den = ({int(d): int(c) for d, c in m.items()} for m in maps)
             except (AttributeError, TypeError, ValueError) as exc:
                 raise InputError(f"invalid rational-function element: {v!r}") from exc
             if any(d < 0 for d in (*num, *den)):

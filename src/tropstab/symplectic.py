@@ -4,19 +4,19 @@ special-linear apartment.
 The standard form is built from the antidiagonal identity; symplectic
 apartment points have n free rational coordinates and embed into the
 rank 2n-1 apartment as the palindromically antisymmetric vectors
-(x_1, ..., x_n, -x_n, ..., -x_1).  Point and ray stabilizer membership
-reduce through this embedding to the tropical fixed-point tests.
+(x_1, ..., x_n, -x_n, ..., -x_1).  Each symplectic predicate is the form
+check followed by the special-linear predicate on the embedded point.
 """
 
 from __future__ import annotations
 
 from .apartment import (ApartmentPoint, CoordinatePoint, MonomialMatrix,
-                        in_star_of_origin, normalizer_action, _residue_flag_member)
-from .errors import (DimensionMismatchError, InputError, NotSymplecticError,
-                     OutOfStarError)
+                        in_star_of_origin, normalizer_action, parahoric_oracle,
+                        stabilizer_membership)
+from .errors import DimensionMismatchError, InputError, NotSymplecticError
 from .fields import FieldSpec
 from .matrices import FieldMatrix
-from .tropical import fixes_ray, stabilizes_tropically
+from .tropical import fixes_ray
 
 
 def standard_form(spec: FieldSpec, n: int) -> FieldMatrix:
@@ -83,30 +83,24 @@ def embed_point(x: SpApartmentPoint) -> ApartmentPoint:
 
 
 def _require_symplectic(g: FieldMatrix) -> None:
-    """Raise NotSymplecticError unless g preserves the standard form."""
+    """Raise NotSymplecticError unless g preserves the standard form psi.
+    Then det g = 1 in every characteristic, 2 included, since g^T psi g = psi
+    gives Pf(psi) = det(g) Pf(psi) with Pf(psi) = +-1; record it."""
     if not is_symplectic(g):
         raise NotSymplecticError("matrix does not preserve the symplectic form")
-
-
-def _guard_and_embed(g: FieldMatrix, x: SpApartmentPoint, *directions) -> tuple:
-    """Check that g is symplectic of size 2n for the n coordinates of x and
-    of each direction, then return the embedded point and directions."""
-    _require_symplectic(g)
-    if g.size != 2 * x.n:
-        raise DimensionMismatchError("matrix and point dimensions differ")
-    if any(len(d) != x.n for d in directions):
-        raise DimensionMismatchError("direction and point dimensions differ")
-    return (_embed(x.coords),) + tuple(_embed(d) for d in directions)
+    g._det = g.spec.one()
 
 
 def sp_stabilizer_membership(g: FieldMatrix, x: SpApartmentPoint) -> bool:
     """Is the symplectic matrix g in the stabilizer of the apartment point x?"""
-    return stabilizes_tropically(g, *_guard_and_embed(g, x))
+    _require_symplectic(g)
+    return stabilizer_membership(g, embed_point(x))
 
 
 def sp_fixes_ray(g: FieldMatrix, x: SpApartmentPoint, d) -> bool:
     """Does the symplectic matrix g fix x + s*d for every s >= 0?"""
-    return fixes_ray(g, *_guard_and_embed(g, x, d))
+    _require_symplectic(g)
+    return fixes_ray(g, _embed(x.coords), _embed(d))
 
 
 def sp_in_star_of_origin(coords) -> bool:
@@ -117,10 +111,8 @@ def sp_in_star_of_origin(coords) -> bool:
 
 def sp_parahoric_oracle(g: FieldMatrix, x: SpApartmentPoint) -> bool:
     """Residue-flag test through the embedding, valid on the star of the origin."""
-    y, = _guard_and_embed(g, x)
-    if not in_star_of_origin(y):
-        raise OutOfStarError("point outside the star of the origin")
-    return _residue_flag_member(g, y)
+    _require_symplectic(g)
+    return parahoric_oracle(g, embed_point(x))
 
 
 def sp_normalizer_action(m: FieldMatrix, x: SpApartmentPoint) -> SpApartmentPoint:

@@ -156,6 +156,17 @@ def test_verify_semiring_deterministic(capsys):
     ["verify", "--suite", "parahoric", "--n", "12", "--seed", "1", "--count", "1"],
     ["verify", "--suite", "boundary", "--n", "11", "--seed", "1", "--count", "1"],
     ["verify", "--suite", "boundary", "--n", "40", "--seed", "1", "--count", "1"],
+    ["stabilize", "--field", "fpt", "--p", "3",
+     "--matrix", '[[{"num":{"0":1e400}},"0"],["0","1"]]', "--point", '["0","0"]'],
+    ["stabilize", "--field", "fpt", "--p", "3",
+     "--matrix", '[[{"num":{"0":Infinity}},"0"],["0","1"]]', "--point", '["0","0"]'],
+    ["stabilize", "--field", "fpt", "--p", "3",
+     "--matrix", '[[{"num":{"0":true}},"0"],["0","1"]]', "--point", '["0","0"]'],
+    ["stabilize", "--field", "fpt", "--p", "3",
+     "--matrix", '[[{"num":{"0":2.9}},"0"],["0","1"]]', "--point", '["0","0"]'],
+    ["stabilize", "--field", "fpt", "--p", "3",
+     "--matrix", '[[{"num":{"0":1},"den":{"0":0.5}},"0"],["0","1"]]',
+     "--point", '["0","0"]'],
 ], ids=["negative-degree", "stabilizer-n1", "parahoric-n1", "boundary-n1",
         "sp-n0", "fans-identity-n1", "fan-negative-part", "negative-count",
         "zero-count", "zero-matrices", "negative-points", "zero-samples",
@@ -171,7 +182,8 @@ def test_verify_semiring_deterministic(capsys):
         "fans-huge-n", "fan-huge-n", "fan-sp-n33", "fan-schur-33-parts",
         "plot-huge-n", "hypersurface-huge-n", "stabilizer-huge-n", "sp-n33",
         "hypersurface-suite-n33", "parahoric-n6", "parahoric-n12", "boundary-n11",
-        "boundary-n40"])
+        "boundary-n40", "fpt-overflowing-coefficient", "fpt-infinite-coefficient",
+        "fpt-boolean-coefficient", "fpt-float-coefficient", "fpt-float-denominator"])
 def test_bad_parameters_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -419,6 +431,15 @@ def test_verify_fans_reports_cone_count(capsys):
     assert code == 0
     count_check = [c for c in doc["checks"] if c["name"] == "maximal_cone_count"]
     assert count_check and count_check[0]["pass"]
+
+
+def test_verify_fans_counts_cones_of_the_partition_cut_to_the_rank(capsys):
+    # trailing zeros of --lambda beyond the rank are no parts of the weight
+    for args in (("--lambda", "2,1,0", "--n", "2"), ("--lambda", "2,1,0,0", "--n", "3"),
+                 ("--lambda", "4,2,1,0")):
+        code, doc = run_json(capsys, "verify", "--suite", "fans", "--rep", "schur",
+                             *args, "--seed", "1")
+        assert code == 0 and doc["pass"]
 
 
 def test_verify_fans_accepts_the_largest_weyl_order(capsys):

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from tropstab import sampling
-from tropstab.apartment import ApartmentPoint, origin, stabilizer_membership
+from tropstab import matrices, sampling
+from tropstab.apartment import (ApartmentPoint, origin, parahoric_oracle,
+                                stabilizer_membership)
 from tropstab.compactification import (BoundaryPoint, FanDirection,
                                        boundary_block_oracle,
                                        boundary_point_from_direction,
@@ -14,10 +15,12 @@ from tropstab.compactification import (BoundaryPoint, FanDirection,
                                        sp_boundary_point,
                                        sp_boundary_stabilizes, stratum)
 from tropstab.errors import (AllInfiniteError, DeterminantNotOneError,
-                             InvalidDirectionError, NotSymplecticError)
+                             DimensionMismatchError, InvalidDirectionError,
+                             NotSymplecticError)
 from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix
-from tropstab.symplectic import (SpApartmentPoint, sp_fixes_ray,
+from tropstab.symplectic import (SpApartmentPoint, _embed, embed_point,
+                                 sp_fixes_ray, sp_parahoric_oracle,
                                  sp_stabilizer_membership)
 from tropstab.tropical import NEG_INF, fixes_ray, stabilizes_tropically
 from tropstab.weights import sl_identity_character, sp_standard_character, weight_fan
@@ -241,6 +244,42 @@ def test_sp_boundary_requires_symplectic():
     with pytest.raises(NotSymplecticError):
         sp_boundary_stabilizes(FieldMatrix.diagonal(Q2, [2, 1, 1, 1]),
                                SpApartmentPoint((0, 0)), d)
+
+
+def test_boundary_predicates_reject_wrong_sizes():
+    with pytest.raises(DimensionMismatchError):
+        boundary_stabilizes(FieldMatrix.identity(Q2, 3), BoundaryPoint((0, NEG_INF)))
+    g = sampling.random_sp(Q2, 3, random.Random(61))
+    with pytest.raises(DimensionMismatchError):
+        sp_boundary_stabilizes(g, SpApartmentPoint((0, 0)),
+                               _sp4_direction((Fraction(1), Fraction(0))))
+
+
+def test_sp_predicates_eliminate_no_matrix(monkeypatch):
+    # the form check records determinant one, so no predicate after it
+    # eliminates the matrix; half the words fix the ray, so both answers occur
+    rng = random.Random(67)
+    x = SpApartmentPoint((Fraction(1, 4), 0))
+    d = _sp4_direction((Fraction(1), Fraction(1)))
+    words = [w for spec in (Q2, F3T) for _ in range(3)
+             for w in (sampling.random_sp(spec, 2, rng),
+                       sampling.random_sp_ray_adapted(spec, 2, x.coords, d.point, rng))]
+
+    def fresh(g):
+        return FieldMatrix(g.spec, g.rows)
+
+    y = embed_point(x)
+    expected = [(stabilizer_membership(g, y), fixes_ray(g, y.coords, _embed(d.point)),
+                 parahoric_oracle(g, y), boundary_stabilizes(g, sp_boundary_point(x, d)))
+                for g in words]
+
+    def refuse(rows, zero):
+        raise AssertionError("a symplectic matrix was eliminated")
+
+    monkeypatch.setattr(matrices, "_eliminate", refuse)
+    assert [(sp_stabilizer_membership(fresh(g), x), sp_fixes_ray(fresh(g), x, d.point),
+             sp_parahoric_oracle(fresh(g), x), sp_boundary_stabilizes(fresh(g), x, d))
+            for g in words] == expected
 
 
 def test_sp_limit_coherence():

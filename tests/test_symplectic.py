@@ -10,8 +10,8 @@ from tropstab.errors import (DimensionMismatchError, NotSymplecticError,
                              OutOfStarError)
 from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix
-from tropstab.symplectic import (SpApartmentPoint, antitranspose, embed_point,
-                                 is_symplectic, sp_fixes_ray,
+from tropstab.symplectic import (SpApartmentPoint, _require_symplectic,
+                                 antitranspose, embed_point, is_symplectic, sp_fixes_ray,
                                  sp_in_star_of_origin, sp_normalizer_action,
                                  sp_parahoric_oracle, sp_stabilizer_membership,
                                  standard_form)
@@ -45,6 +45,32 @@ def test_symplectic_implies_determinant_one():
     for n in (1, 2, 3):
         g = sampling.random_sp(Q2, n, rng)
         assert g.determinant() == Q2.one()
+
+
+@pytest.mark.parametrize("spec", [Q2, Q5, F2T, F3T], ids=["Q2", "Q5", "F2T", "F3T"])
+def test_form_check_records_the_eliminated_determinant(spec):
+    # Pf(psi) = det(g) Pf(psi) in every characteristic, 2 included
+    rng = random.Random(53)
+    for n in (1, 2, 3):
+        for sampler in (sampling.random_sp_monomial, sampling.random_sp_integral,
+                        sampling.random_sp):
+            g = sampler(spec, n, rng)
+            _require_symplectic(g)
+            assert g.determinant() == FieldMatrix(spec, g.rows).determinant() == spec.one()
+
+
+def test_predicates_reject_wrong_sizes():
+    g = sampling.random_sp(Q2, 2, random.Random(59))
+    for x in (SpApartmentPoint((0,)), SpApartmentPoint((0, 0, 0))):
+        with pytest.raises(DimensionMismatchError):
+            sp_stabilizer_membership(g, x)
+        with pytest.raises(DimensionMismatchError):
+            sp_parahoric_oracle(g, x)
+        with pytest.raises(DimensionMismatchError):
+            sp_fixes_ray(g, x, (1,) * x.n)
+    for d in ((1,), (1, 0, 0)):
+        with pytest.raises(DimensionMismatchError):
+            sp_fixes_ray(g, SpApartmentPoint((0, 0)), d)
 
 
 def test_antitranspose():

@@ -119,7 +119,9 @@ class MonomialMatrix:
         rows = [[zero] * n for _ in range(n)]
         for i, (target, scalar) in enumerate(zip(self.perm, self.scalars)):
             rows[target][i] = scalar
-        return FieldMatrix(self.spec, rows)
+        g = FieldMatrix(self.spec, rows)
+        g._det = self.spec.one()  # checked by __post_init__
+        return g
 
     @classmethod
     def from_matrix(cls, g: FieldMatrix) -> "MonomialMatrix":

@@ -24,8 +24,7 @@ from .errors import InputError, TropstabError, UnknownSuiteError
 from .fields import FieldSpec
 from .serialize import (fan_to_json, fraction_from_json, matrix_from_json,
                         point_from_json, point_to_json, spec_to_json)
-from .symplectic import (SpApartmentPoint, embed_point, _require_symplectic,
-                         sp_stabilizer_membership)
+from .symplectic import SpApartmentPoint, embed_point, _require_symplectic
 from .tropical import NEG_INF, trop_matvec, tropicalize
 from .weights import (as_partition, schur_eval_bialternant, schur_eval_tableaux,
                       weight_fan)
@@ -216,6 +215,8 @@ def _cmd_stabilize(args) -> int:
     product = matrices[0]
     for m in matrices[1:]:
         product = product * m
+    if args.group == "sp2n":
+        _require_symplectic(product)
 
     doc = {
         "field": spec_to_json(spec),
@@ -225,17 +226,14 @@ def _cmd_stabilize(args) -> int:
 
     if boundary:
         bp = BoundaryPoint(coords)
-        if args.group == "sp2n":
-            _require_symplectic(product)
         value = boundary_stabilizes(product, bp)
         image = trop_matvec(tropicalize(product), coords)
         doc["canonical_point"] = point_to_json(bp.coords)
     elif args.group == "sp2n":
-        x = SpApartmentPoint(coords)
-        value = sp_stabilizer_membership(product, x)
-        embedded = embed_point(x).coords
-        image = trop_matvec(tropicalize(product), embedded)
-        doc["embedded_point"] = point_to_json(embedded)
+        x = embed_point(SpApartmentPoint(coords))
+        value = stabilizer_membership(product, x)
+        image = trop_matvec(tropicalize(product), x.coords)
+        doc["embedded_point"] = point_to_json(x.coords)
     else:
         x = ApartmentPoint(coords)
         value = stabilizer_membership(product, x)

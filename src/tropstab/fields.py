@@ -5,6 +5,12 @@ and rational functions over F_p in one variable T with the order of
 vanishing at T = 0 ("FpT").  Elements are immutable, normalized at
 construction, and expose their valuation and, when integral, their image
 in the residue field F_p.
+
+A Q_p element is a pair of ints, a numerator and a positive denominator
+in lowest terms, combined as Fraction combines them; `.value` gives the
+Fraction.  An F_p(T) element is a pair of little-endian coefficient
+tuples, reduced, with denominator 1 at its lowest nonzero degree.  Each
+FieldSpec builds its zero and one once.
 """
 
 from __future__ import annotations
@@ -143,16 +149,19 @@ class FieldSpec:
             raise InputError(f"unsupported field kind: {self.kind!r}")
         if not is_prime(self.p):
             raise InputError(f"residue characteristic must be prime, got {self.p}")
+        object.__setattr__(self, "_zero", self.element(0))
+        object.__setattr__(self, "_one", self.element(1))
 
     def element(self, value: Coercible) -> "FieldElement":
         """Coerce an int, a Fraction, or an element of the same field."""
         if isinstance(value, FieldElement):
-            if value.spec != self:
+            if value.spec is not self and value.spec != self:
                 raise InputError("element belongs to a different field")
             return value
-        value = Fraction(value)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
         if self.kind == "Qp":
-            return QpElement(self, value)
+            return QpElement(self, value.numerator, value.denominator)
         num = value.numerator % self.p
         den = value.denominator % self.p
         if den == 0:
@@ -178,15 +187,15 @@ class FieldSpec:
         return FpTElement(self, _trim(dense), (1,))
 
     def zero(self) -> "FieldElement":
-        return self.element(0)
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return self._one
 
     def uniformizer(self) -> "FieldElement":
         """The canonical valuation-one element: p, or the variable T."""
         if self.kind == "Qp":
-            return QpElement(self, Fraction(self.p))
+            return QpElement(self, self.p, 1)
         return FpTElement(self, (0, 1), (1,))
 
     def label(self) -> str:
@@ -200,7 +209,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise InputError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -230,39 +239,51 @@ class FieldElement:
         return NotImplemented if o is None else o * self.inv()
 
     def __pow__(self, k: int):
+        """Square and multiply."""
         if not isinstance(k, int):
             return NotImplemented
-        base = self if k >= 0 else self.inv()
+        base, k = (self, k) if k >= 0 else (self.inv(), -k)
         out = self.spec.one()
-        for _ in range(abs(k)):
-            out = out * base
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
+    # num is an int or a coefficient tuple, falsy exactly at zero
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num)
+
+    def is_zero(self) -> bool:
+        return not self.num
 
     def is_integral(self) -> bool:
         return self.valuation() >= 0
 
 
 class QpElement(FieldElement):
-    """A rational number viewed inside the p-adic field."""
+    """A rational number num/den, in lowest terms with den > 0, viewed inside
+    the p-adic field."""
 
-    __slots__ = ("value", "_val")
+    __slots__ = ("num", "den", "_val")
 
-    def __init__(self, spec: FieldSpec, value: Fraction):
+    def __init__(self, spec: FieldSpec, num: int, den: int):
         self.spec = spec
-        self.value = value
+        self.num = num
+        self.den = den
         self._val = None
+
+    value = property(lambda self: Fraction(self.num, self.den), doc="num/den as a Fraction")
 
     def valuation(self):
         if self._val is None:
-            q = self.value
-            if q == 0:
+            if not self.num:
                 self._val = INF
             else:
-                self._val = (int_valuation(q.numerator, self.spec.p)
-                             - int_valuation(q.denominator, self.spec.p))
+                p = self.spec.p
+                self._val = int_valuation(self.num, p) - int_valuation(self.den, p)
         return self._val
 
     def residue(self) -> int:
@@ -272,30 +293,50 @@ class QpElement(FieldElement):
         if v == INF or v > 0:
             return 0
         p = self.spec.p
-        return (self.value.numerator * pow(self.value.denominator, -1, p)) % p
-
-    def is_zero(self) -> bool:
-        return self.value == 0
+        return (self.num * pow(self.den, -1, p)) % p
 
     def inv(self):
-        if self.value == 0:
+        if not self.num:
             raise DivisionByZeroError("inverse of zero")
-        return QpElement(self.spec, 1 / self.value)
+        if self.num < 0:
+            return QpElement(self.spec, -self.den, -self.num)
+        return QpElement(self.spec, self.den, self.num)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else QpElement(self.spec, self.value + o.value)
+        if o is None:
+            return NotImplemented
+        # as Fraction._add: a common factor of t and s * db divides g
+        na, da, nb, db = self.num, self.den, o.num, o.den
+        g = math.gcd(da, db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = math.gcd(t, g)
+        return QpElement(self.spec, t // g2, s * (db // g2))
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else QpElement(self.spec, self.value * o.value)
+        if o is None:
+            return NotImplemented
+        # as Fraction._mul: cancel across, and the products are coprime
+        na, da, nb, db = self.num, self.den, o.num, o.den
+        g1 = math.gcd(na, db)
+        g2 = math.gcd(nb, da)
+        return QpElement(self.spec, (na // g1) * (nb // g2), (da // g2) * (db // g1))
 
     def __neg__(self):
-        return QpElement(self.spec, -self.value)
+        return QpElement(self.spec, -self.num, self.den)
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self.inv() ** -k
+        return QpElement(self.spec, self.num ** k, self.den ** k)
 
     def __eq__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self.value == o.value
+        return NotImplemented if o is None else self.num == o.num and self.den == o.den
 
     def __hash__(self):
         return hash((self.spec, self.value))
@@ -315,7 +356,9 @@ class FpTElement(FieldElement):
         if not den:
             raise DivisionByZeroError("zero denominator")
         p = spec.p
-        if num:
+        if not num:
+            den = (1,)
+        elif den != (1,):
             g = _pgcd(num, den, p)
             if len(g) > 1 or g[0] != 1:
                 num = _pdivmod(num, g, p)[0]
@@ -324,8 +367,6 @@ class FpTElement(FieldElement):
             if unit != 1:
                 num = _pscale(num, unit, p)
                 den = _pscale(den, unit, p)
-        else:
-            den = (1,)
         self.spec = spec
         self.num = num
         self.den = den
@@ -347,9 +388,6 @@ class FpTElement(FieldElement):
             return 0
         p = self.spec.p
         return (self.num[0] * pow(self.den[0], -1, p)) % p
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def inv(self):
         if not self.num:

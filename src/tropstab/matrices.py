@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import (DeterminantNotOneError, DimensionMismatchError, DomainError,
                      SingularMatrixError)
-from .fields import FieldSpec
+from .fields import FieldElement, FieldSpec
 
 
 def perm_sign(perm) -> int:
@@ -66,7 +66,8 @@ class FieldMatrix:
     __slots__ = ("spec", "rows", "_det", "_trop")
 
     def __init__(self, spec: FieldSpec, rows):
-        coerced = tuple(tuple(spec.element(e) for e in row) for row in rows)
+        coerced = tuple(tuple(e if isinstance(e, FieldElement) and e.spec is spec
+                              else spec.element(e) for e in row) for row in rows)
         n = len(coerced)
         if n == 0 or any(len(r) != n for r in coerced):
             raise DimensionMismatchError("a nonempty square matrix is required")
@@ -103,7 +104,10 @@ class FieldMatrix:
             for k, a in enumerate(left):
                 if a:
                     _add_multiple(row, a, right[k], supports[k])
-        return FieldMatrix(self.spec, out)
+        product = FieldMatrix(self.spec, out)
+        if self._det is not None and other._det is not None:
+            product._det = self._det * other._det
+        return product
 
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
         if not isinstance(other, FieldMatrix):
@@ -125,10 +129,12 @@ class FieldMatrix:
         return self._det
 
     def inverse(self) -> "FieldMatrix":
-        """Forward elimination of [g | 1], then back substitution on the right."""
+        """Forward elimination of [g | 1], then back substitution on the right.
+        Records det g, and 1/det g as the determinant of the inverse."""
         n = self.size
         rows = [list(r) + e for r, e in zip(self.rows, _identity_rows(self.spec, n))]
-        if not _eliminate(rows, self.spec.zero()):
+        self._det = _eliminate(rows, self.spec.zero())
+        if not self._det:
             raise SingularMatrixError("matrix is not invertible")
         out, supports = [None] * n, [None] * n
         for i in reversed(range(n)):
@@ -139,7 +145,9 @@ class FieldMatrix:
             inv = row[i].inv()
             out[i] = [inv * e for e in x]
             supports[i] = [k for k, e in enumerate(x) if e]
-        return FieldMatrix(self.spec, out)
+        inverse = FieldMatrix(self.spec, out)
+        inverse._det = self._det.inv()
+        return inverse
 
     def is_integral(self) -> bool:
         return all(e.is_integral() for row in self.rows for e in row)

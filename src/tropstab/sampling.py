@@ -66,7 +66,7 @@ def _left_transvection(rows, i, j, a):
 
 
 def _left_scale(rows, i, u):
-    rows[i] = [u * x for x in rows[i]]
+    rows[i] = [u * x if x else x for x in rows[i]]
 
 
 def _left_permute(rows, perm):
@@ -153,7 +153,7 @@ def _torus_conjugate(g: FieldMatrix, t: FieldMatrix) -> FieldMatrix:
     """t g t^{-1} for a diagonal t, entrywise: t_i g_ij t_j^{-1}."""
     diag = [t.rows[i][i] for i in range(t.size)]
     inv = [d.inv() for d in diag]
-    return FieldMatrix(g.spec, [[d * e * v for e, v in zip(row, inv)]
+    return FieldMatrix(g.spec, [[d * e * v if e else e for e, v in zip(row, inv)]
                                 for d, row in zip(diag, g.rows)])
 
 

@@ -413,6 +413,15 @@ def test_stabilize_symplectic_group(capsys):
     assert code == 3
 
 
+def test_stabilize_symplectic_group_checks_the_form_first(capsys):
+    # a singular matrix fails the form check before it is tropicalized
+    for point in ('["0"]', '["0","-inf"]'):
+        code, out, err = run_cli(capsys, "stabilize", "--group", "sp2n",
+                                 "--matrix", '[["1","1"],["1","1"]]', "--point", point)
+        assert (code, out) == (3, "")
+        assert err == "error: matrix does not preserve the symplectic form\n"
+
+
 def test_verify_sp_and_parahoric_and_schur(capsys):
     code, doc = run_json(capsys, "verify", "--suite", "sp", "--n", "1",
                          "--seed", "9", "--count", "20")

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropstab.errors import DivisionByZeroError, DomainError
-from tropstab.fields import INF, FieldSpec, int_valuation, is_prime
+from tropstab.errors import DivisionByZeroError, DomainError, InputError
+from tropstab.fields import INF, FieldSpec, FpTElement, _pmul, int_valuation, is_prime
+from tropstab.matrices import FieldMatrix
 
 Q2 = FieldSpec("Qp", 2)
 Q3 = FieldSpec("Qp", 3)
@@ -212,3 +213,84 @@ def test_element_powers():
 def test_math_inf_interplay():
     assert Q2.zero().valuation() == math.inf
     assert Q2.zero().residue() == 0
+
+
+def _valuation(q, p):
+    """Reference valuation of a Fraction, by repeated division."""
+    if q == 0:
+        return INF
+    v = 0
+    while q.numerator % p == 0:
+        q, v = q / p, v + 1
+    while q.denominator % p == 0:
+        q, v = q * p, v - 1
+    return v
+
+
+def _residue(q, p):
+    """Reference residue of an integral Fraction: the r in 0..p-1 with
+    q - r of positive valuation."""
+    return next(r for r in range(p) if _valuation(q - r, p) > 0)
+
+
+@settings(max_examples=150)
+@given(p=st.sampled_from([2, 3, 5, 7]), a=rationals, b=rationals,
+       k=st.integers(min_value=-5, max_value=5))
+def test_qp_pairs_match_fraction_arithmetic(p, a, b, k):
+    spec = FieldSpec("Qp", p)
+    x, y = spec.element(a), spec.element(b)
+    cases = [(x, a), (y, b), (x + y, a + b), (x - y, a - b), (x * y, a * b),
+             (-x, -a), (x + 1, a + 1), (2 * y, 2 * b), (1 - x, 1 - a)]
+    if b:
+        cases += [(x / y, a / b), (y.inv(), 1 / b)]
+    else:
+        for zero_division in (lambda: x / y, y.inv, lambda: y ** -1):
+            with pytest.raises(DivisionByZeroError):
+                zero_division()
+    if a or k >= 0:
+        cases.append((x ** k, a ** k))
+    else:
+        with pytest.raises(DivisionByZeroError):
+            x ** k
+    for e, q in cases:
+        assert (e.num, e.den) == (q.numerator, q.denominator)
+        assert e.value == q and e == q and e == spec.element(q)
+        assert hash(e) == hash((spec, q))
+        assert e.valuation() == _valuation(q, p)
+        assert bool(e) == bool(q) and e.is_zero() == (q == 0)
+        if q == 0 or _valuation(q, p) >= 0:
+            assert e.residue() == _residue(q, p)
+    assert (x == y) == (a == b)
+
+
+def test_equal_specs_mix_and_different_primes_do_not():
+    other = FieldSpec("Qp", 2)
+    assert other == Q2 and other is not Q2
+    x, y = Q2.element(Fraction(3, 4)), other.element(6)
+    assert x * y == Q2.element(Fraction(9, 2)) == other.element(Fraction(9, 2))
+    assert x + y - y / x == Q2.element(Fraction(-5, 4))
+    assert x ** 2 * y.inv() == Q2.element(Fraction(3, 32))
+    a = FieldMatrix(Q2, [[x, 1], [0, 1]])
+    b = FieldMatrix(other, [[y, 0], [other.one(), 1]])
+    assert a * b == FieldMatrix(Q2, [[Fraction(11, 2), 1], [1, 1]])
+    assert (a * b).determinant() == a.determinant() * b.inverse().determinant().inv()
+    with pytest.raises(InputError):
+        Q2.element(1) * Q3.element(1)
+    with pytest.raises(InputError):
+        Q3.element(1) == Q2.element(1)
+    with pytest.raises(InputError):
+        FieldMatrix(Q3, [[x]])
+
+
+@settings(max_examples=60)
+@given(p=st.sampled_from([2, 3, 5]), data=st.data())
+def test_fpt_polynomial_products_skip_the_gcd_alike(p, data):
+    spec = FieldSpec("FpT", p)
+    poly = st.lists(st.integers(min_value=0, max_value=p - 1), max_size=5)
+    a, b = spec.polynomial(data.draw(poly)), spec.polynomial(data.draw(poly))
+    product = a * b
+    assert product.den == (1,)
+    # the same fraction over a common factor c takes the gcd path
+    for c in (tuple(data.draw(poly.filter(any))), (p - 1,), (0, 1)):
+        padded = FpTElement(spec, _pmul(product.num, c, p), c)
+        assert (padded.num, padded.den) == (product.num, product.den)

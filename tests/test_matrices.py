@@ -6,8 +6,8 @@ import pytest
 
 from tropstab import sampling
 from tropstab.errors import DimensionMismatchError, DomainError, SingularMatrixError
-from tropstab.fields import FieldSpec
-from tropstab.matrices import FieldMatrix, perm_sign
+from tropstab.fields import INF, FieldSpec
+from tropstab.matrices import FieldMatrix, _eliminate, perm_sign
 
 Q2 = FieldSpec("Qp", 2)
 Q3 = FieldSpec("Qp", 3)
@@ -114,6 +114,33 @@ def test_inverse_round_trip():
             g = sampling.random_sl(spec, 3, rng, 4)
             assert g * g.inverse() == FieldMatrix.identity(spec, 3)
             assert g.inverse() * g == FieldMatrix.identity(spec, 3)
+
+
+@pytest.mark.parametrize("spec", [Q2, F3T], ids=["Q2", "F3T"])
+def test_recorded_determinants_match_elimination(spec):
+    """Products of known determinants, inverses and monomial matrices record
+    their determinants without elimination; each must be the eliminated one."""
+    rng = random.Random(37)
+    recorded = []
+    for n in (2, 3, 4):
+        for _ in range(4):
+            d = FieldMatrix.diagonal(spec, [sampling.random_element(spec, rng, -2, 2)
+                                            for _ in range(n)])
+            h = sampling.random_sl(spec, n, rng, 4)
+            m = sampling.random_monomial(spec, n, rng).to_matrix()
+            g = d * h
+            assert g._det is None
+            g_inv = g.inverse()  # records det g as well
+            s = FieldMatrix(spec, [g.rows[0]] + list(g.rows[:-1]))
+            h.determinant()
+            s.determinant()
+            recorded += [g, g_inv, m, h * m, m * h * m, g_inv * h, m * g * g_inv,
+                         h * g, g * g, s * h, g * s]
+    for g in recorded:
+        assert g._det is not None
+        assert g._det == _eliminate([list(r) for r in g.rows], spec.zero())
+    assert any(not g._det for g in recorded)
+    assert any(g._det.valuation() not in (0, INF) for g in recorded)
 
 
 def test_inverse_of_singular():

@@ -414,10 +414,13 @@ def test_stabilize_symplectic_group(capsys):
 
 
 def test_stabilize_symplectic_group_checks_the_form_first(capsys):
-    # a singular matrix fails the form check before it is tropicalized
-    for point in ('["0"]', '["0","-inf"]'):
+    # a non-symplectic matrix fails the form check before it is tropicalized
+    # or the point is read as a boundary point
+    for matrix, point in (('[["1","1"],["1","1"]]', '["0"]'),
+                          ('[["1","1"],["1","1"]]', '["0","-inf"]'),
+                          ('[["2","0"],["0","1"]]', '["-inf","-inf"]')):
         code, out, err = run_cli(capsys, "stabilize", "--group", "sp2n",
-                                 "--matrix", '[["1","1"],["1","1"]]', "--point", point)
+                                 "--matrix", matrix, "--point", point)
         assert (code, out) == (3, "")
         assert err == "error: matrix does not preserve the symplectic form\n"
 

@@ -215,6 +215,9 @@ COMMAND_DIGESTS = [
     ("verify --suite hypersurface --rep schur --lambda 2,1,0 --p 2 --seed 7 "
      "--samples 1000",
      "6b70943ab1a8594eed07e9a7e7d3e0bb3028a6dddbb3050f55aa53b362a55248"),
+    # dense 64 x 64 symplectic words: products, inverses and Weyl conjugates
+    ("verify --suite sp --n 32 --seed 1 --count 1",
+     "92c9c836d41948dd3e9cf4b5df5dcd523210365f521c08dd004e263711845882"),
 ]
 
 

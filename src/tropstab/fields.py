@@ -6,11 +6,11 @@ vanishing at T = 0 ("FpT").  Elements are immutable, normalized at
 construction, and expose their valuation and, when integral, their image
 in the residue field F_p.
 
-A Q_p element is a pair of ints, a numerator and a positive denominator
-in lowest terms, combined as Fraction combines them; `.value` gives the
-Fraction.  An F_p(T) element is a pair of little-endian coefficient
-tuples, reduced, with denominator 1 at its lowest nonzero degree.  Each
-FieldSpec builds its zero and one once.
+A Q_p element is a pair of ints in lowest terms, the denominator
+positive; `.value` gives the Fraction.  An F_p(T) element is a pair of
+little-endian coefficient tuples in lowest terms, the denominator 1 at its
+lowest nonzero degree.  Both combine as Fraction combines its pairs, with a
+gcd only where a factor can cancel.  Each FieldSpec builds 0 and 1 once.
 """
 
 from __future__ import annotations
@@ -117,12 +117,24 @@ def _pdivmod(a, b, p):
 
 
 def _pgcd(a, b, p):
+    """The gcd scaled so that its lowest nonzero coefficient is 1; dividing by
+    it keeps the lowest coefficient of a normalised denominator at 1."""
     while b:
         a, b = b, _pdivmod(a, b, p)[1]
     if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple((c * inv) % p for c in a)
+        a = _pscale(a, pow(a[_pord(a)], -1, p), p)
     return a
+
+
+def _pquo(a, b, p):
+    """The exact quotient a / b."""
+    return a if b == (1,) else _pdivmod(a, b, p)[0]
+
+
+def _normalised(num, den, p):
+    """(num, den) scaled so that the lowest nonzero coefficient of den is 1."""
+    unit = pow(den[_pord(den)], -1, p)
+    return (num, den) if unit == 1 else (_pscale(num, unit, p), _pscale(den, unit, p))
 
 
 def _pord(a):
@@ -360,17 +372,8 @@ class FpTElement(FieldElement):
             den = (1,)
         elif den != (1,):
             g = _pgcd(num, den, p)
-            if len(g) > 1 or g[0] != 1:
-                num = _pdivmod(num, g, p)[0]
-                den = _pdivmod(den, g, p)[0]
-            unit = pow(den[_pord(den)], -1, p)
-            if unit != 1:
-                num = _pscale(num, unit, p)
-                den = _pscale(den, unit, p)
-        self.spec = spec
-        self.num = num
-        self.den = den
-        self._val = None
+            num, den = _normalised(_pquo(num, g, p), _pquo(den, g, p), p)
+        self.spec, self.num, self.den, self._val = spec, num, den, None
 
     def valuation(self):
         if self._val is None:
@@ -389,28 +392,47 @@ class FpTElement(FieldElement):
         p = self.spec.p
         return (self.num[0] * pow(self.den[0], -1, p)) % p
 
+    @classmethod
+    def _reduced(cls, spec, num, den):
+        """An element from a pair already in lowest terms with den normalised."""
+        e = object.__new__(cls)
+        e.spec, e.num, e.den, e._val = spec, num, den, None
+        return e
+
     def inv(self):
         if not self.num:
             raise DivisionByZeroError("inverse of zero")
-        return FpTElement(self.spec, self.den, self.num)
+        return FpTElement._reduced(self.spec, *_normalised(self.den, self.num, self.spec.p))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # as Fraction._add: a common factor of t and s * db divides g, so
+        # there is no second gcd when g is 1
         p = self.spec.p
-        num = _padd(_pmul(self.num, o.den, p), _pmul(o.num, self.den, p), p)
-        return FpTElement(self.spec, num, _pmul(self.den, o.den, p))
+        na, da, nb, db = self.num, self.den, o.num, o.den
+        g = (1,) if da == (1,) or db == (1,) else _pgcd(da, db, p)
+        s = _pquo(da, g, p)
+        t = _padd(_pmul(na, _pquo(db, g, p), p), _pmul(nb, s, p), p)
+        g2 = g if g == (1,) else _pgcd(t, g, p)
+        return FpTElement._reduced(self.spec, _pquo(t, g2, p),
+                                   _pmul(s, _pquo(db, g2, p), p))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # as Fraction._mul: cancel across, and the products are coprime
         p = self.spec.p
-        return FpTElement(self.spec, _pmul(self.num, o.num, p), _pmul(self.den, o.den, p))
+        na, da, nb, db = self.num, self.den, o.num, o.den
+        g1 = db if db == (1,) else _pgcd(na, db, p)
+        g2 = da if da == (1,) else _pgcd(nb, da, p)
+        return FpTElement._reduced(self.spec, _pmul(_pquo(na, g1, p), _pquo(nb, g2, p), p),
+                                   _pmul(_pquo(da, g2, p), _pquo(db, g1, p), p))
 
     def __neg__(self):
-        return FpTElement(self.spec, _pneg(self.num, self.spec.p), self.den)
+        return FpTElement._reduced(self.spec, _pneg(self.num, self.spec.p), self.den)
 
     def __eq__(self, other):
         o = self._coerce(other)

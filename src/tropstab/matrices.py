@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import (DeterminantNotOneError, DimensionMismatchError, DomainError,
-                     SingularMatrixError)
+                     InputError, SingularMatrixError)
 from .fields import FieldElement, FieldSpec
 
 
@@ -61,9 +61,10 @@ def _eliminate(rows, zero):
 
 
 class FieldMatrix:
-    """Immutable n x n matrix with entries in a fixed valued field."""
+    """Immutable n x n matrix with entries in a fixed valued field; it keeps
+    its determinant once known and whether it passed the symplectic form check."""
 
-    __slots__ = ("spec", "rows", "_det", "_trop")
+    __slots__ = ("spec", "rows", "_det", "_trop", "_symplectic")
 
     def __init__(self, spec: FieldSpec, rows):
         coerced = tuple(tuple(e if isinstance(e, FieldElement) and e.spec is spec
@@ -75,6 +76,7 @@ class FieldMatrix:
         self.rows = coerced
         self._det = None
         self._trop = None
+        self._symplectic = False
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "FieldMatrix":
@@ -95,7 +97,9 @@ class FieldMatrix:
     def __mul__(self, other: "FieldMatrix") -> "FieldMatrix":
         if not isinstance(other, FieldMatrix):
             return NotImplemented
-        if other.spec != self.spec or other.size != self.size:
+        if other.spec is not self.spec and other.spec != self.spec:
+            raise InputError("matrices over different fields")
+        if other.size != self.size:
             raise DimensionMismatchError("matrix product of incompatible matrices")
         right = other.rows
         supports = [[j for j, b in enumerate(row) if b] for row in right]
@@ -107,12 +111,15 @@ class FieldMatrix:
         product = FieldMatrix(self.spec, out)
         if self._det is not None and other._det is not None:
             product._det = self._det * other._det
+        product._symplectic = self._symplectic and other._symplectic
         return product
 
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
         if not isinstance(other, FieldMatrix):
             return NotImplemented
-        if other.spec != self.spec or other.size != self.size:
+        if other.spec is not self.spec and other.spec != self.spec:
+            raise InputError("matrices over different fields")
+        if other.size != self.size:
             raise DimensionMismatchError("matrix difference of incompatible matrices")
         return FieldMatrix(self.spec, [[a - b for a, b in zip(r1, r2)]
                                        for r1, r2 in zip(self.rows, other.rows)])
@@ -147,6 +154,7 @@ class FieldMatrix:
             supports[i] = [k for k, e in enumerate(x) if e]
         inverse = FieldMatrix(self.spec, out)
         inverse._det = self._det.inv()
+        inverse._symplectic = self._symplectic
         return inverse
 
     def is_integral(self) -> bool:

@@ -1,11 +1,11 @@
 """Seeded random generators for elements, matrices, words, and points.
 
 Every function takes an explicit random.Random so that a reported seed
-reproduces a run exactly.  Words of both groups are built by row
-operations in place, without matrix products or inverses: transvections,
-unit scalings, permutations and torus factors, and entrywise torus
-conjugates.  Symplectic words are symplectic by construction; the
-symplectic predicates check the form where they are entered.
+reproduces a run exactly.  An element is built whole, as the reduced pair
+of unit * pi^v.  Words of both groups are built by row operations in
+place, without matrix products or inverses: transvections, unit scalings,
+permutations, torus factors and entrywise torus conjugates.  Symplectic
+words are symplectic by construction; the predicates check the form.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from .apartment import MonomialMatrix
-from .fields import FieldSpec
+from .fields import FieldSpec, FpTElement, QpElement, _trim
 from .matrices import FieldMatrix, _add_multiple, _identity_rows, perm_sign
 from .symplectic import _embed
 
@@ -28,8 +28,9 @@ def random_point(rng: random.Random, n: int, max_num=6, max_den=6) -> tuple:
     return tuple(random_fraction(rng, max_num, max_den) for _ in range(n))
 
 
-def random_unit(spec: FieldSpec, rng: random.Random):
-    """A valuation-zero element."""
+def _unit_times_power(spec: FieldSpec, rng: random.Random, v: int):
+    """A random unit times pi^v as a reduced pair: the unit's parts are prime
+    to p, so pi^v joins the numerator or the denominator with no gcd."""
     p = spec.p
     if spec.kind == "Qp":
         # numerator and denominator: the k-th of the 3p - 3 integers in
@@ -37,16 +38,21 @@ def random_unit(spec: FieldSpec, rng: random.Random):
         # as rng.choice over a list of them would draw its index
         num, den = (k + 1 + k // (p - 1)
                     for k in (rng.randrange(3 * p - 3), rng.randrange(3 * p - 3)))
+        g = math.gcd(num, den)
         sign = rng.choice((1, -1))
-        return spec.element(Fraction(sign * num, den))
-    coeffs = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randint(0, 2))]
-    return spec.polynomial(coeffs)
+        return QpElement(spec, sign * (num // g) * p ** max(v, 0), den // g * p ** max(-v, 0))
+    coeffs = _trim([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randint(0, 2))])
+    return FpTElement._reduced(spec, (0,) * max(v, 0) + coeffs, (0,) * max(-v, 0) + (1,))
+
+
+def random_unit(spec: FieldSpec, rng: random.Random):
+    """A valuation-zero element."""
+    return _unit_times_power(spec, rng, 0)
 
 
 def random_element(spec: FieldSpec, rng: random.Random, vmin=0, vmax=2):
     """A nonzero element with valuation in [vmin, vmax]."""
-    v = rng.randint(vmin, vmax)
-    return random_unit(spec, rng) * spec.uniformizer() ** v
+    return _unit_times_power(spec, rng, rng.randint(vmin, vmax))
 
 
 def random_integral(spec: FieldSpec, rng: random.Random, allow_zero=True):
@@ -105,11 +111,16 @@ def _left_unit_torus(spec, rows, rng):
         _left_scale(rows, i, u)
 
 
-def random_monomial(spec: FieldSpec, n: int, rng: random.Random) -> MonomialMatrix:
-    """A unit-scalar monomial matrix with determinant one."""
+def _monomial_parts(spec, n, rng):
+    """A random permutation and n units whose product is its sign."""
     perm = list(range(n))
     rng.shuffle(perm)
-    scalars = _units_with_product(spec, n, rng, perm_sign(tuple(perm)))
+    return perm, _units_with_product(spec, n, rng, perm_sign(tuple(perm)))
+
+
+def random_monomial(spec: FieldSpec, n: int, rng: random.Random) -> MonomialMatrix:
+    """A unit-scalar monomial matrix with determinant one."""
+    perm, scalars = _monomial_parts(spec, n, rng)
     return MonomialMatrix(spec, tuple(perm), tuple(scalars))
 
 
@@ -136,10 +147,10 @@ def _left_integral_word(spec, rows, n, rng, length):
             if mirrored:
                 _left_transvection(rows, last - j, last - i, -a)
         else:
-            mono = random_monomial(spec, n, rng)
-            for i, s in enumerate(mono.scalars):
+            perm, scalars = _monomial_parts(spec, n, rng)
+            for i, s in enumerate(scalars):
                 (_left_sp_scale if mirrored else _left_scale)(rows, i, s)
-            _left_permute(rows, mono.perm)
+            _left_permute(rows, perm)
 
 
 def random_sl_integral(spec: FieldSpec, n: int, rng: random.Random, length=6) -> FieldMatrix:

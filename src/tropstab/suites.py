@@ -83,7 +83,8 @@ def _not_closed(member, x, coords, g, h):
 def _not_equivariant(member, act, g, m, w, x):
     """Witness that g fixing x and m g m^{-1} fixing w.x disagree, for m the
     matrix of the normalizer element w; None when they agree."""
-    if member(g, x) == member(m * g * m.inverse(), act(w, x)):
+    fixed, moved = member(g, x), act(w, x)  # the conjugate inherits their checks
+    if fixed == member(m * g * m.inverse(), moved):
         return None
     return {"matrix": matrix_to_json(g), "monomial": matrix_to_json(m),
             "point": point_to_json(x.coords)}

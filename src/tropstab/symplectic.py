@@ -83,12 +83,16 @@ def embed_point(x: SpApartmentPoint) -> ApartmentPoint:
 
 
 def _require_symplectic(g: FieldMatrix) -> None:
-    """Raise NotSymplecticError unless g preserves the standard form psi.
-    Then det g = 1 in every characteristic, 2 included, since g^T psi g = psi
-    gives Pf(psi) = det(g) Pf(psi) with Pf(psi) = +-1; record it."""
+    """Raise NotSymplecticError unless g preserves the standard form psi, and
+    record that g passed; products of two that passed, and inverses, inherit
+    it.  Then det g = 1 in every characteristic, 2 included, since g^T psi g
+    = psi gives Pf(psi) = det(g) Pf(psi) with Pf(psi) = +-1; record it too."""
+    if g._symplectic:
+        return
     if not is_symplectic(g):
         raise NotSymplecticError("matrix does not preserve the symplectic form")
     g._det = g.spec.one()
+    g._symplectic = True
 
 
 def sp_stabilizer_membership(g: FieldMatrix, x: SpApartmentPoint) -> bool:

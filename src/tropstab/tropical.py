@@ -61,9 +61,7 @@ TropScalar = Union[int, Fraction, NegInfinity]
 
 
 def as_trop_scalar(value) -> TropScalar:
-    if value is NEG_INF:
-        return NEG_INF
-    if isinstance(value, int):
+    if value is NEG_INF or isinstance(value, (int, Fraction)):
         return value
     return Fraction(value)
 

@@ -19,8 +19,8 @@ from tropstab.errors import (AllInfiniteError, DeterminantNotOneError,
                              NotSymplecticError)
 from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix
-from tropstab.symplectic import (SpApartmentPoint, _embed, embed_point,
-                                 sp_fixes_ray, sp_parahoric_oracle,
+from tropstab.symplectic import (SpApartmentPoint, _embed, _require_symplectic,
+                                 embed_point, sp_fixes_ray, sp_parahoric_oracle,
                                  sp_stabilizer_membership)
 from tropstab.tropical import NEG_INF, fixes_ray, stabilizes_tropically
 from tropstab.weights import sl_identity_character, sp_standard_character, weight_fan
@@ -280,6 +280,27 @@ def test_sp_predicates_eliminate_no_matrix(monkeypatch):
     assert [(sp_stabilizer_membership(fresh(g), x), sp_fixes_ray(fresh(g), x, d.point),
              sp_parahoric_oracle(fresh(g), x), sp_boundary_stabilizes(fresh(g), x, d))
             for g in words] == expected
+
+
+def test_sp_predicates_reject_non_symplectic_products():
+    # det-one matrices that break the form, alone and multiplied by checked
+    # symplectic words: only both factors passing makes a product pass
+    rng = random.Random(71)
+    x = SpApartmentPoint((0, 0))
+    d = _sp4_direction((Fraction(1), Fraction(0)))
+    for spec in (Q2, F3T):
+        g = sampling.random_sp(spec, 2, rng)
+        _require_symplectic(g)
+        pi = spec.uniformizer()
+        bad = FieldMatrix.diagonal(spec, [pi, pi.inv(), 1, 1])
+        for m in (bad, g * bad, bad * g, g * bad.inverse(), (g * bad) * g.inverse()):
+            assert m.determinant() == spec.one()
+            for predicate in (lambda: sp_stabilizer_membership(m, x),
+                              lambda: sp_fixes_ray(m, x, d.point),
+                              lambda: sp_parahoric_oracle(m, x),
+                              lambda: sp_boundary_stabilizes(m, x, d)):
+                with pytest.raises(NotSymplecticError):
+                    predicate()
 
 
 def test_sp_limit_coherence():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropstab.errors import DivisionByZeroError, DomainError, InputError
-from tropstab.fields import INF, FieldSpec, FpTElement, _pmul, int_valuation, is_prime
+from tropstab.fields import (INF, FieldSpec, FpTElement, _padd, _pgcd, _pmul, _pneg,
+                             _pord, int_valuation, is_prime)
 from tropstab.matrices import FieldMatrix
 
 Q2 = FieldSpec("Qp", 2)
@@ -294,3 +295,45 @@ def test_fpt_polynomial_products_skip_the_gcd_alike(p, data):
     for c in (tuple(data.draw(poly.filter(any))), (p - 1,), (0, 1)):
         padded = FpTElement(spec, _pmul(product.num, c, p), c)
         assert (padded.num, padded.den) == (product.num, product.den)
+
+
+def _ppow(a, k, p):
+    out = (1,)
+    for _ in range(k):
+        out = _pmul(out, a, p)
+    return out
+
+
+@settings(max_examples=150)
+@given(p=st.sampled_from([2, 3, 5]), data=st.data(),
+       k=st.integers(min_value=-4, max_value=4))
+def test_fpt_pairs_match_cross_multiplied_arithmetic(p, data, k):
+    # the reference cross-multiplies the unreduced pairs and reduces the
+    # result through the public constructor; a factor c shared by the
+    # denominators and a factor e shared by a's numerator and b's
+    # denominator make every gcd of the pair arithmetic matter
+    spec = FieldSpec("FpT", p)
+    poly = st.lists(st.integers(min_value=0, max_value=p - 1), max_size=3).map(tuple)
+    nonzero = poly.filter(any)
+    c, e = data.draw(nonzero), data.draw(nonzero)
+    an, bn = _pmul(data.draw(poly), e, p), data.draw(poly)
+    ad, bd = _pmul(data.draw(nonzero), c, p), _pmul(_pmul(data.draw(nonzero), c, p), e, p)
+    x, y = FpTElement(spec, an, ad), FpTElement(spec, bn, bd)
+    cases = [(x + y, _padd(_pmul(an, bd, p), _pmul(bn, ad, p), p), _pmul(ad, bd, p)),
+             (x - y, _padd(_pmul(an, bd, p), _pneg(_pmul(bn, ad, p), p), p), _pmul(ad, bd, p)),
+             (x * y, _pmul(an, bn, p), _pmul(ad, bd, p)),
+             (-x, _pneg(an, p), ad), (x + 1, _padd(an, ad, p), ad)]
+    if any(bn):
+        cases += [(x / y, _pmul(an, bd, p), _pmul(ad, bn, p)), (y.inv(), bd, bn)]
+    else:
+        for zero_division in (lambda: x / y, y.inv, lambda: y ** -1):
+            with pytest.raises(DivisionByZeroError):
+                zero_division()
+    if any(an) or k >= 0:
+        num, den = (an, ad) if k >= 0 else (ad, an)
+        cases.append((x ** k, _ppow(num, abs(k), p), _ppow(den, abs(k), p)))
+    for got, num, den in cases:
+        want = FpTElement(spec, num, den)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got == want and hash(got) == hash(want)
+        assert got.den[_pord(got.den)] == 1 and _pgcd(got.num, got.den, p) == (1,)

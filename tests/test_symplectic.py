@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropstab import sampling
+from tropstab import sampling, suites, symplectic
 from tropstab.apartment import ApartmentPoint, stabilizer_membership
 from tropstab.errors import (DimensionMismatchError, NotSymplecticError,
                              OutOfStarError)
@@ -57,6 +57,61 @@ def test_form_check_records_the_eliminated_determinant(spec):
             g = sampler(spec, n, rng)
             _require_symplectic(g)
             assert g.determinant() == FieldMatrix(spec, g.rows).determinant() == spec.one()
+
+
+def _count_form_checks(monkeypatch):
+    """Patch is_symplectic to record each matrix it checks; returns the record."""
+    checked = []
+
+    def counting(m):
+        checked.append(m)
+        return is_symplectic(m)
+
+    monkeypatch.setattr(symplectic, "is_symplectic", counting)
+    return checked
+
+
+def test_form_check_travels_through_products_and_inverses(monkeypatch):
+    checked = _count_form_checks(monkeypatch)
+    rng = random.Random(73)
+    for spec in (Q2, F3T):
+        g, h = sampling.random_sp(spec, 2, rng), sampling.random_sp(spec, 2, rng)
+        _require_symplectic(g)
+        _require_symplectic(h)
+        _require_symplectic(g)
+        assert checked == [g, h]
+        checked.clear()
+        for m in (g * h, g.inverse(), h * g.inverse() * g, (g * h).inverse()):
+            _require_symplectic(m)
+            assert m.determinant() == spec.one()
+        assert checked == []
+        # a copy, a torus conjugate and a product with an unchecked factor
+        # are checked afresh
+        t = sampling.sp_torus(spec, 2, [spec.uniformizer(), 1])
+        fresh = [FieldMatrix(spec, g.rows), sampling._torus_conjugate(g, t), g * t,
+                 t.inverse() * h]
+        for m in fresh:
+            _require_symplectic(m)
+        assert len(checked) == len(fresh) and all(c is m for c, m in zip(checked, fresh))
+        checked.clear()
+
+
+def test_group_closure_checks_each_form_once(monkeypatch):
+    # g and h are checked; g h and the inverse of g inherit their checks
+    checked = _count_form_checks(monkeypatch)
+    checks_per_case = []
+    not_closed = suites._not_closed
+
+    def counted(*args):
+        before = len(checked)
+        witness = not_closed(*args)
+        checks_per_case.append(len(checked) - before)
+        return witness
+
+    monkeypatch.setattr(suites, "_not_closed", counted)
+    for spec in (Q2, F3T):
+        assert suites.run_sp(spec, 2, 19, count=8)["pass"]
+    assert checks_per_case == [2] * 8
 
 
 def test_predicates_reject_wrong_sizes():

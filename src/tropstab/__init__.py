@@ -10,8 +10,7 @@ from .apartment import (ApartmentPoint, FaceAddress, MonomialMatrix,
                         face_address, normalizer_action, origin,
                         parahoric_oracle, stabilizer_membership,
                         translation_point)
-from .compactification import (BoundaryPoint, FanDirection,
-                               boundary_block_oracle,
+from .compactification import (BoundaryPoint, boundary_block_oracle,
                                boundary_point_from_direction,
                                boundary_stabilizes, direction_for_stratum,
                                sp_boundary_point, sp_boundary_stabilizes,

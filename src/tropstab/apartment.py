@@ -19,7 +19,7 @@ from .errors import (DeterminantNotOneError, DimensionMismatchError,
                      InputError, OutOfStarError)
 from .fields import FieldSpec
 from .matrices import FieldMatrix, perm_sign, _require_det_one
-from .tropical import stabilizes_tropically
+from .tropical import NEG_INF, stabilizes_tropically, trop_vector
 
 
 class CoordinatePoint:
@@ -29,7 +29,10 @@ class CoordinatePoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        cs = tuple(Fraction(c) for c in coords)
+        xs = trop_vector(coords)
+        if any(c is NEG_INF for c in xs):
+            raise InputError("apartment coordinates must be finite")
+        cs = tuple(Fraction(c) for c in xs)
         if not cs:
             raise InputError("empty coordinate vector")
         self.coords = cs

@@ -3,8 +3,9 @@
 The compactified apartment of the identity representation is the set of
 vectors over the rationals with minus infinity adjoined, not all entries
 infinite, modulo a common finite shift.  The stratum of a point is the set
-of finite positions.  Boundary points arise as limits along fan
-directions; their stabilizers are computed by the same tropical
+of finite positions.  A direction is a plain coordinate tuple d, and the
+limit of x + s*d keeps finite the coordinates where d is largest.
+Stabilizers of boundary points are computed by the same tropical
 fixed-point test, and independently by a block condition: the matrix must
 preserve the coordinate subspace of the stratum and its restriction must
 fix the finite part.
@@ -12,16 +13,14 @@ fix the finite part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .apartment import ApartmentPoint, CoordinatePoint
-from .errors import (AllInfiniteError, DimensionMismatchError,
+from .apartment import CoordinatePoint
+from .errors import (AllInfiniteError, DimensionMismatchError, DomainError,
                      InvalidDirectionError)
 from .matrices import FieldMatrix, _require_det_one
 from .symplectic import SpApartmentPoint, _embed, _require_symplectic
 from .tropical import NEG_INF, stabilizes_tropically, trop_vector
-from .weights import Cone, sl_identity_character, weight_fan
 
 
 def stratum(x) -> frozenset:
@@ -45,49 +44,24 @@ class BoundaryPoint(CoordinatePoint):
         self.stratum = frozenset(fin)
 
 
-@dataclass(frozen=True)
-class FanDirection:
-    """A fan cone together with a rational point of it, read as a recession direction."""
-
-    cone: Cone
-    point: tuple
-
-    def __post_init__(self):
-        pt = tuple(Fraction(c) for c in self.point)
-        object.__setattr__(self, "point", pt)
-        if self.cone.functionals and len(self.cone.functionals[0]) != len(pt):
-            raise InvalidDirectionError("direction dimension does not match the cone")
-        if not self.cone.contains(pt):
-            raise InvalidDirectionError("direction point lies outside the cone")
-
-
-def direction_for_stratum(indices, n: int) -> FanDirection:
-    """Canonical direction whose limit lands in the given stratum."""
-    I = sorted(set(indices))
-    if not I or any(i < 0 or i >= n for i in I):
+def direction_for_stratum(indices, n: int) -> tuple:
+    """The sum-zero direction (n*[i in I] - |I|)/n, whose limit has stratum I."""
+    I = set(indices)
+    if not I or any(not isinstance(i, int) or not 0 <= i < n for i in I):
         raise InvalidDirectionError("stratum must be a nonempty subset of the indices")
-    fan = weight_fan(sl_identity_character(n))
-    lead = [0] * n
-    lead[min(I)] = 1
-    cone = next(fc.cone for fc in fan.maximal_cones if fc.vertex == tuple(lead))
-    c = [Fraction(1) if i in I else Fraction(0) for i in range(n)]
-    shift = sum(c) / n
-    return FanDirection(cone, tuple(v - shift for v in c))
+    return tuple(Fraction(n * (i in I) - len(I), n) for i in range(n))
 
 
-def _limit(ys, ds) -> BoundaryPoint:
+def boundary_point_from_direction(ys, ds) -> BoundaryPoint:
     """Limit of ys + s*ds as s grows: the coordinates where ds attains its
     maximum stay finite, the others go to minus infinity."""
+    ds = trop_vector(ds)
+    if any(e is NEG_INF for e in ds):
+        raise DomainError("finite direction required")
     if len(ds) != len(ys):
         raise InvalidDirectionError("direction dimension does not match the point")
     top = max(ds)
     return BoundaryPoint(tuple(y if e == top else NEG_INF for y, e in zip(ys, ds)))
-
-
-def boundary_point_from_direction(x: ApartmentPoint, d: FanDirection) -> BoundaryPoint:
-    """Limit of x along the direction: coordinates stay finite exactly where
-    the coordinate weights attain their maximum on the direction point."""
-    return _limit(x.coords, d.point)
 
 
 def boundary_stabilizes(g: FieldMatrix, b: BoundaryPoint) -> bool:
@@ -130,14 +104,13 @@ def permute_boundary(b: BoundaryPoint, perm) -> BoundaryPoint:
     return BoundaryPoint(out)
 
 
-def sp_boundary_point(x: SpApartmentPoint, d: FanDirection) -> BoundaryPoint:
-    """Embedded limit point: the weights of the standard symplectic
-    representation evaluated on the direction decide which of the 2n
-    embedded coordinates stay finite."""
-    return _limit(_embed(x.coords), _embed(d.point))
+def sp_boundary_point(x: SpApartmentPoint, d) -> BoundaryPoint:
+    """Embedded limit point: the weights +-e_i of the standard symplectic
+    representation, evaluated on d, are the embedded direction."""
+    return boundary_point_from_direction(_embed(x.coords), _embed(d))
 
 
-def sp_boundary_stabilizes(g: FieldMatrix, x: SpApartmentPoint, d: FanDirection) -> bool:
+def sp_boundary_stabilizes(g: FieldMatrix, x: SpApartmentPoint, d) -> bool:
     """Does the symplectic matrix g fix the embedded limit point tropically?"""
     _require_symplectic(g)
     return boundary_stabilizes(g, sp_boundary_point(x, d))

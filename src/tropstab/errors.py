@@ -58,7 +58,7 @@ class AllInfiniteError(TropstabError):
 
 
 class InvalidDirectionError(TropstabError):
-    """Direction point does not lie in the prescribed fan cone."""
+    """Direction of the wrong dimension, or a stratum that is not a nonempty index set."""
 
 
 class UnknownSuiteError(TropstabError):

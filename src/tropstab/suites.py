@@ -23,8 +23,8 @@ from fractions import Fraction
 from . import sampling
 from .apartment import (ApartmentPoint, face_address, normalizer_action,
                         parahoric_oracle, stabilizer_membership)
-from .compactification import (BoundaryPoint, FanDirection,
-                               boundary_block_oracle, boundary_point_from_direction,
+from .compactification import (BoundaryPoint, boundary_block_oracle,
+                               boundary_point_from_direction,
                                boundary_stabilizes, direction_for_stratum,
                                permute_boundary, sp_boundary_stabilizes)
 from .errors import InputError
@@ -96,9 +96,9 @@ def _limit_coherence(candidates, fixes, limit_fixed):
     def limit_not_fixed(g, x, d):
         return None if limit_fixed(g, x, d) else {
             "matrix": matrix_to_json(g), "point": point_to_json(x.coords),
-            "direction": point_to_json(d.point)}
+            "direction": point_to_json(d)}
 
-    rays = ((g, x, d) for g, x, d in candidates if fixes(g, x, d.point))
+    rays = ((g, x, d) for g, x, d in candidates if fixes(g, x, d))
     return _nonvacuous(_run("limit_coherence", rays, limit_not_fixed))
 
 
@@ -596,34 +596,30 @@ def run_boundary(spec: FieldSpec, n: int, seed: int, count: int = 300):
             d = direction_for_stratum(rng.choice(strata), n)
             x = ApartmentPoint(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
             if k % 2 == 0:
-                g = sampling.random_ray_stabilizing(spec, x.coords, d.point, rng)
+                g = sampling.random_ray_stabilizing(spec, x.coords, d, rng)
             else:
                 g = sampling.random_sl(spec, n, rng, 4)
             yield g, x, d
 
     checks.append(_limit_coherence(
         ray_cases(), lambda g, x, v: fixes_ray(g, x.coords, v),
-        lambda g, x, d: boundary_stabilizes(g, boundary_point_from_direction(x, d))))
+        lambda g, x, d: boundary_stabilizes(g, boundary_point_from_direction(x.coords, d))))
 
     return _report("boundary", {"seed": seed, "n": n,
                                 "field": spec_to_json(spec), "count": count},
                    checks)
 
 
-def sp4_fan_directions():
-    """The trivial direction, the four maximal-cone interiors, and the four
-    rays of the rank-two symplectic fan."""
-    fan = weight_fan(sp_standard_character(2))
-    points = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1),
-              (1, 1), (1, -1), (-1, 1), (-1, -1)]
-    return [FanDirection(next(fc.cone for fc in fan.maximal_cones
-                              if fc.cone.contains(c)), c) for c in points]
+#: The trivial direction, the four maximal-cone interiors, and the four
+#: rays of the rank-two symplectic fan.
+_SP4_DIRECTIONS = ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1),
+                   (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def run_sp_boundary(spec: FieldSpec, seed: int, count: int = 200):
     n = 2
     rng = random.Random(seed)
-    trivial, *directions = sp4_fan_directions()
+    trivial, *directions = _SP4_DIRECTIONS
 
     trivial_cases = ((sampling.random_sp(spec, n, rng),
                       SpApartmentPoint(sampling.random_point(rng, n)))
@@ -643,7 +639,7 @@ def run_sp_boundary(spec: FieldSpec, seed: int, count: int = 200):
                 x = SpApartmentPoint(tuple(Fraction(rng.randint(-1, 1))
                                            for _ in range(n)))
                 if k % 2 == 0:
-                    g = sampling.random_sp_ray_adapted(spec, n, x.coords, d.point, rng)
+                    g = sampling.random_sp_ray_adapted(spec, n, x.coords, d, rng)
                 else:
                     g = sampling.random_sp(spec, n, rng, 3)
                 yield g, x, d

@@ -5,18 +5,20 @@ The standard form is built from the antidiagonal identity; symplectic
 apartment points have n free rational coordinates and embed into the
 rank 2n-1 apartment as the palindromically antisymmetric vectors
 (x_1, ..., x_n, -x_n, ..., -x_1).  Each symplectic predicate is the form
-check followed by the special-linear predicate on the embedded point.
+check followed by the special-linear predicate on the embedded point.  The
+form check records det = 1 and the embedded vector sums to zero, so the
+membership and ray predicates hand the embedded coordinates straight to
+the tropical test.
 """
 
 from __future__ import annotations
 
 from .apartment import (ApartmentPoint, CoordinatePoint, MonomialMatrix,
-                        in_star_of_origin, normalizer_action, parahoric_oracle,
-                        stabilizer_membership)
+                        in_star_of_origin, normalizer_action, parahoric_oracle)
 from .errors import DimensionMismatchError, InputError, NotSymplecticError
 from .fields import FieldSpec
 from .matrices import FieldMatrix
-from .tropical import fixes_ray
+from .tropical import fixes_ray, stabilizes_tropically
 
 
 def standard_form(spec: FieldSpec, n: int) -> FieldMatrix:
@@ -98,7 +100,7 @@ def _require_symplectic(g: FieldMatrix) -> None:
 def sp_stabilizer_membership(g: FieldMatrix, x: SpApartmentPoint) -> bool:
     """Is the symplectic matrix g in the stabilizer of the apartment point x?"""
     _require_symplectic(g)
-    return stabilizer_membership(g, embed_point(x))
+    return stabilizes_tropically(g, _embed(x.coords))
 
 
 def sp_fixes_ray(g: FieldMatrix, x: SpApartmentPoint, d) -> bool:

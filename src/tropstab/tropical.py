@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import (AllInfiniteError, DimensionMismatchError, DomainError,
-                     SingularMatrixError)
+                     InputError, SingularMatrixError)
 from .matrices import FieldMatrix, _require_det_one
 
 
@@ -52,7 +52,7 @@ class NegInfinity:
         return other is self
 
     def __neg__(self):
-        raise ArithmeticError("minus infinity has no negative")
+        raise DomainError("minus infinity has no negative")
 
 
 NEG_INF = NegInfinity()
@@ -63,7 +63,10 @@ TropScalar = Union[int, Fraction, NegInfinity]
 def as_trop_scalar(value) -> TropScalar:
     if value is NEG_INF or isinstance(value, (int, Fraction)):
         return value
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("coordinate is neither a rational number nor -inf") from None
 
 
 def trop_vector(values) -> tuple:

@@ -4,19 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from tropstab import matrices, sampling
+from tropstab import matrices, sampling, suites
 from tropstab.apartment import (ApartmentPoint, origin, parahoric_oracle,
                                 stabilizer_membership)
-from tropstab.compactification import (BoundaryPoint, FanDirection,
-                                       boundary_block_oracle,
+from tropstab.compactification import (BoundaryPoint, boundary_block_oracle,
                                        boundary_point_from_direction,
                                        boundary_stabilizes,
                                        direction_for_stratum, permute_boundary,
                                        sp_boundary_point,
                                        sp_boundary_stabilizes, stratum)
 from tropstab.errors import (AllInfiniteError, DeterminantNotOneError,
-                             DimensionMismatchError, InvalidDirectionError,
-                             NotSymplecticError)
+                             DimensionMismatchError, DomainError, InputError,
+                             InvalidDirectionError, NotSymplecticError)
 from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix
 from tropstab.symplectic import (SpApartmentPoint, _embed, _require_symplectic,
@@ -55,27 +54,19 @@ def test_points_of_different_types_never_compare_equal():
     assert len(set(points)) == 3
 
 
-def test_fan_direction_validation():
-    fan = weight_fan(sl_identity_character(3))
-    top = next(fc for fc in fan.maximal_cones if fc.vertex == (1, 0, 0))
-    FanDirection(top.cone, (2, 1, 0))
-    with pytest.raises(InvalidDirectionError):
-        FanDirection(top.cone, (0, 1, 0))
-
-
 def test_boundary_point_from_direction_examples():
     n = 3
     x = ApartmentPoint((Fraction(5), Fraction(7), Fraction(11)))
     interior = direction_for_stratum({0}, n)
-    b = boundary_point_from_direction(x, interior)
+    b = boundary_point_from_direction(x.coords, interior)
     assert b.coords == (0, NEG_INF, NEG_INF)
 
     pair = direction_for_stratum({0, 1}, n)
-    b2 = boundary_point_from_direction(origin(3), pair)
+    b2 = boundary_point_from_direction(origin(3).coords, pair)
     assert b2.coords == (0, 0, NEG_INF)
 
     trivial = direction_for_stratum({0, 1, 2}, n)
-    b3 = boundary_point_from_direction(x, trivial)
+    b3 = boundary_point_from_direction(x.coords, trivial)
     assert b3.stratum == frozenset({0, 1, 2})
     assert b3 == BoundaryPoint(x.coords)
 
@@ -85,6 +76,52 @@ def test_direction_for_stratum_rejects_bad_input():
         direction_for_stratum(set(), 3)
     with pytest.raises(InvalidDirectionError):
         direction_for_stratum({5}, 3)
+    with pytest.raises(InvalidDirectionError):
+        direction_for_stratum({0.5}, 3)
+    with pytest.raises(InvalidDirectionError):
+        direction_for_stratum({"a"}, 3)
+
+
+def test_directions_lie_in_their_fan_cones():
+    # a stratum's direction is a sum-zero point of the cone of e_{min I} and
+    # its limit has stratum I; the nonzero Sp4 directions are the four cone
+    # interiors, each in one maximal cone, and the four rays, each in two
+    rng = random.Random(29)
+    for n in range(2, 6):
+        cones = {fc.vertex: fc.cone
+                 for fc in weight_fan(sl_identity_character(n)).maximal_cones}
+        for k in range(1, n + 1):
+            for I in itertools.combinations(range(n), k):
+                d = direction_for_stratum(I, n)
+                assert sum(d) == 0
+                assert cones[tuple(int(i == min(I)) for i in range(n))].contains(d)
+                x = sampling.random_point(rng, n)
+                assert boundary_point_from_direction(x, d).stratum == frozenset(I)
+    sp_cones = [fc.cone for fc in weight_fan(sp_standard_character(2)).maximal_cones]
+    trivial, *directions = suites._SP4_DIRECTIONS
+    assert trivial == (0, 0)
+    assert [sum(c.contains(d) for c in sp_cones) for d in directions] == [1] * 4 + [2] * 4
+
+
+def test_limits_reject_infinite_directions():
+    g = sampling.random_sp(Q2, 2, random.Random(31))
+    x = SpApartmentPoint((0, 0))
+    for limit in (lambda: boundary_point_from_direction((0, 0), (0, NEG_INF)),
+                  lambda: sp_boundary_point(x, (0, NEG_INF)),
+                  lambda: sp_boundary_stabilizes(g, x, (0, NEG_INF))):
+        with pytest.raises(DomainError):
+            limit()
+
+
+def test_non_rational_coordinates_are_input_errors():
+    g = FieldMatrix.identity(Q2, 2)
+    for bad in ("a", None, object()):
+        for build in (ApartmentPoint, BoundaryPoint,
+                      lambda c: stabilizes_tropically(g, c)):
+            with pytest.raises(InputError):
+                build((bad, 0))
+    with pytest.raises(InputError):
+        ApartmentPoint((NEG_INF, 0))
 
 
 def test_boundary_stabilizes_half_infinite_case():
@@ -179,9 +216,9 @@ def test_limit_coherence_one_directional():
             n = rng.choice((3, 4))
             d = direction_for_stratum(rng.choice([s for s in strata if max(s) < n]), n)
             x = ApartmentPoint(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
-            g = sampling.random_ray_stabilizing(spec, x.coords, d.point, rng)
-            assert fixes_ray(g, x.coords, d.point)
-            assert boundary_stabilizes(g, boundary_point_from_direction(x, d))
+            g = sampling.random_ray_stabilizing(spec, x.coords, d, rng)
+            assert fixes_ray(g, x.coords, d)
+            assert boundary_stabilizes(g, boundary_point_from_direction(x.coords, d))
 
 
 def test_converse_of_limit_coherence_fails():
@@ -197,32 +234,24 @@ def test_converse_of_limit_coherence_fails():
 # ----------------------------------------------------------------------
 # symplectic boundary
 
-def _sp4_direction(c):
-    fan = weight_fan(sp_standard_character(2))
-    cone = next(fc.cone for fc in fan.maximal_cones if fc.cone.contains(c))
-    return FanDirection(cone, c)
-
-
 def test_sp_boundary_point_examples():
     x = SpApartmentPoint((0, 0))
-    d = _sp4_direction((Fraction(1), Fraction(0)))
+    d = (Fraction(1), Fraction(0))
     b = sp_boundary_point(x, d)
     assert b.coords == (0, NEG_INF, NEG_INF, NEG_INF)
 
-    ray = _sp4_direction((Fraction(1), Fraction(1)))
+    ray = (Fraction(1), Fraction(1))
     b2 = sp_boundary_point(SpApartmentPoint((Fraction(1, 2), 0)), ray)
     assert b2.coords == (0, Fraction(-1, 2), NEG_INF, NEG_INF)
 
-    trivial = _sp4_direction((Fraction(0), Fraction(0)))
+    trivial = (Fraction(0), Fraction(0))
     b3 = sp_boundary_point(x, trivial)
     assert b3.stratum == frozenset(range(4))
 
 
 def test_sp_rank_one_boundary_matches_special_linear():
     rng = random.Random(17)
-    fan = weight_fan(sp_standard_character(1))
-    cone = next(fc.cone for fc in fan.maximal_cones if fc.vertex == (1,))
-    d = FanDirection(cone, (Fraction(1),))
+    d = (Fraction(1),)
     x = SpApartmentPoint((0,))
     for _ in range(60):
         g = sampling.random_sp(Q2, 1, rng)
@@ -232,7 +261,7 @@ def test_sp_rank_one_boundary_matches_special_linear():
 
 def test_sp_trivial_direction_reduces_to_stabilizer():
     rng = random.Random(19)
-    d = _sp4_direction((Fraction(0), Fraction(0)))
+    d = (Fraction(0), Fraction(0))
     for _ in range(40):
         g = sampling.random_sp(Q2, 2, rng)
         x = SpApartmentPoint(sampling.random_point(rng, 2))
@@ -240,7 +269,7 @@ def test_sp_trivial_direction_reduces_to_stabilizer():
 
 
 def test_sp_boundary_requires_symplectic():
-    d = _sp4_direction((Fraction(1), Fraction(0)))
+    d = (Fraction(1), Fraction(0))
     with pytest.raises(NotSymplecticError):
         sp_boundary_stabilizes(FieldMatrix.diagonal(Q2, [2, 1, 1, 1]),
                                SpApartmentPoint((0, 0)), d)
@@ -252,7 +281,7 @@ def test_boundary_predicates_reject_wrong_sizes():
     g = sampling.random_sp(Q2, 3, random.Random(61))
     with pytest.raises(DimensionMismatchError):
         sp_boundary_stabilizes(g, SpApartmentPoint((0, 0)),
-                               _sp4_direction((Fraction(1), Fraction(0))))
+                               (Fraction(1), Fraction(0)))
 
 
 def test_sp_predicates_eliminate_no_matrix(monkeypatch):
@@ -260,16 +289,16 @@ def test_sp_predicates_eliminate_no_matrix(monkeypatch):
     # eliminates the matrix; half the words fix the ray, so both answers occur
     rng = random.Random(67)
     x = SpApartmentPoint((Fraction(1, 4), 0))
-    d = _sp4_direction((Fraction(1), Fraction(1)))
+    d = (Fraction(1), Fraction(1))
     words = [w for spec in (Q2, F3T) for _ in range(3)
              for w in (sampling.random_sp(spec, 2, rng),
-                       sampling.random_sp_ray_adapted(spec, 2, x.coords, d.point, rng))]
+                       sampling.random_sp_ray_adapted(spec, 2, x.coords, d, rng))]
 
     def fresh(g):
         return FieldMatrix(g.spec, g.rows)
 
     y = embed_point(x)
-    expected = [(stabilizer_membership(g, y), fixes_ray(g, y.coords, _embed(d.point)),
+    expected = [(stabilizer_membership(g, y), fixes_ray(g, y.coords, _embed(d)),
                  parahoric_oracle(g, y), boundary_stabilizes(g, sp_boundary_point(x, d)))
                 for g in words]
 
@@ -277,7 +306,7 @@ def test_sp_predicates_eliminate_no_matrix(monkeypatch):
         raise AssertionError("a symplectic matrix was eliminated")
 
     monkeypatch.setattr(matrices, "_eliminate", refuse)
-    assert [(sp_stabilizer_membership(fresh(g), x), sp_fixes_ray(fresh(g), x, d.point),
+    assert [(sp_stabilizer_membership(fresh(g), x), sp_fixes_ray(fresh(g), x, d),
              sp_parahoric_oracle(fresh(g), x), sp_boundary_stabilizes(fresh(g), x, d))
             for g in words] == expected
 
@@ -287,7 +316,7 @@ def test_sp_predicates_reject_non_symplectic_products():
     # symplectic words: only both factors passing makes a product pass
     rng = random.Random(71)
     x = SpApartmentPoint((0, 0))
-    d = _sp4_direction((Fraction(1), Fraction(0)))
+    d = (Fraction(1), Fraction(0))
     for spec in (Q2, F3T):
         g = sampling.random_sp(spec, 2, rng)
         _require_symplectic(g)
@@ -296,7 +325,7 @@ def test_sp_predicates_reject_non_symplectic_products():
         for m in (bad, g * bad, bad * g, g * bad.inverse(), (g * bad) * g.inverse()):
             assert m.determinant() == spec.one()
             for predicate in (lambda: sp_stabilizer_membership(m, x),
-                              lambda: sp_fixes_ray(m, x, d.point),
+                              lambda: sp_fixes_ray(m, x, d),
                               lambda: sp_parahoric_oracle(m, x),
                               lambda: sp_boundary_stabilizes(m, x, d)):
                 with pytest.raises(NotSymplecticError):
@@ -306,12 +335,11 @@ def test_sp_predicates_reject_non_symplectic_products():
 def test_sp_limit_coherence():
     rng = random.Random(23)
     for spec in (Q2, F3T):
-        for c in ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)),
+        for d in ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)),
                   (Fraction(0), Fraction(-1)), (Fraction(-1), Fraction(1))):
-            d = _sp4_direction(c)
             for _ in range(15):
                 x = SpApartmentPoint(tuple(Fraction(rng.randint(-1, 1))
                                            for _ in range(2)))
-                g = sampling.random_sp_ray_adapted(spec, 2, x.coords, d.point, rng)
-                assert sp_fixes_ray(g, x, d.point)
+                g = sampling.random_sp_ray_adapted(spec, 2, x.coords, d, rng)
+                assert sp_fixes_ray(g, x, d)
                 assert sp_boundary_stabilizes(g, x, d)

@@ -114,6 +114,27 @@ def test_group_closure_checks_each_form_once(monkeypatch):
     assert checks_per_case == [2] * 8
 
 
+def test_membership_builds_no_apartment_point(monkeypatch):
+    # the form check records det = 1 and the embedded vector sums to zero,
+    # so the embedded coordinates go straight to the tropical test
+    rng = random.Random(73)
+    cases = [(sampler(spec, 2, rng), SpApartmentPoint(sampling.random_point(rng, 2, 2, 2)))
+             for spec in (Q2, F3T) for sampler in (sampling.random_sp_integral,
+                                                   sampling.random_sp) for _ in range(3)]
+    expected = [stabilizer_membership(g, embed_point(x)) for g, x in cases]
+    assert set(expected) == {True, False}
+    built = []
+    init = ApartmentPoint.__init__
+
+    def counted(self, coords):
+        built.append(coords)
+        init(self, coords)
+
+    monkeypatch.setattr(ApartmentPoint, "__init__", counted)
+    assert [sp_stabilizer_membership(g, x) for g, x in cases] == expected
+    assert built == []
+
+
 def test_predicates_reject_wrong_sizes():
     g = sampling.random_sp(Q2, 2, random.Random(59))
     for x in (SpApartmentPoint((0,)), SpApartmentPoint((0, 0, 0))):

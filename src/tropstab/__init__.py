@@ -6,10 +6,9 @@ tropical character hypersurfaces, and boundary stabilizers on the
 compactified apartment.
 """
 
-from .apartment import (ApartmentPoint, FaceAddress, MonomialMatrix,
-                        face_address, normalizer_action, origin,
-                        parahoric_oracle, stabilizer_membership,
-                        translation_point)
+from .apartment import (ApartmentPoint, FaceAddress, face_address,
+                        normalizer_action, origin, parahoric_oracle,
+                        stabilizer_membership)
 from .compactification import (BoundaryPoint, boundary_block_oracle,
                                boundary_point_from_direction,
                                boundary_stabilizes, direction_for_stratum,

@@ -1,11 +1,13 @@
 """The apartment of the special linear group as a tropical torus.
 
 Points carry exact rational coordinates modulo the all-ones line; the
-canonical representative sums to zero.  The module provides the torus and
-normalizer actions, the simplicial face address cut out by the integer
-hyperplane arrangement, and two membership predicates for point
-stabilizers: the tropical fixed-point test and, on the star of the origin,
-the residue-flag test that characterizes parahoric subgroups.
+canonical representative sums to zero.  The module provides the action of
+the torus normalizer, where a determinant-one monomial matrix acts on any
+coordinate point by its tropicalization (a diagonal one translates), the
+simplicial face address cut out by the integer hyperplane arrangement, and
+two membership predicates for point stabilizers: the tropical fixed-point
+test and, on the star of the origin, the residue-flag test that
+characterizes parahoric subgroups.
 """
 
 from __future__ import annotations
@@ -13,13 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
-from .errors import (DeterminantNotOneError, DimensionMismatchError,
-                     InputError, OutOfStarError)
-from .fields import FieldSpec
-from .matrices import FieldMatrix, perm_sign, _require_det_one
-from .tropical import NEG_INF, stabilizes_tropically, trop_vector
+from .errors import DimensionMismatchError, InputError, OutOfStarError
+from .matrices import FieldMatrix, _require_det_one
+from .tropical import NEG_INF, stabilizes_tropically, trop_mul, trop_vector
 
 
 class CoordinatePoint:
@@ -68,86 +67,20 @@ def origin(n: int) -> ApartmentPoint:
     return ApartmentPoint((0,) * n)
 
 
-def translation_point(diag) -> ApartmentPoint:
-    """The apartment point a diagonal determinant-one matrix translates by.
-
-    Accepts the diagonal entries or the diagonal matrix itself; coordinate
-    i is minus the valuation of the i-th diagonal entry.
-    """
-    if isinstance(diag, FieldMatrix):
-        n = diag.size
-        if any(not diag.rows[i][j].is_zero()
-               for i in range(n) for j in range(n) if i != j):
-            raise InputError("matrix is not diagonal")
-        entries = tuple(diag.rows[i][i] for i in range(n))
-    else:
-        entries = tuple(diag)
-    if not entries:
-        raise InputError("empty diagonal")
-    spec = entries[0].spec
-    product = reduce(lambda a, b: a * b, entries)
-    if product != spec.one():
-        raise DeterminantNotOneError("diagonal entries must multiply to one")
-    return ApartmentPoint(tuple(Fraction(-e.valuation()) for e in entries))
-
-
-@dataclass(frozen=True)
-class MonomialMatrix:
-    """A matrix with one nonzero entry per row and column.
-
-    Column i carries the scalar t_i in row perm[i]; the permutation part is
-    the Weyl reflection data, the scalars the torus part.  The determinant,
-    sign(perm) times the product of the scalars, must equal one.
-    """
-
-    spec: FieldSpec
-    perm: tuple
-    scalars: tuple
-
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)) or len(self.scalars) != n:
-            raise InputError("invalid permutation data")
-        if any(s.is_zero() for s in self.scalars):
-            raise InputError("monomial scalars must be nonzero")
-        det = reduce(lambda a, b: a * b, self.scalars)
-        if perm_sign(self.perm) < 0:
-            det = -det
-        if det != self.spec.one():
-            raise DeterminantNotOneError("monomial matrix must have determinant one")
-
-    def to_matrix(self) -> FieldMatrix:
-        n = len(self.perm)
-        zero = self.spec.zero()
-        rows = [[zero] * n for _ in range(n)]
-        for i, (target, scalar) in enumerate(zip(self.perm, self.scalars)):
-            rows[target][i] = scalar
-        g = FieldMatrix(self.spec, rows)
-        g._det = self.spec.one()  # checked by __post_init__
-        return g
-
-    @classmethod
-    def from_matrix(cls, g: FieldMatrix) -> "MonomialMatrix":
-        n = g.size
-        perm = [None] * n
-        scalars = [None] * n
-        for i in range(n):
-            hits = [r for r in range(n) if not g.rows[r][i].is_zero()]
-            if len(hits) != 1:
-                raise InputError("matrix is not monomial")
-            perm[i] = hits[0]
-            scalars[i] = g.rows[hits[0]][i]
-        return cls(g.spec, tuple(perm), tuple(scalars))
-
-
-def normalizer_action(m: MonomialMatrix, x: ApartmentPoint) -> ApartmentPoint:
-    """Affine-linear action: coordinate i lands at position perm[i] shifted by -v(t_i)."""
-    if len(m.perm) != x.n:
+def normalizer_action(m: FieldMatrix, x: CoordinatePoint) -> CoordinatePoint:
+    """The action of a determinant-one monomial matrix by its tropicalization:
+    coordinate j moves to the row of the one nonzero entry t of column j,
+    shifted by -v(t).  Apartment points re-centre, boundary points re-anchor."""
+    _require_det_one(m)
+    if m.size != x.n:
         raise DimensionMismatchError("monomial matrix and point dimensions differ")
-    out = [Fraction(0)] * x.n
-    for i, (target, scalar) in enumerate(zip(m.perm, m.scalars)):
-        out[target] = x.coords[i] - scalar.valuation()
-    return ApartmentPoint(out)
+    out = [None] * x.n
+    for j, xj in enumerate(x.coords):
+        hits = [i for i in range(m.size) if m.rows[i][j]]
+        if len(hits) != 1:
+            raise InputError("matrix is not monomial")
+        out[hits[0]] = trop_mul(xj, -m.rows[hits[0]][j].valuation())
+    return type(x)(out)
 
 
 @dataclass(frozen=True)

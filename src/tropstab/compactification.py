@@ -58,8 +58,8 @@ def boundary_point_from_direction(ys, ds) -> BoundaryPoint:
     ds = trop_vector(ds)
     if any(e is NEG_INF for e in ds):
         raise DomainError("finite direction required")
-    if len(ds) != len(ys):
-        raise InvalidDirectionError("direction dimension does not match the point")
+    if not ds or len(ds) != len(ys):
+        raise InvalidDirectionError("direction must be nonempty and match the point")
     top = max(ds)
     return BoundaryPoint(tuple(y if e == top else NEG_INF for y, e in zip(ys, ds)))
 
@@ -94,14 +94,6 @@ def boundary_block_oracle(g: FieldMatrix, b: BoundaryPoint) -> bool:
         if best is None or best != b.coords[i]:
             return False
     return True
-
-
-def permute_boundary(b: BoundaryPoint, perm) -> BoundaryPoint:
-    """Coordinate i of the result at position perm[i]."""
-    out = [NEG_INF] * b.n
-    for i, target in enumerate(perm):
-        out[target] = b.coords[i]
-    return BoundaryPoint(out)
 
 
 def sp_boundary_point(x: SpApartmentPoint, d) -> BoundaryPoint:

@@ -171,6 +171,8 @@ class FieldSpec:
                 raise InputError("element belongs to a different field")
             return value
         if not isinstance(value, (int, Fraction)):
+            if isinstance(value, float):
+                raise InputError("a float field element is not exact")
             value = Fraction(value)
         if self.kind == "Qp":
             return QpElement(self, value.numerator, value.denominator)

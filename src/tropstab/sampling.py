@@ -14,7 +14,6 @@ import math
 import random
 from fractions import Fraction
 
-from .apartment import MonomialMatrix
 from .fields import FieldSpec, FpTElement, QpElement, _trim
 from .matrices import FieldMatrix, _add_multiple, _identity_rows, perm_sign
 from .symplectic import _embed
@@ -118,10 +117,19 @@ def _monomial_parts(spec, n, rng):
     return perm, _units_with_product(spec, n, rng, perm_sign(tuple(perm)))
 
 
-def random_monomial(spec: FieldSpec, n: int, rng: random.Random) -> MonomialMatrix:
-    """A unit-scalar monomial matrix with determinant one."""
+def random_monomial(spec: FieldSpec, n: int, rng: random.Random) -> FieldMatrix:
+    """A unit-scalar monomial matrix, scalar s_i in row perm[i] of column i.
+    It records its determinant sign(perm) * prod(s_i), which is one."""
     perm, scalars = _monomial_parts(spec, n, rng)
-    return MonomialMatrix(spec, tuple(perm), tuple(scalars))
+    rows = _identity_rows(spec, n)
+    det = spec.one() if perm_sign(perm) > 0 else -spec.one()
+    for i, s in enumerate(scalars):
+        _left_scale(rows, i, s)
+        det = det * s
+    _left_permute(rows, perm)
+    m = FieldMatrix(spec, rows)
+    m._det = det
+    return m
 
 
 def random_torus(spec: FieldSpec, n: int, rng: random.Random, emax=2) -> FieldMatrix:

@@ -13,8 +13,8 @@ the tropical test.
 
 from __future__ import annotations
 
-from .apartment import (ApartmentPoint, CoordinatePoint, MonomialMatrix,
-                        in_star_of_origin, normalizer_action, parahoric_oracle)
+from .apartment import (ApartmentPoint, CoordinatePoint, in_star_of_origin,
+                        normalizer_action, parahoric_oracle)
 from .errors import DimensionMismatchError, InputError, NotSymplecticError
 from .fields import FieldSpec
 from .matrices import FieldMatrix
@@ -124,7 +124,7 @@ def sp_parahoric_oracle(g: FieldMatrix, x: SpApartmentPoint) -> bool:
 def sp_normalizer_action(m: FieldMatrix, x: SpApartmentPoint) -> SpApartmentPoint:
     """Action of a symplectic monomial matrix, computed in the embedded picture."""
     _require_symplectic(m)
-    cs = normalizer_action(MonomialMatrix.from_matrix(m), embed_point(x)).coords
+    cs = normalizer_action(m, embed_point(x)).coords
     if _embed(cs[:x.n]) != cs:
         raise InputError("matrix does not act on the symplectic apartment")
     return SpApartmentPoint(cs[:x.n])

@@ -63,6 +63,8 @@ TropScalar = Union[int, Fraction, NegInfinity]
 def as_trop_scalar(value) -> TropScalar:
     if value is NEG_INF or isinstance(value, (int, Fraction)):
         return value
+    if isinstance(value, float):
+        raise InputError("a float coordinate is not exact")
     try:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError):

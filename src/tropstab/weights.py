@@ -25,7 +25,7 @@ from .errors import (DimensionMismatchError, InputError, NotAVertexError,
 from .feasibility import _primitive_vector, strictly_feasible
 from .fields import FieldSpec, int_valuation
 from .matrices import _eliminate
-from .tropical import _scaled_int_vector
+from .tropical import NEG_INF, _scaled_int_vector, trop_vector
 
 GROUP_SL = "sln"
 GROUP_SP = "sp2n"
@@ -347,7 +347,9 @@ class Fan:
 def integer_coords(x, rank: int):
     """(xi, scale) with xi = scale * x integral and scale > 0, for a
     sequence x of integers and rationals."""
-    cs = tuple(c if isinstance(c, int) else Fraction(c) for c in x)
+    cs = trop_vector(x)
+    if any(c is NEG_INF for c in cs):
+        raise InputError("finite coordinates required")
     if len(cs) != rank:
         raise DimensionMismatchError("point dimension does not match the rank")
     return _scaled_int_vector(cs)

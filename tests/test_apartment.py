@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 
 from tropstab import sampling
-from tropstab.apartment import (ApartmentPoint, MonomialMatrix, face_address,
-                                in_star_of_origin, normalizer_action, origin,
-                                parahoric_oracle, stabilizer_membership,
-                                translation_point)
-from tropstab.errors import DeterminantNotOneError, OutOfStarError
+from tropstab.apartment import (ApartmentPoint, face_address, in_star_of_origin,
+                                normalizer_action, origin, parahoric_oracle,
+                                stabilizer_membership)
+from tropstab.compactification import BoundaryPoint
+from tropstab.errors import (DeterminantNotOneError, DimensionMismatchError,
+                             InputError, OutOfStarError)
 from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix
 from tropstab.suites import face_point, ordered_set_partitions
+from tropstab.tropical import NEG_INF, trop_matvec, tropicalize
 
 Q2 = FieldSpec("Qp", 2)
 Q5 = FieldSpec("Qp", 5)
@@ -26,49 +28,62 @@ def test_points_are_classes_modulo_diagonal():
     assert a != ApartmentPoint((0, 0, 0))
 
 
-def test_translation_point_examples():
-    p = Q5.uniformizer()
-    assert translation_point([p, p.inv()]) == ApartmentPoint((-1, 1))
-    assert translation_point([Q5.one()] * 3) == origin(3)
-    t = F3T.uniformizer()
-    assert translation_point([t, t, t ** -2]) == ApartmentPoint((-1, -1, 2))
-
-
-def test_translation_point_requires_determinant_one():
-    p = Q5.uniformizer()
-    with pytest.raises(DeterminantNotOneError):
-        translation_point([p, Q5.one()])
-
-
-def test_translation_point_accepts_diagonal_matrix():
-    p = Q5.uniformizer()
-    m = FieldMatrix.diagonal(Q5, [p, p.inv()])
-    assert translation_point(m) == ApartmentPoint((-1, 1))
-    with pytest.raises(ValueError):
-        translation_point(FieldMatrix(Q5, [[1, 1], [0, 1]]))
+def test_diagonal_matrices_translate_the_origin():
+    # coordinate i of the translate is minus the valuation of entry i
+    p, t = Q5.uniformizer(), F3T.uniformizer()
+    for spec, diag, moved in ((Q5, [p, p.inv()], (-1, 1)),
+                              (Q5, [1, 1, 1], (0, 0, 0)),
+                              (F3T, [t, t, t ** -2], (-1, -1, 2))):
+        m = FieldMatrix.diagonal(spec, diag)
+        assert normalizer_action(m, origin(len(diag))) == ApartmentPoint(moved)
 
 
 def test_normalizer_action_cases():
-    perm = MonomialMatrix(Q2, (1, 2, 0), (Q2.one(),) * 3)
+    perm = FieldMatrix(Q2, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     x = ApartmentPoint((Fraction(1), Fraction(2), Fraction(-3)))
     moved = normalizer_action(perm, x)
     assert moved == ApartmentPoint((Fraction(-3), Fraction(1), Fraction(2)))
 
     p = Q2.uniformizer()
-    trans = MonomialMatrix(Q2, (0, 1), (p, p.inv()))
-    assert normalizer_action(trans, origin(2)) == translation_point([p, p.inv()])
+    trans = FieldMatrix.diagonal(Q2, [p, p.inv()])
+    assert normalizer_action(trans, origin(2)) == ApartmentPoint((-1, 1))
 
-    anti = MonomialMatrix.from_matrix(FieldMatrix(Q2, [[0, 1], [-1, 0]]))
+    anti = FieldMatrix(Q2, [[0, 1], [-1, 0]])
     x = ApartmentPoint((Fraction(1, 2), Fraction(-1, 2)))
     assert normalizer_action(anti, x) == ApartmentPoint((Fraction(-1, 2), Fraction(1, 2)))
 
 
-def test_monomial_from_matrix_round_trip():
-    rng = random.Random(3)
-    for _ in range(10):
-        mono = sampling.random_monomial(Q5, 3, rng)
-        again = MonomialMatrix.from_matrix(mono.to_matrix())
-        assert again == mono
+def test_normalizer_action_rejects_bad_matrices():
+    p = Q5.uniformizer()
+    with pytest.raises(DeterminantNotOneError):
+        normalizer_action(FieldMatrix.diagonal(Q5, [p, 1]), origin(2))
+    with pytest.raises(InputError, match="not monomial"):
+        normalizer_action(FieldMatrix(Q5, [[1, 1], [0, 1]]), origin(2))
+    with pytest.raises(DimensionMismatchError):
+        normalizer_action(FieldMatrix.identity(Q5, 3), origin(2))
+
+
+def _random_boundary_point(rng, n):
+    inside = rng.sample(range(n), rng.randint(1, n))
+    return BoundaryPoint([sampling.random_fraction(rng) if i in inside else NEG_INF
+                          for i in range(n)])
+
+
+@pytest.mark.parametrize("spec", [Q2, Q5, F3T], ids=["Q2", "Q5", "F3T"])
+def test_normalizer_action_is_the_tropical_action(spec):
+    # reference: the max-plus product of trop(m) with the coordinates, on
+    # unit-scalar monomials and on torus multiples of them, whose scalars
+    # have any valuation; apartment points and boundary points alike
+    rng = random.Random(41)
+    for n in (2, 3, 4):
+        for _ in range(15):
+            m = sampling.random_monomial(spec, n, rng)
+            if rng.random() < 0.5:
+                m = sampling.random_torus(spec, n, rng) * m
+            for x in (ApartmentPoint(sampling.random_point(rng, n)),
+                      _random_boundary_point(rng, n)):
+                reference = type(x)(trop_matvec(tropicalize(m), x.coords))
+                assert normalizer_action(m, x) == reference
 
 
 def test_face_address_examples():
@@ -98,7 +113,7 @@ def test_stabilizer_at_translate_is_conjugated_integrality():
     p = Q2.uniformizer()
     diag = [p ** 2, p.inv(), p.inv()]
     t = FieldMatrix.diagonal(Q2, diag)
-    x = translation_point(diag)
+    x = normalizer_action(t, origin(3))
     for _ in range(40):
         g = sampling.random_sl(Q2, 3, rng, 5)
         conj = t.inverse() * g * t
@@ -156,11 +171,10 @@ def test_equivariance_under_normalizer():
     for _ in range(40):
         n = rng.choice((2, 3))
         g = sampling.random_sl(Q2, n, rng, 4)
-        mono = sampling.random_monomial(Q2, n, rng)
+        m = sampling.random_monomial(Q2, n, rng)
         x = ApartmentPoint(sampling.random_point(rng, n))
-        m = mono.to_matrix()
         assert stabilizer_membership(g, x) == \
-            stabilizer_membership(m * g * m.inverse(), normalizer_action(mono, x))
+            stabilizer_membership(m * g * m.inverse(), normalizer_action(m, x))
 
 
 def test_stabilizer_group_property():

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from tropstab import matrices, sampling, suites
-from tropstab.apartment import (ApartmentPoint, origin, parahoric_oracle,
-                                stabilizer_membership)
+from tropstab.apartment import (ApartmentPoint, normalizer_action, origin,
+                                parahoric_oracle, stabilizer_membership)
 from tropstab.compactification import (BoundaryPoint, boundary_block_oracle,
                                        boundary_point_from_direction,
                                        boundary_stabilizes,
-                                       direction_for_stratum, permute_boundary,
+                                       direction_for_stratum,
                                        sp_boundary_point,
                                        sp_boundary_stabilizes, stratum)
 from tropstab.errors import (AllInfiniteError, DeterminantNotOneError,
@@ -80,6 +80,8 @@ def test_direction_for_stratum_rejects_bad_input():
         direction_for_stratum({0.5}, 3)
     with pytest.raises(InvalidDirectionError):
         direction_for_stratum({"a"}, 3)
+    with pytest.raises(InvalidDirectionError):
+        boundary_point_from_direction((), ())
 
 
 def test_directions_lie_in_their_fan_cones():
@@ -200,12 +202,11 @@ def test_monomial_equivariance():
         for i in inside:
             coords[i] = Fraction(rng.randint(-2, 2))
         b = BoundaryPoint(coords)
-        mono = sampling.random_monomial(Q2, n, rng)
+        m = sampling.random_monomial(Q2, n, rng)
         g = (sampling.random_block_triangular(Q2, n, inside, rng)
              if rng.random() < 0.5 else sampling.random_sl(Q2, n, rng, 4))
-        m = mono.to_matrix()
         assert boundary_stabilizes(g, b) == \
-            boundary_stabilizes(m * g * m.inverse(), permute_boundary(b, mono.perm))
+            boundary_stabilizes(m * g * m.inverse(), normalizer_action(m, b))
 
 
 def test_limit_coherence_one_directional():

@@ -35,8 +35,7 @@ SAMPLERS = {
     "random_sl_nonintegral": ((2, 3, 4), sampling.random_sl_nonintegral),
     "random_stabilizing": ((2, 3, 4), lambda spec, n, rng: sampling.random_stabilizing(
         spec, sampling.random_point(rng, n), rng)),
-    "random_monomial": ((1, 2, 3, 4), lambda spec, n, rng:
-                        sampling.random_monomial(spec, n, rng).to_matrix()),
+    "random_monomial": ((1, 2, 3, 4), sampling.random_monomial),
     "random_torus": ((1, 2, 3, 4), sampling.random_torus),
     "random_sp": ((1, 2, 3, 4), sampling.random_sp),
     "random_sp_integral": ((1, 2, 3, 4), sampling.random_sp_integral),

@@ -15,6 +15,7 @@ from tropstab.symplectic import (SpApartmentPoint, _require_symplectic,
                                  sp_in_star_of_origin, sp_normalizer_action,
                                  sp_parahoric_oracle, sp_stabilizer_membership,
                                  standard_form)
+from tropstab.tropical import trop_matvec, tropicalize
 
 Q2 = FieldSpec("Qp", 2)
 Q5 = FieldSpec("Qp", 5)
@@ -270,6 +271,21 @@ def test_weyl_equivariance():
             sp_stabilizer_membership(w * g * w.inverse(), sp_normalizer_action(w, x))
 
 
+@pytest.mark.parametrize("spec", [Q2, Q5, F3T], ids=["Q2", "Q5", "F3T"])
+def test_sp_normalizer_action_is_the_tropical_action(spec):
+    # through the embedding, on signed permutations and torus multiples of them
+    rng = random.Random(43)
+    for n in (1, 2, 3):
+        for _ in range(15):
+            w = sampling.random_sp_monomial(spec, n, rng)
+            if rng.random() < 0.5:
+                w = sampling.sp_torus(spec, n, [sampling.random_element(spec, rng, -2, 2)
+                                                for _ in range(n)]) * w
+            x = SpApartmentPoint(sampling.random_point(rng, n))
+            reference = trop_matvec(tropicalize(w), embed_point(x).coords)
+            assert embed_point(sp_normalizer_action(w, x)) == ApartmentPoint(reference)
+
+
 def test_star_matches_embedded_arrangement():
     # the rank-n wall data (doubled coordinates, sums, differences) is the
     # restriction of the embedded rank-2n wall data to symmetric vectors
@@ -350,7 +366,7 @@ def _ref_sl_integral(spec, n, rng, length=6):
             i, j = rng.sample(range(n), 2)
             g = _elementary(spec, n, i, j, sampling.random_integral(spec, rng)) * g
         else:
-            g = sampling.random_monomial(spec, n, rng).to_matrix() * g
+            g = sampling.random_monomial(spec, n, rng) * g
     return g
 
 

@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropstab import sampling
+from tropstab.apartment import ApartmentPoint
 from tropstab.errors import (AllInfiniteError, DeterminantNotOneError,
-                             DimensionMismatchError, DomainError,
+                             DimensionMismatchError, DomainError, InputError,
                              SingularMatrixError)
 from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix
 from tropstab.suites import composition_example_matrices
-from tropstab.tropical import (NEG_INF, fixes_ray, stabilizes_tropically,
-                               trop_add, trop_matvec, trop_mul, tropicalize,
-                               valuation_inequality_oracle)
+from tropstab.tropical import (NEG_INF, as_trop_scalar, fixes_ray,
+                               stabilizes_tropically, trop_add, trop_matvec,
+                               trop_mul, tropicalize, valuation_inequality_oracle)
+from tropstab.weights import integer_coords
 
 Q2 = FieldSpec("Qp", 2)
 Q5 = FieldSpec("Qp", 5)
@@ -251,3 +253,21 @@ def test_matvec_of_finite_vector_is_finite():
         x = sampling.random_point(rng, n)
         image = trop_matvec(tropicalize(g), x)
         assert all(y is not NEG_INF for y in image)
+
+
+def test_floats_are_input_errors():
+    # a float carries its binary value, not the decimal it was written as
+    for read in (lambda: as_trop_scalar(0.1),
+                 lambda: ApartmentPoint((0.1, 0)),
+                 lambda: Q2.element(0.1),
+                 lambda: FieldSpec("FpT", 3).element(0.5),
+                 lambda: FieldMatrix(Q2, [[0.5, 0], [0, 2.0]]),
+                 lambda: integer_coords((0.5, 1), 2),
+                 lambda: integer_coords((NEG_INF, 1), 2)):
+        with pytest.raises(InputError):
+            read()
+    half = Fraction(1, 2)
+    assert as_trop_scalar(half) is half
+    assert Q2.element(half) == Q2.element(1) / Q2.element(2)
+    assert integer_coords((half, 1), 2) == ([1, 2], 2)
+    assert integer_coords(("1/2", 1), 2) == ([1, 2], 2)

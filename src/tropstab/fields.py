@@ -149,6 +149,13 @@ def _pscale(a, s, p):
     return tuple((c * s) % p for c in a)
 
 
+def _exact(value, read, what: str):
+    """read(value), refusing a float: its binary value is not what was meant."""
+    if isinstance(value, float):
+        raise InputError(f"a float {what} is not exact")
+    return read(value)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A discretely valued field: kind "Qp" or "FpT", residue characteristic p."""
@@ -190,14 +197,14 @@ class FieldSpec:
             raise DomainError("polynomials only exist over the rational function field")
         if isinstance(coeffs, dict):
             if coeffs:
-                degree = max(int(d) for d in coeffs)
+                degree = max(_exact(d, int, "degree") for d in coeffs)
                 dense = [0] * (degree + 1)
                 for d, c in coeffs.items():
-                    dense[int(d)] = int(c) % self.p
+                    dense[int(d)] = _exact(c, int, "coefficient") % self.p
             else:
                 dense = []
         else:
-            dense = [int(c) % self.p for c in coeffs]
+            dense = [_exact(c, int, "coefficient") % self.p for c in coeffs]
         return FpTElement(self, _trim(dense), (1,))
 
     def zero(self) -> "FieldElement":

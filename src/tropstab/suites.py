@@ -493,10 +493,13 @@ def run_hypersurface(rep: str, p: int, seed: int, n: int | None = None,
 # ----------------------------------------------------------------------
 # Schur evaluations
 
+#: The 40 distinct nonzero values num/den, |num| <= 9 and den <= 3, sorted.
+_VALUE_POOL = sorted({Fraction(num, den) for num in range(-9, 10) for den in (1, 2, 3)
+                      if num != 0})
+
+
 def _distinct_values(rng, n):
-    pool = sorted({Fraction(num, den) for num in range(-9, 10) for den in (1, 2, 3)
-                   if num != 0})
-    return tuple(rng.sample(pool, n))
+    return tuple(rng.sample(_VALUE_POOL, n))
 
 
 def run_schur(seed: int, inputs: int = 50, max_size: int = 6, max_rank: int = 4,

@@ -3,11 +3,11 @@
 A WeightedCharacter is a finite map from integer weight vectors to
 multiplicities.  From it we compute the dominance cone of each extreme
 weight, the complete fan of such cones, the vertex set of the weight
-polytope (by exact linear feasibility), and membership in the tropical
-hypersurface cut out by the character, whose locus coincides with the
-codimension-one skeleton of the fan.  Schur polynomials are evaluated by
-two independent routes: semistandard tableau enumeration and the
-bialternant determinant ratio.
+polytope (by exact integer certificates, and linear feasibility where
+they say nothing), and membership in the tropical hypersurface cut out by
+the character, whose locus coincides with the codimension-one skeleton of
+the fan.  Schur polynomials are evaluated by two independent routes:
+semistandard tableau enumeration and the bialternant determinant ratio.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (DimensionMismatchError, InputError, NotAVertexError,
                      RepeatedValuesError, TooManyPartsError,
                      TypeMismatchError, WeightMismatchError)
 from .feasibility import _primitive_vector, strictly_feasible
-from .fields import FieldSpec, int_valuation
+from .fields import FieldSpec, _exact, int_valuation
 from .matrices import _eliminate
 from .tropical import NEG_INF, _scaled_int_vector, trop_vector
 
@@ -45,7 +45,7 @@ def _weyl_signs(group: str) -> tuple:
 
 def as_partition(lam) -> tuple:
     """Validate and normalize a partition: weakly decreasing, trailing zeros dropped."""
-    t = tuple(int(a) for a in lam)
+    t = tuple(_exact(a, int, "partition part") for a in lam)
     if any(a < 0 for a in t):
         raise InputError("partition parts must be nonnegative")
     if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
@@ -62,7 +62,7 @@ def kostka_number(lam, mu) -> int:
     increase, letter i is used exactly mu_i times.
     """
     lam = as_partition(lam)
-    mu = tuple(int(m) for m in mu)
+    mu = tuple(_exact(m, int, "content entry") for m in mu)
     if any(m < 0 for m in mu):
         raise InputError("content entries must be nonnegative")
     if sum(lam) != sum(mu):
@@ -132,10 +132,10 @@ class WeightedCharacter:
             raise InputError(f"unknown group tag {group!r}")
         mp = {}
         for mu, c in dict(multiplicities).items():
-            mu = tuple(int(a) for a in mu)
+            mu = tuple(_exact(a, int, "weight entry") for a in mu)
             if len(mu) != rank:
                 raise InputError("weight length does not match the rank")
-            c = int(c)
+            c = _exact(c, int, "multiplicity")
             if c < 1:
                 raise InputError("multiplicities must be positive")
             mp[mu] = c
@@ -217,13 +217,19 @@ def sl_partition_character(lam, n: int) -> WeightedCharacter:
     return _partition_character(lam, n)
 
 
+def _schur_input(lam, z) -> tuple:
+    """The partition and the exact evaluation point, checked for length."""
+    lam = as_partition(lam)
+    zs = tuple(_exact(v, Fraction, "evaluation value") for v in z)
+    if len(lam) > len(zs):
+        raise TooManyPartsError("partition has more parts than variables")
+    return lam, zs
+
+
 def schur_eval_tableaux(lam, z: Sequence) -> Fraction:
     """Schur polynomial value as the content-generating sum over tableaux."""
-    lam = as_partition(lam)
-    zs = tuple(Fraction(v) for v in z)
+    lam, zs = _schur_input(lam, z)
     n = len(zs)
-    if len(lam) > n:
-        raise TooManyPartsError("partition has more parts than variables")
     if not lam:
         return Fraction(1)
     total = Fraction(0)
@@ -238,11 +244,8 @@ def schur_eval_tableaux(lam, z: Sequence) -> Fraction:
 
 def schur_eval_bialternant(lam, z: Sequence) -> Fraction:
     """Schur polynomial value as a ratio of alternant determinants."""
-    lam = as_partition(lam)
-    zs = tuple(Fraction(v) for v in z)
+    lam, zs = _schur_input(lam, z)
     n = len(zs)
-    if len(lam) > n:
-        raise TooManyPartsError("partition has more parts than variables")
     if len(set(zs)) != n:
         raise RepeatedValuesError("bialternant requires pairwise distinct values")
     if n == 0:
@@ -322,7 +325,7 @@ class Cone:
 
     def contains(self, coords) -> bool:
         """Decided on a positive integer multiple of the rational point coords."""
-        xi, _ = _scaled_int_vector(coords)
+        xi, _ = _cleared(coords)
         return all(sum(map(mul, f, xi)) >= 0 for f in self.functionals)
 
 
@@ -344,6 +347,14 @@ class Fan:
         return len(self.maximal_cones)
 
 
+def _cleared(x):
+    """(xi, scale) with xi = scale * x integral: a vector of plain ints is
+    its own multiple, any other goes through _scaled_int_vector."""
+    if set(map(type, x)) == {int}:
+        return list(x), 1
+    return _scaled_int_vector(x)
+
+
 def integer_coords(x, rank: int):
     """(xi, scale) with xi = scale * x integral and scale > 0, for a
     sequence x of integers and rationals."""
@@ -352,7 +363,7 @@ def integer_coords(x, rank: int):
         raise InputError("finite coordinates required")
     if len(cs) != rank:
         raise DimensionMismatchError("point dimension does not match the rank")
-    return _scaled_int_vector(cs)
+    return _cleared(cs)
 
 
 def weight_eval(mu, coords):
@@ -413,13 +424,25 @@ def weight_fan(char: WeightedCharacter) -> Fan:
 
 
 def polytope_vertices(char: WeightedCharacter) -> frozenset:
-    """Weights exposed by some linear functional, by strict feasibility."""
+    """Weights exposed by some linear functional.  Two integer certificates
+    decide mu where they can: f = N*mu - S, for S the sum of the N weights,
+    exposes it, or it is the midpoint of two other weights; strict
+    feasibility of the rows mu - nu decides the rest."""
     if char._vertices is None:
         verts = []
         ws = char.weights
-        for mu in ws:
-            rows = [tuple(a - b for a, b in zip(mu, nu)) for nu in ws if nu != mu]
-            if strictly_feasible(rows):
+        total = [sum(c) for c in zip(*ws)]
+        for i, mu in enumerate(ws):
+            f = [len(ws) * a - s for a, s in zip(mu, total)]
+            vals = [sum(map(mul, f, nu)) for nu in ws]
+            top = vals[i]
+            if max(vals) == top and vals.count(top) == 1:
+                verts.append(mu)
+                continue
+            others = [nu for nu in ws if nu != mu]
+            if any(tuple(2 * a - b for a, b in zip(mu, nu)) in char._map for nu in others):
+                continue
+            if strictly_feasible([tuple(a - b for a, b in zip(mu, nu)) for nu in others]):
                 verts.append(mu)
         char._vertices = frozenset(verts)
     return char._vertices
@@ -427,7 +450,7 @@ def polytope_vertices(char: WeightedCharacter) -> frozenset:
 
 def normal_cone_member(char: WeightedCharacter, mu, x) -> bool:
     """Is x in the normal cone of the given polytope vertex?"""
-    mu = tuple(int(a) for a in mu)
+    mu = tuple(a if type(a) is int else _exact(a, int, "vertex entry") for a in mu)
     if mu not in polytope_vertices(char):
         raise NotAVertexError(f"{mu} is not a vertex of the weight polytope")
     xi, _ = integer_coords(x, char.rank)

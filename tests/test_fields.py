@@ -199,6 +199,16 @@ def test_fpt_normalization_is_canonical():
     assert (t + 1) - 1 == t
 
 
+def test_polynomial_refuses_floats():
+    # int() would truncate: [0.5, 1.7] was read as T and {0: 2.9} as 2
+    for coeffs in ([0.5, 1.7], {0: 2.9}, {1.0: 1}, (1, 2.0)):
+        with pytest.raises(InputError, match="not exact"):
+            F3T.polynomial(coeffs)
+    t = F3T.uniformizer()
+    assert F3T.polynomial([0, 1]) == t and F3T.polynomial({1: 4, 0: Fraction(3)}) == t
+    assert F3T.polynomial({2: True}) == t * t
+
+
 def test_cross_field_operations_rejected():
     with pytest.raises(ValueError):
         Q2.element(1) + Q3.element(1)

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropstab.errors import (NotAVertexError, RepeatedValuesError,
+from tropstab import weights
+from tropstab.errors import (InputError, NotAVertexError, RepeatedValuesError,
                              TooManyPartsError, TypeMismatchError,
                              WeightMismatchError)
 from tropstab.feasibility import _primitive_vector, strictly_feasible
 from tropstab.fields import FieldSpec
+from tropstab.tropical import NEG_INF
 from tropstab.weights import (GROUP_SL, GROUP_SP, WeightedCharacter,
-                              WeylElement, dominance_cone,
-                              dominant_weight, kostka_number,
+                              WeylElement, as_partition, dominance_cone,
+                              dominant_weight, integer_coords, kostka_number,
                               normal_cone_member, partitions_of,
                               polytope_vertices, schur_eval,
                               schur_eval_bialternant, schur_eval_tableaux,
@@ -287,6 +289,54 @@ def test_vertices_are_weyl_orbit():
         assert polytope_vertices(char) == orbit
 
 
+def _feasibility_vertices(ws):
+    """The definition: mu is a vertex when the rows mu - nu, nu != mu, are
+    strictly feasible."""
+    return frozenset(mu for mu in ws if strictly_feasible(
+        [tuple(a - b for a, b in zip(mu, nu)) for nu in ws if nu != mu]))
+
+
+def _counted_vertices(monkeypatch, ws):
+    """polytope_vertices of a fresh character on ws, and the rows of every
+    strict feasibility call it made."""
+    calls = []
+    monkeypatch.setattr(weights, "strictly_feasible",
+                        lambda rows: calls.append(rows) or strictly_feasible(rows))
+    char = WeightedCharacter(GROUP_SL, len(ws[0]), {mu: 1 for mu in ws})
+    return polytope_vertices(char), calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.sets(
+    st.tuples(*[st.integers(-3, 3)] * r), min_size=1, max_size=9)))
+def test_vertices_match_feasibility_definition(ws):
+    char = WeightedCharacter(GROUP_SL, len(next(iter(ws))), {mu: 1 for mu in ws})
+    assert polytope_vertices(char) == _feasibility_vertices(char.weights)
+
+
+def test_vertex_certificates_each_branch(monkeypatch):
+    # (1, 1) is inside the triangle, neither exposed nor a midpoint: only
+    # elimination decides it; the corners are exposed by N*mu - S
+    verts, calls = _counted_vertices(monkeypatch, [(0, 0), (3, 0), (0, 3), (1, 1)])
+    assert verts == frozenset({(0, 0), (3, 0), (0, 3)})
+    assert calls == [[(1, 1), (1, -2), (-2, 1)]]
+    # (1,) is the midpoint of (0,) and (2,), and f = 3*(1,) - (3,) is zero
+    verts, calls = _counted_vertices(monkeypatch, [(0,), (1,), (2,)])
+    assert verts == frozenset({(0,), (2,)}) and calls == []
+    # (0, 2) is a vertex that N*mu - S = (-1, 2) does not expose: (1, 3) scores more
+    verts, calls = _counted_vertices(monkeypatch, [(0, 0), (0, 1), (0, 2), (1, 3)])
+    assert verts == frozenset({(0, 0), (0, 2), (1, 3)})
+    assert calls == [[(0, 2), (0, 1), (-1, -1)]]
+    assert _counted_vertices(monkeypatch, [(4, -1)]) == (frozenset({(4, -1)}), [])
+
+
+def test_weyl_characters_need_no_elimination(monkeypatch):
+    for char, count in ((sl_partition_character((3, 2, 1), 5), 60),
+                        (sp_standard_character(3), 6), (sl_identity_character(4), 4)):
+        verts, calls = _counted_vertices(monkeypatch, char.weights)
+        assert len(verts) == count and calls == []
+
+
 def test_normal_cone_member():
     char = sl_identity_character(3)
     assert normal_cone_member(char, (1, 0, 0), (2, 0, -2))
@@ -307,6 +357,47 @@ def test_cone_membership_equals_normal_cone():
                       for _ in range(char.rank))
             for fc in fan.maximal_cones:
                 assert fc.cone.contains(x) == normal_cone_member(char, fc.vertex, x)
+
+
+def test_weight_readers_refuse_floats():
+    # a float carries its binary value, which is not the number it was written as
+    identity = sl_identity_character(2)
+    for read in (lambda: schur_eval_tableaux((1,), (0.1, 0.2)),
+                 lambda: schur_eval_bialternant((1,), (Fraction(1, 10), 0.2)),
+                 lambda: schur_eval((1,), (0.1, 0.2)),
+                 lambda: WeightedCharacter(GROUP_SL, 2, {(0.5, 1): 1}),
+                 lambda: WeightedCharacter(GROUP_SL, 2, {(0, 1): 1.9}),
+                 lambda: as_partition((2.7, 1)),
+                 lambda: sl_partition_character((2.0, 1), 3),
+                 lambda: kostka_number((2, 1), (2.0, 1)),
+                 lambda: normal_cone_member(identity, (1.2, 0), (0, 0))):
+        with pytest.raises(InputError, match="not exact"):
+            read()
+    assert as_partition(("2", Fraction(1), 0)) == (2, 1)
+    assert schur_eval((1,), ("1/10", Fraction(1, 5))) == Fraction(3, 10)
+    assert WeightedCharacter(GROUP_SL, 2, {(True, 0): Fraction(2)}).items() == (((1, 0), 2),)
+    assert normal_cone_member(identity, [Fraction(1), 0], (1, 0))
+
+
+_COORD = st.one_of(st.integers(-6, 6), st.booleans(),
+                   st.fractions(min_value=-6, max_value=6, max_denominator=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COORD, min_size=3, max_size=3))
+def test_integer_points_are_not_rescaled(xs):
+    exact = [Fraction(x) for x in xs]
+    for char in (sl_partition_character((2, 1, 0), 3), sp_standard_character(3)):
+        for fc in weight_fan(char).maximal_cones:
+            assert fc.cone.contains(xs) == fc.cone.contains(exact)
+    xi, scale = integer_coords(xs, 3)
+    assert type(xi) is list and scale >= 1
+    assert xi == [scale * x for x in exact] and all(type(c) is int for c in xi)
+    if all(type(x) is int for x in xs):
+        assert (xi, scale) == (xs, 1)
+    for bad in ((NEG_INF,) + tuple(xs[1:]), tuple(xs[:2]) + (0.5,)):
+        with pytest.raises(InputError):
+            integer_coords(bad, 3)
 
 
 # ----------------------------------------------------------------------

@@ -212,6 +212,11 @@ def _cmd_stabilize(args) -> int:
     coords = point_from_json(point_payload)
     boundary = args.boundary or any(c is NEG_INF for c in coords)
 
+    if len(matrices) > 1:
+        # composed_image eliminates each factor anyway; the product then
+        # records det = ∏ det mᵢ and is never eliminated itself
+        for m in matrices:
+            m.determinant()
     product = matrices[0]
     for m in matrices[1:]:
         product = product * m

@@ -116,9 +116,20 @@ def _pdivmod(a, b, p):
     return _trim(q), _trim(rem)
 
 
+def _is_tpower(a):
+    """Is a the monomial T^k, for some k >= 0?"""
+    return a and a[-1] == 1 and a.count(0) == len(a) - 1
+
+
 def _pgcd(a, b, p):
     """The gcd scaled so that its lowest nonzero coefficient is 1; dividing by
-    it keeps the lowest coefficient of a normalised denominator at 1."""
+    it keeps the lowest coefficient of a normalised denominator at 1.
+    Against T^k it is T^min(ord, k), with no division."""
+    if _is_tpower(b):
+        a, b = b, a
+    if _is_tpower(a):
+        k = _pord(b)
+        return a if k is None or k >= len(a) - 1 else (0,) * k + (1,)
     while b:
         a, b = b, _pdivmod(a, b, p)[1]
     if a:
@@ -127,8 +138,8 @@ def _pgcd(a, b, p):
 
 
 def _pquo(a, b, p):
-    """The exact quotient a / b."""
-    return a if b == (1,) else _pdivmod(a, b, p)[0]
+    """The exact quotient a / b; by T^k it is a shift."""
+    return a[len(b) - 1:] if _is_tpower(b) else _pdivmod(a, b, p)[0]
 
 
 def _normalised(num, den, p):
@@ -150,10 +161,14 @@ def _pscale(a, s, p):
 
 
 def _exact(value, read, what: str):
-    """read(value), refusing a float: its binary value is not what was meant."""
+    """read(value), refusing a float, whose binary value is not what was
+    meant, and an int read that would truncate a rational."""
     if isinstance(value, float):
         raise InputError(f"a float {what} is not exact")
-    return read(value)
+    out = read(value)
+    if read is int and not isinstance(value, str) and out != value:
+        raise InputError(f"{what} {value} is not an integer")
+    return out
 
 
 @dataclass(frozen=True)
@@ -196,13 +211,12 @@ class FieldSpec:
         if self.kind != "FpT":
             raise DomainError("polynomials only exist over the rational function field")
         if isinstance(coeffs, dict):
-            if coeffs:
-                degree = max(_exact(d, int, "degree") for d in coeffs)
-                dense = [0] * (degree + 1)
-                for d, c in coeffs.items():
-                    dense[int(d)] = _exact(c, int, "coefficient") % self.p
-            else:
-                dense = []
+            degrees = [_exact(d, int, "degree") for d in coeffs]
+            if any(d < 0 for d in degrees):
+                raise InputError(f"negative degree {min(degrees)} in a polynomial")
+            dense = [0] * (max(degrees, default=-1) + 1)
+            for d, c in zip(degrees, coeffs.values()):
+                dense[d] = _exact(c, int, "coefficient") % self.p
         else:
             dense = [_exact(c, int, "coefficient") % self.p for c in coeffs]
         return FpTElement(self, _trim(dense), (1,))
@@ -327,6 +341,8 @@ class QpElement(FieldElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.num or not o.num:
+            return self if not o.num else o
         # as Fraction._add: a common factor of t and s * db divides g
         na, da, nb, db = self.num, self.den, o.num, o.den
         g = math.gcd(da, db)
@@ -339,8 +355,10 @@ class QpElement(FieldElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # as Fraction._mul: cancel across, and the products are coprime
         na, da, nb, db = self.num, self.den, o.num, o.den
+        if na == da or nb == db:  # a reduced pair is 1 exactly when num == den
+            return o if na == da else self
+        # as Fraction._mul: cancel across, and the products are coprime
         g1 = math.gcd(na, db)
         g2 = math.gcd(nb, da)
         return QpElement(self.spec, (na // g1) * (nb // g2), (da // g2) * (db // g1))
@@ -417,6 +435,8 @@ class FpTElement(FieldElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.num or not o.num:
+            return self if not o.num else o
         # as Fraction._add: a common factor of t and s * db divides g, so
         # there is no second gcd when g is 1
         p = self.spec.p
@@ -432,9 +452,11 @@ class FpTElement(FieldElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        na, da, nb, db = self.num, self.den, o.num, o.den
+        if na == da or nb == db:
+            return o if na == da else self
         # as Fraction._mul: cancel across, and the products are coprime
         p = self.spec.p
-        na, da, nb, db = self.num, self.den, o.num, o.den
         g1 = db if db == (1,) else _pgcd(na, db, p)
         g2 = da if da == (1,) else _pgcd(nb, da, p)
         return FpTElement._reduced(self.spec, _pmul(_pquo(na, g1, p), _pquo(nb, g2, p), p),

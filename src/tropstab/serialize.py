@@ -22,6 +22,10 @@ from .weights import Fan, canonical_weight
 #: time at every multiplication.
 MAX_DEGREE = 1000
 
+#: The largest rank a matrix payload may have: 2 * 32, the size of the
+#: largest matrix that `verify --suite sp --n 32` builds.
+MAX_MATRIX_RANK = 64
+
 
 def fraction_to_str(q: Fraction) -> str:
     q = Fraction(q)
@@ -103,6 +107,8 @@ def matrix_to_json(m: FieldMatrix):
 def matrix_from_json(spec: FieldSpec, data) -> FieldMatrix:
     if not isinstance(data, list) or not data:
         raise InputError("matrix payload must be a nonempty array of rows")
+    if len(data) > MAX_MATRIX_RANK:
+        raise InputError(f"matrix payload of rank above {MAX_MATRIX_RANK}")
     if any(not isinstance(row, list) or len(row) != len(data) for row in data):
         raise InputError("matrix payload must be a square array of arrays")
     return FieldMatrix(spec, [[element_from_json(spec, e) for e in row] for row in data])

@@ -10,7 +10,10 @@ A Q_p element is a pair of ints in lowest terms, the denominator
 positive; `.value` gives the Fraction.  An F_p(T) element is a pair of
 little-endian coefficient tuples in lowest terms, the denominator 1 at its
 lowest nonzero degree.  Both combine as Fraction combines its pairs, with a
-gcd only where a factor can cancel.  Each FieldSpec builds 0 and 1 once.
+gcd only where a factor can cancel.  Against a power T^k the gcd is
+T^min(ord, k) and the exact quotient a shift, with no Euclid's algorithm;
+a sum with a 0 operand and a product with a 1 operand return the other
+operand.  Each FieldSpec builds 0 and 1 once.
 """
 
 from __future__ import annotations

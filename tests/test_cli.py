@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tropstab import matrices
 from tropstab.cli import _expected_cone_count, main
 
 
@@ -192,9 +193,26 @@ def test_bad_parameters_exit_2(capsys, argv):
     assert lines and all(line.startswith("error: ") for line in lines)
 
 
+#: Determinant-one factors over Q_3 and over F_3(T), dense once multiplied;
+#: payloads without spaces, so that a command string splits into its words.
+_Q3_FACTORS = ('[["1","3","1/9"],["0","1","2"],["0","0","1"]]',
+               '[["1","0","0"],["1/3","1","0"],["5","2/9","1"]]',
+               '[["3","0","0"],["0","1/3","0"],["0","0","1"]]')
+_FPT_FACTORS = (
+    '[["1",{"num":{"0":1},"den":{"1":1}},{"num":{"1":2}}],["0","1",{"num":{"2":1,"0":1}}],'
+    '["0","0","1"]]',
+    '[["1","0","0"],[{"num":{"0":2},"den":{"2":1}},"1","0"],'
+    '[{"num":{"1":1}},{"num":{"0":1,"1":1},"den":{"1":1}},"1"]]',
+    '[[{"num":{"1":1}},"0","0"],["0",{"num":{"0":1},"den":{"1":1}},"0"],["0","0","1"]]')
+
+
+def _factors_payload(factors):
+    return "[" + ",".join(factors) + "]"
+
+
 #: sha256 of the stdout of commands whose bytes no report digest covers:
-#: the hypersurface samples, the fan and overlay figures, a fan, and the
-#: README's hypersurface suite run through verify.
+#: the hypersurface samples, the fan and overlay figures, a fan, the
+#: README's hypersurface suite run through verify, and a product of factors.
 COMMAND_DIGESTS = [
     ("hypersurface --rep identity --n 3 --sample 200 --seed 11 --p 3",
      "cbbff96df0d8765b4177ec68c6a950bb57700712471f22fdf2f75eb011ed81aa"),
@@ -218,6 +236,10 @@ COMMAND_DIGESTS = [
     # dense 64 x 64 symplectic words: products, inverses and Weyl conjugates
     ("verify --suite sp --n 32 --seed 1 --count 1",
      "92c9c836d41948dd3e9cf4b5df5dcd523210365f521c08dd004e263711845882"),
+    # three F_3(T) factors with T-power denominators: product and composed images
+    ("stabilize --field fpt --p 3 --matrix " + _factors_payload(_FPT_FACTORS)
+     + ' --point ["0","1/2","-1"]',
+     "e322f44da862798f0f844b28f1049283f80cb1315f922870638f0b59c66d1809"),
 ]
 
 
@@ -419,13 +441,65 @@ def test_stabilize_symplectic_group(capsys):
 def test_stabilize_symplectic_group_checks_the_form_first(capsys):
     # a non-symplectic matrix fails the form check before it is tropicalized
     # or the point is read as a boundary point
+    # a singular factor of a product likewise
     for matrix, point in (('[["1","1"],["1","1"]]', '["0"]'),
                           ('[["1","1"],["1","1"]]', '["0","-inf"]'),
-                          ('[["2","0"],["0","1"]]', '["-inf","-inf"]')):
+                          ('[["2","0"],["0","1"]]', '["-inf","-inf"]'),
+                          ('[[["1","1"],["1","1"]],[["1","0"],["0","1"]]]', '["0"]')):
         code, out, err = run_cli(capsys, "stabilize", "--group", "sp2n",
                                  "--matrix", matrix, "--point", point)
         assert (code, out) == (3, "")
         assert err == "error: matrix does not preserve the symplectic form\n"
+
+
+@pytest.mark.parametrize("field,factors", [
+    ("qp", _Q3_FACTORS[:2]), ("qp", _Q3_FACTORS), ("fpt", _FPT_FACTORS[:2]),
+    ("fpt", _FPT_FACTORS)], ids=["q3-two", "q3-three", "f3t-two", "f3t-three"])
+def test_stabilize_eliminates_each_factor_and_not_the_product(capsys, monkeypatch,
+                                                              field, factors):
+    # the product's determinant is the product of the factors' ones, which
+    # the composed image needs anyway
+    calls = []
+
+    def counted(rows, zero):
+        calls.append(len(rows))
+        return eliminate(rows, zero)
+
+    eliminate = matrices._eliminate
+    monkeypatch.setattr(matrices, "_eliminate", counted)
+    code, doc = run_json(capsys, "stabilize", "--field", field, "--p", "3",
+                         "--matrix", _factors_payload(factors),
+                         "--point", '["0","1/2","-1"]')
+    assert code == 0 and doc["product_image"] == doc["image"]
+    assert calls == [3] * len(factors)
+
+
+def test_stabilize_reads_the_determinant_of_the_product(capsys):
+    # det 2 times det 1/2: each factor alone is refused, the product is not
+    two, half = '[["2","1"],["0","1"]]', '[["1/2","0"],["5","1"]]'
+    for factor in (two, half):
+        code, out, err = run_cli(capsys, "stabilize", "--field", "qp", "--p", "3",
+                                 "--matrix", factor, "--point", '["0","0"]')
+        assert code == 3 and err == "error: determinant-one matrix required\n"
+    code, doc = run_json(capsys, "stabilize", "--field", "qp", "--p", "3",
+                         "--matrix", f"[{two},{half}]", "--point", '["0","0"]')
+    assert code == 0 and doc["tropicalized"] == [["-1", "0"], ["0", "0"]]
+
+
+def test_matrix_payload_rank_is_bounded(capsys):
+    # 64 = 2 * 32, the largest matrix that verify --suite sp --n 32 builds
+    def identity(n):
+        return json.dumps([["1" if i == j else "0" for j in range(n)] for i in range(n)])
+
+    for n, want in ((64, 0), (65, 2)):
+        point = json.dumps(["0"] + ["-inf"] * (n - 1))
+        for command in ("stabilize", "boundary-stabilize"):
+            code, out, err = run_cli(capsys, command, "--matrix", identity(n),
+                                     "--point", point)
+            assert code == want, err
+            assert (out == "") == (want == 2)
+            if want == 2:
+                assert err == "error: matrix payload of rank above 64\n"
 
 
 def test_verify_sp_and_parahoric_and_schur(capsys):

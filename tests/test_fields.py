@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropstab.errors import DivisionByZeroError, DomainError, InputError
-from tropstab.fields import (INF, FieldSpec, FpTElement, _padd, _pgcd, _pmul, _pneg,
-                             _pord, int_valuation, is_prime)
+from tropstab.fields import (INF, FieldSpec, FpTElement, _padd, _pdivmod, _pgcd, _pmul,
+                             _pneg, _pord, _pquo, _pscale, _trim, int_valuation,
+                             is_prime)
 from tropstab.matrices import FieldMatrix
 
 Q2 = FieldSpec("Qp", 2)
@@ -209,6 +210,18 @@ def test_polynomial_refuses_floats():
     assert F3T.polynomial({2: True}) == t * t
 
 
+def test_polynomial_refuses_negative_degrees():
+    # a negative degree was a Python index: {2: 1, -1: 1} was read as T^2
+    for coeffs in ({2: 1, -1: 1}, {-1: 1}, {"-3": 2}):
+        with pytest.raises(InputError, match="negative degree"):
+            F3T.polynomial(coeffs)
+    with pytest.raises(InputError, match="not an integer"):
+        F3T.polynomial({Fraction(3, 2): 1})
+    t = F3T.uniformizer()
+    assert F3T.polynomial({}) == F3T.zero()
+    assert F3T.polynomial({"2": 1, 0: "2"}) == t * t + 2
+
+
 def test_cross_field_operations_rejected():
     with pytest.raises(ValueError):
         Q2.element(1) + Q3.element(1)
@@ -246,12 +259,18 @@ def _residue(q, p):
 
 @settings(max_examples=150)
 @given(p=st.sampled_from([2, 3, 5, 7]), a=rationals, b=rationals,
-       k=st.integers(min_value=-5, max_value=5))
-def test_qp_pairs_match_fraction_arithmetic(p, a, b, k):
+       k=st.integers(min_value=-5, max_value=5), m=st.integers(min_value=-50, max_value=50),
+       j=st.integers(min_value=0, max_value=4))
+def test_qp_pairs_match_fraction_arithmetic(p, a, b, k, m, j):
     spec = FieldSpec("Qp", p)
     x, y = spec.element(a), spec.element(b)
+    # c has a power of p as its denominator, as sampler elements do
+    c = Fraction(m, p ** j)
+    z, zero, one = spec.element(c), spec.zero(), spec.one()
     cases = [(x, a), (y, b), (x + y, a + b), (x - y, a - b), (x * y, a * b),
-             (-x, -a), (x + 1, a + 1), (2 * y, 2 * b), (1 - x, 1 - a)]
+             (-x, -a), (x + 1, a + 1), (2 * y, 2 * b), (1 - x, 1 - a),
+             (x + z, a + c), (z * y, c * b), (z - z, 0), (x + zero, a), (zero + z, c),
+             (0 + x, a), (x * one, a), (one * z, c), (1 * x, a), (one * zero, 0)]
     if b:
         cases += [(x / y, a / b), (y.inv(), 1 / b)]
     else:
@@ -307,6 +326,39 @@ def test_fpt_polynomial_products_skip_the_gcd_alike(p, data):
         assert (padded.num, padded.den) == (product.num, product.den)
 
 
+def _euclid_gcd(a, b, p):
+    """Reference gcd by Euclid's algorithm, scaled to lowest coefficient 1."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    return _pscale(a, pow(a[_pord(a)], -1, p), p) if a else a
+
+
+def _euclid_reduced(num, den, p):
+    """Reference lowest terms of num / den, den scaled to lowest coefficient 1."""
+    num, den = _trim(num), _trim(den)
+    g = _euclid_gcd(num, den, p)
+    num, den = _pdivmod(num, g, p)[0], _pdivmod(den, g, p)[0]
+    unit = pow(den[_pord(den)], -1, p)
+    return _pscale(num, unit, p), _pscale(den, unit, p)
+
+
+@settings(max_examples=200)
+@given(p=st.sampled_from([2, 3, 5]), data=st.data(), k=st.integers(min_value=0, max_value=6))
+def test_tpower_gcd_and_quotient_match_euclid(p, data, k):
+    # against T^k the gcd is T^min(ord a, k) and the quotient a shift, with
+    # no division; both must be what Euclid's algorithm gives
+    poly = st.lists(st.integers(min_value=0, max_value=p - 1), max_size=6).map(tuple)
+    shift = (0,) * data.draw(st.integers(min_value=0, max_value=6)) + (1,)
+    a = _pmul(data.draw(poly), shift, p)
+    tk = (0,) * k + (1,)
+    g = _euclid_gcd(a, tk, p)
+    assert _pgcd(a, tk, p) == _pgcd(tk, a, p) == g
+    for num, den in ((_pmul(a, tk, p), tk), (a, g), (tk, g)):
+        quotient, remainder = _pdivmod(num, den, p)
+        assert remainder == () and _pquo(num, den, p) == quotient
+
+
 def _ppow(a, k, p):
     out = (1,)
     for _ in range(k):
@@ -329,10 +381,26 @@ def test_fpt_pairs_match_cross_multiplied_arithmetic(p, data, k):
     an, bn = _pmul(data.draw(poly), e, p), data.draw(poly)
     ad, bd = _pmul(data.draw(nonzero), c, p), _pmul(_pmul(data.draw(nonzero), c, p), e, p)
     x, y = FpTElement(spec, an, ad), FpTElement(spec, bn, bd)
-    cases = [(x + y, _padd(_pmul(an, bd, p), _pmul(bn, ad, p), p), _pmul(ad, bd, p)),
+    # Laurent pairs u / T^j, as payload entries and sampler elements are
+    ln, ld = data.draw(poly), (0,) * data.draw(st.integers(0, 3)) + (1,)
+    mn, md = data.draw(poly), (0,) * data.draw(st.integers(0, 3)) + (1,)
+    u, w = FpTElement(spec, ln, ld), FpTElement(spec, mn, md)
+    zero, one = spec.zero(), spec.one()
+
+    def add(n1, d1, n2, d2):
+        return _padd(_pmul(n1, d2, p), _pmul(n2, d1, p), p), _pmul(d1, d2, p)
+
+    def mul(n1, d1, n2, d2):
+        return _pmul(n1, n2, p), _pmul(d1, d2, p)
+
+    cases = [(x + y, *add(an, ad, bn, bd)),
              (x - y, _padd(_pmul(an, bd, p), _pneg(_pmul(bn, ad, p), p), p), _pmul(ad, bd, p)),
-             (x * y, _pmul(an, bn, p), _pmul(ad, bd, p)),
-             (-x, _pneg(an, p), ad), (x + 1, _padd(an, ad, p), ad)]
+             (x * y, *mul(an, ad, bn, bd)),
+             (-x, _pneg(an, p), ad), (x + 1, _padd(an, ad, p), ad),
+             (u + w, *add(ln, ld, mn, md)), (u * w, *mul(ln, ld, mn, md)),
+             (x + u, *add(an, ad, ln, ld)), (u * x, *mul(ln, ld, an, ad)),
+             (u - u, (), ld), (x + zero, an, ad), (zero + u, ln, ld), (0 + x, an, ad),
+             (x * one, an, ad), (one * u, ln, ld), (1 * x, an, ad), (one * zero, (), (1,))]
     if any(bn):
         cases += [(x / y, _pmul(an, bd, p), _pmul(ad, bn, p)), (y.inv(), bd, bn)]
     else:
@@ -344,6 +412,6 @@ def test_fpt_pairs_match_cross_multiplied_arithmetic(p, data, k):
         cases.append((x ** k, _ppow(num, abs(k), p), _ppow(den, abs(k), p)))
     for got, num, den in cases:
         want = FpTElement(spec, num, den)
-        assert (got.num, got.den) == (want.num, want.den)
+        assert (got.num, got.den) == (want.num, want.den) == _euclid_reduced(num, den, p)
         assert got == want and hash(got) == hash(want)
         assert got.den[_pord(got.den)] == 1 and _pgcd(got.num, got.den, p) == (1,)

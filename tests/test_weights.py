@@ -379,6 +379,22 @@ def test_weight_readers_refuse_floats():
     assert normal_cone_member(identity, [Fraction(1), 0], (1, 0))
 
 
+def test_weight_readers_refuse_non_integral_rationals():
+    # int() would truncate: (5/2, 1) was read as (2, 1), the weight (1/2, 1)
+    # as (0, 1) with multiplicity 1, and the vertex (3/2, 0) as (1, 0)
+    identity = sl_identity_character(2)
+    for read in (lambda: as_partition((Fraction(5, 2), 1)),
+                 lambda: WeightedCharacter(GROUP_SL, 2, {(Fraction(1, 2), 1): 1}),
+                 lambda: WeightedCharacter(GROUP_SL, 2, {(0, 1): Fraction(3, 2)}),
+                 lambda: normal_cone_member(identity, (Fraction(3, 2), 0), (0, 0))):
+        with pytest.raises(InputError, match="not an integer"):
+            read()
+    assert as_partition((Fraction(4, 2), True, "1")) == (2, 1, 1)
+    assert WeightedCharacter(GROUP_SL, 2, {(Fraction(2, 2), "0"): Fraction(3)}).items() \
+        == (((1, 0), 3),)
+    assert normal_cone_member(identity, (Fraction(2, 2), 0), (1, 0))
+
+
 _COORD = st.one_of(st.integers(-6, 6), st.booleans(),
                    st.fractions(min_value=-6, max_value=6, max_denominator=4))
 

@@ -1,9 +1,11 @@
 """JSON encodings of field data, tropical data, points, and fans.
 
 Rationals travel as strings "a" or "a/b" in base ten; the bottom tropical
-element as "-inf".  Rational-function field elements are objects with
-degree-to-coefficient maps for numerator and denominator.  Matrices and
-vectors are nested arrays.
+element as "-inf".  The plain form -?[0-9]+(/[0-9]+)? is read with int();
+any other string goes to Fraction's parser, exponent notation refused.
+Rational-function field elements are objects with degree-to-coefficient
+maps for numerator and denominator; both are checked, made dense mod p and
+reduced once, as one pair.  Matrices and vectors are nested arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZeroError, InputError
-from .fields import FieldSpec, FpTElement, QpElement
+from .fields import FieldSpec, FpTElement, QpElement, _exact
 from .matrices import FieldMatrix
 from .tropical import NEG_INF
 from .weights import Fan, canonical_weight
@@ -28,6 +30,8 @@ MAX_MATRIX_RANK = 64
 
 
 def fraction_to_str(q: Fraction) -> str:
+    if type(q) is int:
+        return str(q)
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -39,7 +43,12 @@ def fraction_from_json(v) -> Fraction:
         return Fraction(v)
     # no exponent notation: "1e10000000" alone would buy unbounded work
     if isinstance(v, str) and "e" not in v.lower():
+        num, slash, den = v.partition("/")
         try:
+            # the plain form -?[0-9]+(/[0-9]+)? without the Fraction regex
+            if v.isascii() and num.removeprefix("-").isdigit() and (
+                    den.isdigit() or not slash):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational: {v!r}") from exc
@@ -62,7 +71,7 @@ def spec_to_json(spec: FieldSpec) -> dict:
 
 def spec_from_json(data) -> FieldSpec:
     try:
-        return FieldSpec(str(data["kind"]), int(data["p"]))
+        return FieldSpec(str(data["kind"]), _exact(data["p"], int, "residue characteristic"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid field description: {data!r}") from exc
 
@@ -78,6 +87,14 @@ def element_to_json(e):
     raise InputError(f"not a field element: {e!r}")
 
 
+def _dense(coeffs: dict, p: int) -> list:
+    """Low-to-high coefficients mod p of a checked {degree: int} map."""
+    dense = [0] * (max(coeffs, default=-1) + 1)
+    for d, c in coeffs.items():
+        dense[d] = c % p
+    return dense
+
+
 def element_from_json(spec: FieldSpec, v):
     try:
         if spec.kind == "Qp" or isinstance(v, (int, str)):
@@ -90,11 +107,12 @@ def element_from_json(spec: FieldSpec, v):
                 num, den = ({int(d): int(c) for d, c in m.items()} for m in maps)
             except (AttributeError, TypeError, ValueError) as exc:
                 raise InputError(f"invalid rational-function element: {v!r}") from exc
-            if any(d < 0 for d in (*num, *den)):
+            degrees = (*num, *den)
+            if min(degrees, default=0) < 0:
                 raise InputError(f"negative degree in rational-function element: {v!r}")
-            if any(d > MAX_DEGREE for d in (*num, *den)):
+            if max(degrees, default=0) > MAX_DEGREE:
                 raise InputError(f"degree above {MAX_DEGREE} in rational-function element")
-            return spec.polynomial(num) / spec.polynomial(den)
+            return FpTElement(spec, *(_dense(m, spec.p) for m in (num, den)))
     except DivisionByZeroError as exc:
         raise InputError(f"zero denominator modulo {spec.p}: {v!r}") from exc
     raise InputError(f"invalid element encoding: {v!r}")

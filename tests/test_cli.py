@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropstab import matrices
 from tropstab.cli import _expected_cone_count, main
@@ -240,6 +245,18 @@ COMMAND_DIGESTS = [
     ("stabilize --field fpt --p 3 --matrix " + _factors_payload(_FPT_FACTORS)
      + ' --point ["0","1/2","-1"]',
      "e322f44da862798f0f844b28f1049283f80cb1315f922870638f0b59c66d1809"),
+    # Q_3 entries in the forms only Fraction's own parser reads: " 1/2"
+    # (its space escaped as \u0020, since commands split on spaces), "+3",
+    # "0.5" and "1_0"
+    ('stabilize --field qp --p 3 --matrix [["\\u00201/2","+3","1_0"],["0","2","0.5"],'
+     '["0","0","1"]] --point ["0.5","+1","-1"]',
+     "d7a280a863994f7fc7eeb692b945473494d61e617f75b2aef30c2de77d6ab836"),
+    # F_3(T) entries with denominators 1 + T and 2, string coefficients, a
+    # leading-zero degree and a coefficient 3 that vanishes mod 3
+    ('stabilize --field fpt --p 3 --matrix [[{"num":{"0":"1"},"den":{"0":1,"1":"1"}},'
+     '{"num":{"01":"2","0":"3"},"den":{"0":"1","2":"1"}},"0"],["0",{"num":{"0":1,"1":1}},"0"],'
+     '[{"num":{"2":"-1"},"den":{"0":2}},"1","1"]] --point ["0","1/2","-1"]',
+     "5eb1b16cdeac166a0c816b720f0818b49758de40bcebe391c3cb1bfaa8fc2965"),
 ]
 
 
@@ -568,3 +585,56 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert len(doc["cones"]) == 3
+
+
+#: JSON leaves near the readers' edges: rationals and their refused forms,
+#: -inf, F_p(T) degree keys and coefficients.
+_json_leaves = (st.none() | st.booleans() | st.integers(min_value=-12, max_value=12)
+                | st.floats(allow_nan=False, width=16)
+                | st.sampled_from(("0", "1", "-1", "1/2", "-3/4", "3/0", "-inf", "1e3",
+                                   " 2", "+3", "0.5", "x", "", "9" * 4400))
+                | st.text(max_size=3))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(("num", "den", "0", "1", "01", "-1", "2000", "x")), inner, max_size=3),
+    max_leaves=16)
+_rationals = st.sampled_from(("0", "1", "-1", "1/2", "-3/4", "3", "1/9", "6"))
+
+
+def _fpt_entries(keys, coefficients):
+    return st.dictionaries(st.sampled_from(("num", "den")), st.dictionaries(
+        st.sampled_from(keys), coefficients, max_size=3))
+
+
+_entries = (_rationals | _fpt_entries(("0", "1", "2", "01"), st.integers(-4, 4))
+            | _json_leaves | _fpt_entries(("0", "1", "-1", "x", "2000"),
+                                          st.sampled_from((1, "2", "z", "3.0", True))))
+
+
+def _squares(entries, triangular):
+    """n x n arrays of entries; unit upper triangular ones have det 1, so
+    the query gets past the precondition checks."""
+    def square(n, flat):
+        return [["1" if triangular and i == j else "0" if triangular and i > j
+                 else flat[i * n + j] for j in range(n)] for i in range(n)]
+    return st.integers(min_value=1, max_value=3).flatmap(lambda n: st.lists(
+        entries, min_size=n * n, max_size=n * n).map(lambda flat: square(n, flat)))
+
+
+_matrices = _squares(_entries, False) | _squares(_rationals, True) | _squares(_entries, True)
+_payloads = _json_values | _matrices | st.lists(_matrices, min_size=1, max_size=3)
+_points = _json_values | st.lists(_rationals | st.just("-inf"), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(st.sampled_from(("stabilize", "boundary-stabilize")), st.sampled_from(("qp", "fpt")),
+       _payloads, _points)
+def test_payload_commands_exit_cleanly_on_any_json(command, field, matrix, point):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--field", field, "--p", "3",
+                     "--matrix=" + json.dumps(matrix), "--point=" + json.dumps(point)])
+    assert code in (0, 2, 3)
+    assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
+    assert (code == 0) == (err.getvalue() == "")

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropstab import errors, sampling
 from tropstab.apartment import ApartmentPoint
 from tropstab.feasibility import strictly_feasible
+from tropstab.errors import DivisionByZeroError
 from tropstab.fields import FieldSpec
 from tropstab.serialize import (MAX_DEGREE, InputError, element_from_json,
                                 element_to_json,
@@ -38,6 +41,39 @@ def test_fraction_strings():
         fraction_from_json("1" * 5001)
 
 
+def _parent_fraction_rule(text):
+    """The reader before its fast path, kept as the reference: Fraction(text)
+    behind the exponent guard, or None for an InputError."""
+    if "e" in text.lower():
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="0123456789\u0663-+/._ eE", max_size=10)
+       | st.sampled_from(("7" * 4301, "-" + "7" * 4301, "1/" + "3" * 4301,
+                          "1/0", "-0/5", "007/010", "\u0663/2", "\u00b2", "+", "-")))
+@example("1 / 2")
+@example(" -3 ")
+def test_fraction_from_json_matches_fraction_strings(text):
+    expected = _parent_fraction_rule(text)
+    if expected is None:
+        with pytest.raises(InputError, match="not a rational"):
+            fraction_from_json(text)
+    else:
+        got = fraction_from_json(text)
+        assert type(got) is Fraction and got == expected
+
+
+def test_fraction_to_str_prints_ints_and_fractions_alike():
+    for q in (0, -7, 12, 10 ** 30, True):
+        assert fraction_to_str(q) == fraction_to_str(Fraction(q))
+    assert fraction_to_str(Fraction(6, -4)) == "-3/2"
+
+
 def test_trop_scalar_round_trip():
     assert trop_to_json(NEG_INF) == "-inf"
     assert trop_from_json("-inf") is NEG_INF
@@ -49,6 +85,11 @@ def test_spec_round_trip():
         assert spec_from_json(spec_to_json(spec)) == spec
     with pytest.raises(InputError):
         spec_from_json({"kind": "Qp"})
+    assert spec_from_json({"kind": "Qp", "p": "5"}) == Q5
+    assert spec_from_json({"kind": "FpT", "p": Fraction(3)}) == F3T
+    for p in (2.9, 5.0, Fraction(5, 2), "2.5", None):
+        with pytest.raises(InputError):
+            spec_from_json({"kind": "Qp", "p": p})
 
 
 def test_qp_element_round_trip():
@@ -65,6 +106,40 @@ def test_fpt_element_round_trip():
     assert element_from_json(F3T, data) == e
     assert element_from_json(F3T, 2) == F3T.element(2)
     assert element_from_json(F3T, "1/2") == F3T.element(Fraction(1, 2))
+
+
+def _quotient_oracle(spec, data):
+    """The reader's F_p(T) rule before it built one reduced pair, kept as
+    the reference: num and den as polynomials, then their quotient; None
+    for a denominator that vanishes mod p."""
+    num, den = ({int(d): int(c) for d, c in m.items()}
+                for m in (data.get("num", {}), data.get("den", {"0": 1})))
+    try:
+        return spec.polynomial(num) / spec.polynomial(den)
+    except DivisionByZeroError:
+        return None
+
+
+degree_maps = st.dictionaries(
+    st.sampled_from(("0", "1", "2", "3", "01", "002", "10")),
+    st.integers(min_value=-7, max_value=7)
+    | st.integers(min_value=-7, max_value=7).map(str), max_size=4)
+
+
+@settings(max_examples=400)
+@given(st.dictionaries(st.sampled_from(("num", "den")), degree_maps))
+@example({"num": {"0": "1"}, "den": {"0": 1, "1": 1}})
+@example({"num": {"1": 2}, "den": {"0": 3, "1": "6"}})
+@example({"num": {}, "den": {}})
+def test_fpt_element_matches_polynomial_quotient(data):
+    expected = _quotient_oracle(F3T, data)
+    if expected is None:
+        with pytest.raises(InputError, match="zero denominator modulo 3"):
+            element_from_json(F3T, data)
+    else:
+        got = element_from_json(F3T, data)
+        assert (got.num, got.den) == (expected.num, expected.den)
+        assert got == expected and hash(got) == hash(expected)
 
 
 def test_fpt_degree_bound():

@@ -92,6 +92,42 @@ def test_matvec_identity_and_dimension():
         trop_matvec(tropicalize(identity), (1, 2, 3))
 
 
+def _textbook_matvec(matrix, x):
+    """The max-plus product as the definition reads: the reference."""
+    out = []
+    for row in matrix:
+        acc = NEG_INF
+        for m, xv in zip(row, x):
+            acc = trop_add(acc, trop_mul(m, xv))
+        out.append(acc)
+    return tuple(out)
+
+
+matvec_entries = st.one_of(st.just(NEG_INF), st.integers(min_value=-9, max_value=9),
+                           st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4),
+       st.data())
+def test_matvec_matches_textbook_loop(r, n, data):
+    rows = st.lists(matvec_entries, min_size=n, max_size=n)
+    matrix = data.draw(st.lists(rows | st.just([NEG_INF] * n), min_size=r, max_size=r))
+    x = data.draw(rows | st.just([NEG_INF] * n))
+    got, expected = trop_matvec(matrix, x), _textbook_matvec(matrix, x)
+    assert len(got) == r
+    for g, e in zip(got, expected):
+        assert (g is NEG_INF) == (e is NEG_INF)
+        assert g == e
+
+
+def test_matvec_refuses_mismatched_rows():
+    for matrix, x in (([[0, 1, 2], [1, 0, 2]], (0, 0)), ([[0, 1], [1]], (0, 0)),
+                      ([[NEG_INF]], ())):
+        with pytest.raises(DimensionMismatchError, match="dimensions differ"):
+            trop_matvec(matrix, x)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6),
        st.fractions(min_value=-5, max_value=5, max_denominator=6))

@@ -211,13 +211,18 @@ _FPT_FACTORS = (
     '[[{"num":{"1":1}},"0","0"],["0",{"num":{"0":1},"den":{"1":1}},"0"],["0","0","1"]]')
 
 
+#: A symplectic 4 x 4 matrix over Q_3.
+_SP4 = '[["1","3","5","1/3"],["0","1","0","5"],["0","0","1","-3"],["0","0","0","1"]]'
+
+
 def _factors_payload(factors):
     return "[" + ",".join(factors) + "]"
 
 
 #: sha256 of the stdout of commands whose bytes no report digest covers:
 #: the hypersurface samples, the fan and overlay figures, a fan, the
-#: README's hypersurface suite run through verify, and a product of factors.
+#: README's hypersurface suite run through verify, products of factors and
+#: boundary points.
 COMMAND_DIGESTS = [
     ("hypersurface --rep identity --n 3 --sample 200 --seed 11 --p 3",
      "cbbff96df0d8765b4177ec68c6a950bb57700712471f22fdf2f75eb011ed81aa"),
@@ -257,6 +262,27 @@ COMMAND_DIGESTS = [
      '{"num":{"01":"2","0":"3"},"den":{"0":"1","2":"1"}},"0"],["0",{"num":{"0":1,"1":1}},"0"],'
      '[{"num":{"2":"-1"},"den":{"0":2}},"1","1"]] --point ["0","1/2","-1"]',
      "5eb1b16cdeac166a0c816b720f0818b49758de40bcebe391c3cb1bfaa8fc2965"),
+    # boundary points over Q_3 and over F_3(T): anchored point, stratum, image
+    ('boundary-stabilize --field qp --p 3 --matrix [["1","3","0"],["1/3","2","0"],'
+     '["5","1/9","1"]] --point ["1/2","-1","-inf"]',
+     "75bee83892062e99296650ecd6ee906dce56ca51ea4a26abfe4721924bf5d121"),
+    ("boundary-stabilize --field fpt --p 3 --matrix " + _FPT_FACTORS[1]
+     + ' --point ["-inf","1/2","-1"]',
+     "ce527810bf7ed3012ee8dd23f2c2039d6c8f9fe45583148144e249baf5f03783"),
+    # a symplectic matrix on a finite 2n point and on a boundary point
+    ("boundary-stabilize --group sp2n --field qp --p 3 --matrix " + _SP4
+     + ' --point ["1/2","0","0","-1/2"]',
+     "d4180981158ecbea20a6527b65caa72f20ce6e76ea03820036fe970b3fee23d4"),
+    ("boundary-stabilize --group sp2n --field qp --p 3 --matrix " + _SP4
+     + ' --point ["0","1","-inf","-inf"]',
+     "9dbe3f424f219f15419917d6d33e1a1f7344a600bc3e56e54710c340936b6d28"),
+    # stabilize on a -inf point: one matrix, and a product of factors
+    ("stabilize --field fpt --p 3 --matrix " + _FPT_FACTORS[0]
+     + ' --point ["0","-inf","-1"]',
+     "8d7a7dbebc859eb9133441a41b96ec9941b8ad2b3b9e76a466282b99c09ac41e"),
+    ("stabilize --field qp --p 3 --matrix " + _factors_payload(_Q3_FACTORS)
+     + ' --point ["1","-inf","1/2"]',
+     "819e736a8d0c48add45e7498f35bb7a27b2a894a9335d9f3cc05d06d9755fa15"),
 ]
 
 

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: stabilize, verify, fan, schur, hypersurface,
-boundary-stabilize, plot.  Matrix and point payloads are inline JSON or a
-path to a JSON file.  All randomized commands require an explicit seed and
-produce byte-identical output for identical inputs.  Exit codes: 0 ok,
-1 failed verification, 2 malformed input, 3 precondition violation.
+boundary-stabilize (stabilize's query, every point read as a boundary
+point), plot.  Matrix and point payloads are inline JSON or a path to a
+JSON file.  All randomized commands require an explicit seed and produce
+byte-identical output for identical inputs.  Exit codes: 0 ok, 1 failed
+verification, 2 malformed input, 3 precondition violation.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ from pathlib import Path
 
 from . import suites, svgplot
 from .apartment import ApartmentPoint, stabilizer_membership
-from .compactification import BoundaryPoint, boundary_stabilizes
-from .errors import InputError, TropstabError, UnknownSuiteError
+from .compactification import BoundaryPoint
+from .errors import InputError, TropstabError
 from .fields import FieldSpec
 from .serialize import (fan_to_json, fraction_from_json, matrix_from_json,
                         point_from_json, point_to_json, spec_to_json)
 from .symplectic import SpApartmentPoint, embed_point, _require_symplectic
 from .tropical import NEG_INF, trop_matvec, tropicalize
-from .weights import (as_partition, schur_eval_bialternant, schur_eval_tableaux,
-                      weight_fan)
+from .weights import (GROUP_SL, GROUP_SP, as_partition, schur_eval_bialternant,
+                      schur_eval_tableaux, weight_fan)
 
 
 def _load_payload(text: str):
@@ -98,8 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="matrix payload, or an array of matrices to compare "
                          "product action with composed action")
     st.add_argument("--point", required=True, help="point payload")
-    st.add_argument("--boundary", action="store_true",
-                    help="treat the point as a boundary point")
 
     ver = sub.add_parser("verify", parents=[common], help="run a property suite")
     ver.add_argument("--suite", required=True,
@@ -141,12 +140,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     plot = sub.add_parser("plot", parents=[common],
                           help="SVG figure of a rank-two fan")
-    plot.add_argument("--target", choices=("fan", "hypersurface"), default="fan")
     plot.add_argument("--rep", choices=("identity", "sp", "schur"),
                       default="identity")
     plot.add_argument("--n", type=int, default=None)
     plot.add_argument("--lambda", dest="lam", default=None)
-    plot.add_argument("--sample", type=int, default=0)
+    plot.add_argument("--sample", type=int, default=0,
+                      help="hypersurface samples to overlay; 0 draws the fan alone")
     plot.add_argument("--walls", action="store_true")
 
     return parser
@@ -200,17 +199,20 @@ def _char_params(args):
 
 
 def _cmd_stabilize(args) -> int:
+    """stabilize and boundary-stabilize: one tropical fixed-point test, on a
+    boundary point for boundary-stabilize or any -inf entry, else on the
+    embedded point under sp2n, else on an apartment point."""
     spec = _field_spec(args)
     payload = _load_payload(args.matrix)
     point_payload = _load_payload(args.point)
-    if (isinstance(payload, list) and payload
+    boundary = args.command == "boundary-stabilize"
+    if (not boundary and isinstance(payload, list) and payload
             and isinstance(payload[0], list) and payload[0]
             and isinstance(payload[0][0], list)):
         matrices = [matrix_from_json(spec, m) for m in payload]
     else:
         matrices = [matrix_from_json(spec, payload)]
     coords = point_from_json(point_payload)
-    boundary = args.boundary or any(c is NEG_INF for c in coords)
 
     if len(matrices) > 1:
         # composed_image eliminates each factor anyway; the product then
@@ -222,31 +224,28 @@ def _cmd_stabilize(args) -> int:
         product = product * m
     if args.group == "sp2n":
         _require_symplectic(product)
+    trop = tropicalize(product)
 
+    if boundary or any(c is NEG_INF for c in coords):
+        x, key = BoundaryPoint(coords), "canonical_point"
+    elif args.group == "sp2n":
+        x, key = embed_point(SpApartmentPoint(coords)), "embedded_point"
+    else:
+        x, key = ApartmentPoint(coords), "canonical_point"
     doc = {
         "field": spec_to_json(spec),
-        "point": point_to_json(coords),
-        "tropicalized": [point_to_json(row) for row in tropicalize(product)],
+        "tropicalized": [point_to_json(row) for row in trop],
+        "stabilizes": stabilizer_membership(product, x),
     }
-
+    # the image is of the point as reported: boundary-stabilize reports the
+    # anchored point, stabilize the point as given or its sp2n embedding
     if boundary:
-        bp = BoundaryPoint(coords)
-        value = boundary_stabilizes(product, bp)
-        image = trop_matvec(tropicalize(product), coords)
-        doc["canonical_point"] = point_to_json(bp.coords)
-    elif args.group == "sp2n":
-        x = embed_point(SpApartmentPoint(coords))
-        value = stabilizer_membership(product, x)
-        image = trop_matvec(tropicalize(product), x.coords)
-        doc["embedded_point"] = point_to_json(x.coords)
+        doc.update(point=point_to_json(x.coords), stratum=sorted(x.stratum))
+        mapped = x.coords
     else:
-        x = ApartmentPoint(coords)
-        value = stabilizer_membership(product, x)
-        image = trop_matvec(tropicalize(product), coords)
-        doc["canonical_point"] = point_to_json(x.coords)
-
-    doc["stabilizes"] = value
-    doc["image"] = point_to_json(image)
+        doc.update({"point": point_to_json(coords), key: point_to_json(x.coords)})
+        mapped = x.coords if key == "embedded_point" else coords
+    doc["image"] = point_to_json(trop_matvec(trop, mapped))
 
     if len(matrices) > 1:
         composed = list(coords)
@@ -326,7 +325,7 @@ def _cmd_verify(args) -> int:
     spec = _field_spec(args)
     seed = _require_seed(args)
     if args.suite not in _SUITES:
-        raise UnknownSuiteError(f"unknown suite {args.suite!r}")
+        raise InputError(f"unknown suite {args.suite!r}")
     report = _SUITES[args.suite](args, spec, seed)
     _emit_json(args, report)
     return 0 if report["pass"] else 1
@@ -375,36 +374,18 @@ def _cmd_hypersurface(args) -> int:
     return 0 if agree else 1
 
 
-def _cmd_boundary_stabilize(args) -> int:
-    spec = _field_spec(args)
-    matrix = matrix_from_json(spec, _load_payload(args.matrix))
-    coords = point_from_json(_load_payload(args.point))
-    bp = BoundaryPoint(coords)
-    if args.group == "sp2n":
-        _require_symplectic(matrix)
-    value = boundary_stabilizes(matrix, bp)
-    doc = {
-        "field": spec_to_json(spec),
-        "point": point_to_json(bp.coords),
-        "stratum": sorted(bp.stratum),
-        "tropicalized": [point_to_json(row) for row in tropicalize(matrix)],
-        "image": point_to_json(trop_matvec(tropicalize(matrix), bp.coords)),
-        "stabilizes": value,
-    }
-    _emit_json(args, doc)
-    return 0
-
-
 def _cmd_plot(args) -> int:
     rep, n, lam = _char_params(args)
     if args.sample < 0:
         raise InputError("--sample must be at least 0")
-    char = suites.character_from_params(rep, n, lam)
-    samples = args.sample if args.target == "hypersurface" else 0
-    if samples:
+    if args.sample:
         _field_spec(args)
-    seed = _require_seed(args) if samples else 0
-    svg = svgplot.render_fan_svg(char, p=args.p, samples=samples, seed=seed,
+    seed = _require_seed(args) if args.sample else 0
+    # refused before the character is built: a large Schur one costs seconds
+    svgplot._check_rank_two(GROUP_SP if rep == "sp" else GROUP_SL,
+                            len(lam) if n is None else n)
+    char = suites.character_from_params(rep, n, lam)
+    svg = svgplot.render_fan_svg(char, p=args.p, samples=args.sample, seed=seed,
                                  walls=args.walls)
     _emit(args, svg)
     return 0
@@ -416,7 +397,7 @@ _DISPATCH = {
     "fan": _cmd_fan,
     "schur": _cmd_schur,
     "hypersurface": _cmd_hypersurface,
-    "boundary-stabilize": _cmd_boundary_stabilize,
+    "boundary-stabilize": _cmd_stabilize,
     "plot": _cmd_plot,
 }
 
@@ -430,7 +411,7 @@ def main(argv=None) -> int:
             raise InputError("--group sp2n is read only by stabilize, boundary-stabilize "
                              "and verify --suite boundary or sp; use --suite sp or --rep sp")
         return _DISPATCH[args.command](args)
-    except (InputError, UnknownSuiteError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TropstabError as exc:

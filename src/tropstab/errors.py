@@ -61,10 +61,6 @@ class InvalidDirectionError(TropstabError):
     """Direction of the wrong dimension, or a stratum that is not a nonempty index set."""
 
 
-class UnknownSuiteError(TropstabError):
-    """No property suite with the requested name."""
-
-
 class UnsupportedRankError(TropstabError):
     """Figure rendering is limited to rank-two apartments."""
 

@@ -114,16 +114,6 @@ class FieldMatrix:
         product._symplectic = self._symplectic and other._symplectic
         return product
 
-    def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        if other.spec is not self.spec and other.spec != self.spec:
-            raise InputError("matrices over different fields")
-        if other.size != self.size:
-            raise DimensionMismatchError("matrix difference of incompatible matrices")
-        return FieldMatrix(self.spec, [[a - b for a, b in zip(r1, r2)]
-                                       for r1, r2 in zip(self.rows, other.rows)])
-
     def transpose(self) -> "FieldMatrix":
         n = self.size
         return FieldMatrix(self.spec, [[self.rows[j][i] for j in range(n)]

@@ -100,6 +100,9 @@ def element_from_json(spec: FieldSpec, v):
         if spec.kind == "Qp" or isinstance(v, (int, str)):
             return spec.element(fraction_from_json(v))
         if isinstance(v, dict):
+            if v.keys() - {"num", "den"}:
+                raise InputError(f"rational-function element with a key other than "
+                                 f"num and den: {v!r}")
             try:
                 maps = v.get("num", {}), v.get("den", {"0": 1})
                 if any(type(c) not in (int, str) for m in maps for c in m.values()):

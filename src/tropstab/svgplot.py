@@ -52,35 +52,41 @@ def _project(char, coords):
     return (x1, x2)
 
 
-def _check_rank_two(char):
-    if char.group == GROUP_SL and char.rank == 3:
-        return
-    if char.group == GROUP_SP and char.rank == 2:
-        return
-    raise UnsupportedRankError("figures exist for rank-two apartments only")
+def _check_rank_two(group, rank):
+    if (group, rank) not in ((GROUP_SL, 3), (GROUP_SP, 2)):
+        raise UnsupportedRankError("figures exist for rank-two apartments only")
 
 
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def render_fan_svg(char: WeightedCharacter, *, p: int | None = None,
-                   samples: int = 0, seed: int = 0, walls: bool = False,
-                   size: int = 560) -> str:
+#: Width and height of every figure, in pixels.
+_SIZE = 560
+
+
+def render_fan_svg(char: WeightedCharacter, *, p: int = 2, samples: int = 0,
+                   seed: int = 0, walls: bool = False) -> str:
     """Fan figure: cone boundary rays, optional wall lattice, and optionally
     a seeded overlay of sampled hypersurface members."""
-    _check_rank_two(char)
-    half = size / 2.0
-    unit = size / 9.0
+    _check_rank_two(char.group, char.rank)
+    half = _SIZE / 2.0
+    unit = _SIZE / 9.0
 
     def to_screen(xy):
         return (half + unit * xy[0], half - unit * xy[1])
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
+
+    def line(start, end, stroke="#dddddd", width=1, extra=""):
+        (x0, y0), (x1, y1) = to_screen(start), to_screen(end)
+        parts.append(
+            f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
+            f'y2="{_fmt(y1)}" stroke="{stroke}" stroke-width="{width}"{extra}/>')
 
     if walls:
         if char.group == GROUP_SL:
@@ -97,42 +103,25 @@ def render_fan_svg(char: WeightedCharacter, *, p: int | None = None,
                 dx, dy = _project(char, direction)
                 norm = math.hypot(dx, dy)
                 dx, dy = dx / norm, dy / norm
-                x0, y0 = to_screen((bx - 8 * dx, by - 8 * dy))
-                x1, y1 = to_screen((bx + 8 * dx, by + 8 * dy))
-                parts.append(
-                    f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
-                    f'y2="{_fmt(y1)}" stroke="#dddddd" stroke-width="1"/>')
+                line((bx - 8 * dx, by - 8 * dy), (bx + 8 * dx, by + 8 * dy))
         else:
             for k in range(-3, 4):
-                for axis in (0, 1):
-                    c = k / 2.0
-                    pts = ((c, -8.0), (c, 8.0)) if axis == 0 else ((-8.0, c), (8.0, c))
-                    (x0, y0), (x1, y1) = (to_screen(pt) for pt in pts)
-                    parts.append(
-                        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
-                        f'y2="{_fmt(y1)}" stroke="#dddddd" stroke-width="1"/>')
+                c = k / 2.0
+                line((c, -8.0), (c, 8.0))
+                line((-8.0, c), (8.0, c))
                 for sign in (1, -1):
-                    (x0, y0) = to_screen((-8.0, sign * -8.0 + k))
-                    (x1, y1) = to_screen((8.0, sign * 8.0 + k))
-                    parts.append(
-                        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
-                        f'y2="{_fmt(y1)}" stroke="#dddddd" stroke-width="1"/>')
+                    line((-8.0, sign * -8.0 + k), (8.0, sign * 8.0 + k))
 
-    rays = fan_rays(char)
-    for ray in rays:
+    for ray in fan_rays(char):
         dx, dy = _project(char, ray)
         norm = math.hypot(dx, dy)
-        x0, y0 = to_screen((0.0, 0.0))
-        x1, y1 = to_screen((4.2 * dx / norm, 4.2 * dy / norm))
-        parts.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
-            f'y2="{_fmt(y1)}" stroke="#222222" stroke-width="2" '
-            f'data-ray="{",".join(str(c) for c in ray)}"/>')
+        line((0.0, 0.0), (4.2 * dx / norm, 4.2 * dy / norm), "#222222", 2,
+             f' data-ray="{",".join(str(c) for c in ray)}"')
 
     if samples:
         kept = 0
         for coords, member, skel in hypersurface_samples(
-                char, p if p is not None else 2, random.Random(seed), samples, 16):
+                char, p, random.Random(seed), samples, 16):
             if member != skel:
                 raise AssertionError("hypersurface and skeleton disagree in figure")
             if not member:

@@ -13,8 +13,8 @@ the tropical test.
 
 from __future__ import annotations
 
-from .apartment import (ApartmentPoint, CoordinatePoint, in_star_of_origin,
-                        normalizer_action, parahoric_oracle)
+from .apartment import (ApartmentPoint, CoordinatePoint, normalizer_action,
+                        parahoric_oracle)
 from .errors import DimensionMismatchError, InputError, NotSymplecticError
 from .fields import FieldSpec
 from .matrices import FieldMatrix
@@ -107,12 +107,6 @@ def sp_fixes_ray(g: FieldMatrix, x: SpApartmentPoint, d) -> bool:
     """Does the symplectic matrix g fix x + s*d for every s >= 0?"""
     _require_symplectic(g)
     return fixes_ray(g, _embed(x.coords), _embed(d))
-
-
-def sp_in_star_of_origin(coords) -> bool:
-    """Star of the origin for the C_n arrangement: |2 x_i| < 1, |x_i ± x_j| < 1,
-    which are the pairwise differences of the embedded vector."""
-    return in_star_of_origin(_embed(coords))
 
 
 def sp_parahoric_oracle(g: FieldMatrix, x: SpApartmentPoint) -> bool:

@@ -3,13 +3,15 @@ import hashlib
 import io
 import itertools
 import json
+import shlex
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropstab import matrices
+from tropstab import matrices, suites
 from tropstab.cli import _expected_cone_count, main
 
 
@@ -112,8 +114,7 @@ def test_verify_semiring_deterministic(capsys):
      "--matrix", '[["1","1"],["0","1"]]', "--point", '["0","0"]'],
     ["hypersurface", "--rep", "identity", "--n", "2", "--seed", "1", "--sample", "1",
      "--p", "1"],
-    ["plot", "--target", "hypersurface", "--rep", "identity", "--n", "3",
-     "--sample", "-5", "--seed", "1"],
+    ["plot", "--rep", "identity", "--n", "3", "--sample", "-5", "--seed", "1"],
     ["stabilize", "--matrix", "[[1,0],[0,1]]", "--point", '["1e5000","0"]'],
     ["schur", "--lambda", "1", "--z", "1e5000,2"],
     ["stabilize", "--matrix", "[[1,0],[0,1]]", "--point", f"[{'1' * 5001},0]"],
@@ -132,7 +133,7 @@ def test_verify_semiring_deterministic(capsys):
      "--n", "2", "--seed", "1"],
     ["hypersurface", "--rep", "schur", "--lambda", "2,1", "--n", "1", "--seed", "1",
      "--sample", "5"],
-    ["plot", "--target", "fan", "--rep", "schur", "--lambda", "2,1", "--n", "1"],
+    ["plot", "--rep", "schur", "--lambda", "2,1", "--n", "1"],
     ["verify", "--suite", "stabilizer", "--group", "sp2n", "--n", "2", "--seed", "1"],
     ["verify", "--suite", "parahoric", "--group", "sp2n", "--n", "2", "--seed", "1"],
     ["verify", "--suite", "fans", "--rep", "sp", "--group", "sp2n", "--n", "2",
@@ -140,7 +141,7 @@ def test_verify_semiring_deterministic(capsys):
     ["fan", "--rep", "identity", "--n", "2", "--group", "sp2n"],
     ["hypersurface", "--rep", "identity", "--n", "3", "--group", "sp2n", "--seed", "1",
      "--sample", "5"],
-    ["plot", "--target", "fan", "--rep", "identity", "--n", "3", "--group", "sp2n"],
+    ["plot", "--rep", "identity", "--n", "3", "--group", "sp2n"],
     ["schur", "--lambda", "2,1", "--z", "1,2", "--group", "sp2n"],
     ["verify", "--suite", "fans", "--rep", "identity", "--n", "8", "--seed", "1"],
     ["verify", "--suite", "fans", "--rep", "sp", "--n", "6", "--seed", "1"],
@@ -173,6 +174,8 @@ def test_verify_semiring_deterministic(capsys):
     ["stabilize", "--field", "fpt", "--p", "3",
      "--matrix", '[[{"num":{"0":1},"den":{"0":0.5}},"0"],["0","1"]]',
      "--point", '["0","0"]'],
+    ["stabilize", "--field", "fpt", "--p", "3",
+     "--matrix", '[[{"numerator":{"0":2}},"0"],["0","1"]]', "--point", '["0","0"]'],
 ], ids=["negative-degree", "stabilizer-n1", "parahoric-n1", "boundary-n1",
         "sp-n0", "fans-identity-n1", "fan-negative-part", "negative-count",
         "zero-count", "zero-matrices", "negative-points", "zero-samples",
@@ -189,7 +192,8 @@ def test_verify_semiring_deterministic(capsys):
         "plot-huge-n", "hypersurface-huge-n", "stabilizer-huge-n", "sp-n33",
         "hypersurface-suite-n33", "parahoric-n6", "parahoric-n12", "boundary-n11",
         "boundary-n40", "fpt-overflowing-coefficient", "fpt-infinite-coefficient",
-        "fpt-boolean-coefficient", "fpt-float-coefficient", "fpt-float-denominator"])
+        "fpt-boolean-coefficient", "fpt-float-coefficient", "fpt-float-denominator",
+        "fpt-misspelt-key"])
 def test_bad_parameters_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -230,13 +234,13 @@ COMMAND_DIGESTS = [
      "0ebb84374a5d1df145176f3429f6f4055db36e46d1d6dd4fc6a03efb39643f30"),
     ("hypersurface --rep schur --lambda 2,1,0 --sample 200 --seed 11 --p 2",
      "61e120c08e087eaa02105a667b8ebd4b79e870f2a7e9e697b218d266f7f9c0e5"),
-    ("plot --target fan --rep identity --n 3 --walls",
+    ("plot --rep identity --n 3 --walls",
      "8aa32049a4b792f61bb74919a634ef81aa59c3ca57c0caf460d85a5e6e42c291"),
-    ("plot --target fan --rep sp --n 2 --walls",
+    ("plot --rep sp --n 2 --walls",
      "7619de98dbadd784b250f6b08bdd2f216c6f71fba58d4020065d76ca7f451fed"),
-    ("plot --target hypersurface --rep identity --n 3 --sample 400 --seed 5",
+    ("plot --rep identity --n 3 --sample 400 --seed 5",
      "183258db53fc0efe6233a7c83af5880c00bb12c54b44a895d622862f71048907"),
-    ("plot --target hypersurface --rep sp --n 2 --sample 2000 --seed 5 --walls",
+    ("plot --rep sp --n 2 --sample 2000 --seed 5 --walls",
      "5035dac536fe5ba46489ba1c5645df9193583eaa3bca497bf8bae61d53bef3f9"),
     ("fan --rep identity --n 4",
      "ee2f5318f55ee9780d9def063a1fdf613865a35f6811f9876ecbcbc87ecf5c62"),
@@ -270,11 +274,11 @@ COMMAND_DIGESTS = [
      + ' --point ["-inf","1/2","-1"]',
      "ce527810bf7ed3012ee8dd23f2c2039d6c8f9fe45583148144e249baf5f03783"),
     # a symplectic matrix on a finite 2n point and on a boundary point
-    ("boundary-stabilize --group sp2n --field qp --p 3 --matrix " + _SP4
-     + ' --point ["1/2","0","0","-1/2"]',
+    ('boundary-stabilize --group sp2n --point ["1/2","0","0","-1/2"] --field qp --p 3 '
+     "--matrix " + _SP4,
      "d4180981158ecbea20a6527b65caa72f20ce6e76ea03820036fe970b3fee23d4"),
-    ("boundary-stabilize --group sp2n --field qp --p 3 --matrix " + _SP4
-     + ' --point ["0","1","-inf","-inf"]',
+    ('boundary-stabilize --group sp2n --point ["0","1","-inf","-inf"] --field qp --p 3 '
+     "--matrix " + _SP4,
      "9dbe3f424f219f15419917d6d33e1a1f7344a600bc3e56e54710c340936b6d28"),
     # stabilize on a -inf point: one matrix, and a product of factors
     ("stabilize --field fpt --p 3 --matrix " + _FPT_FACTORS[0]
@@ -292,6 +296,25 @@ def test_command_output_digest(capsys, command, digest):
     code, out, err = run_cli(capsys, *command.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _readme_commands():
+    """Every tropstab command of the README's "Command line" block, with
+    backslash continuations joined, as argument lists."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = text.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("tropstab ")]
+
+
+def test_readme_commands_run(capsys):
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "stabilize", "boundary-stabilize", "verify", "fan", "schur", "hypersurface", "plot"}
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_expected_cone_count_counts_distinct_permutations():
@@ -386,22 +409,20 @@ def test_boundary_stabilize_symplectic_group(capsys):
                       '["0","0","1","0"],["0","0","0","1"]]')
     symplectic = ('[["1","1","0","0"],["0","1","0","0"],'
                   '["0","0","1","-1"],["0","0","0","1"]]')
-    for command in (["boundary-stabilize"], ["stabilize", "--boundary"]):
-        code, out, err = run_cli(capsys, *command, "--group", "sp2n",
-                                 "--matrix", not_symplectic, "--point", point)
-        assert code == 3 and out == ""
-        assert err == "error: matrix does not preserve the symplectic form\n"
-        code, doc = run_json(capsys, *command, "--group", "sp2n",
-                             "--matrix", symplectic, "--point", point)
-        assert code == 0 and doc["stabilizes"] is True
+    code, out, err = run_cli(capsys, "boundary-stabilize", "--group", "sp2n",
+                             "--matrix", not_symplectic, "--point", point)
+    assert code == 3 and out == ""
+    assert err == "error: matrix does not preserve the symplectic form\n"
+    code, doc = run_json(capsys, "boundary-stabilize", "--group", "sp2n",
+                         "--matrix", symplectic, "--point", point)
+    assert code == 0 and doc["stabilizes"] is True
     code, doc = run_json(capsys, "boundary-stabilize", "--matrix", not_symplectic,
                          "--point", point)
     assert code == 0 and doc["stabilizes"] is True
 
 
 def test_plot_identity_rank_two(capsys):
-    code, out, err = run_cli(capsys, "plot", "--target", "fan",
-                             "--rep", "identity", "--n", "3")
+    code, out, err = run_cli(capsys, "plot", "--rep", "identity", "--n", "3")
     assert code == 0
     assert out.startswith("<svg")
     rays = [line for line in out.splitlines() if "data-ray" in line]
@@ -410,8 +431,7 @@ def test_plot_identity_rank_two(capsys):
 
 
 def test_plot_sp_rank_two(capsys):
-    code, out, err = run_cli(capsys, "plot", "--target", "fan",
-                             "--rep", "sp", "--n", "2", "--walls")
+    code, out, err = run_cli(capsys, "plot", "--rep", "sp", "--n", "2", "--walls")
     assert code == 0
     rays = [line for line in out.splitlines() if "data-ray" in line]
     assert len(rays) == 4
@@ -419,8 +439,7 @@ def test_plot_sp_rank_two(capsys):
 
 
 def test_plot_hypersurface_overlay_deterministic(capsys):
-    args = ("plot", "--target", "hypersurface", "--rep", "sp", "--n", "2",
-            "--sample", "200", "--seed", "7")
+    args = ("plot", "--rep", "sp", "--n", "2", "--sample", "200", "--seed", "7")
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
@@ -429,9 +448,21 @@ def test_plot_hypersurface_overlay_deterministic(capsys):
 
 
 def test_plot_unsupported_rank(capsys):
-    code, out, err = run_cli(capsys, "plot", "--target", "fan",
-                             "--rep", "identity", "--n", "4")
+    code, out, err = run_cli(capsys, "plot", "--rep", "identity", "--n", "4")
     assert code == 3
+
+
+def test_plot_refuses_other_ranks_before_building_the_character(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("character built for a figure that is refused")
+
+    monkeypatch.setattr(suites, "character_from_params", refuse)
+    for args in (("--rep", "schur", "--lambda", "20", "--n", "6"),
+                 ("--rep", "schur", "--lambda", "2,1,0,0"), ("--rep", "identity", "--n", "2"),
+                 ("--rep", "sp", "--n", "3", "--sample", "5", "--seed", "1")):
+        code, out, err = run_cli(capsys, "plot", *args)
+        assert (code, out) == (3, "")
+        assert err == "error: figures exist for rank-two apartments only\n"
 
 
 def test_matrix_payload_from_file(tmp_path, capsys):

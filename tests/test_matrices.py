@@ -1,5 +1,4 @@
 import itertools
-import operator
 import random
 from fractions import Fraction
 
@@ -33,16 +32,15 @@ def test_constructor_rejects_non_square():
 def test_operators_tell_a_field_mismatch_from_a_size_mismatch():
     # a field mismatch is a bad argument, as in element arithmetic; a size
     # mismatch between matrices over one field is a dimension error
-    for op in (operator.mul, operator.sub):
-        for a, b in ((FieldMatrix(Q3, [[1]]), FieldMatrix(Q2, [[1]])),
-                     (FieldMatrix.identity(F3T, 2), FieldMatrix.identity(Q2, 2)),
-                     (FieldMatrix.identity(Q2, 2), FieldMatrix.identity(F3T, 3))):
-            with pytest.raises(InputError):
-                op(a, b)
-        with pytest.raises(DimensionMismatchError):
-            op(FieldMatrix(Q2, [[1]]), FieldMatrix.identity(Q2, 2))
-        assert op(FieldMatrix(Q2, [[3]]), FieldMatrix(FieldSpec("Qp", 2), [[2]])) == \
-            FieldMatrix(Q2, [[op(3, 2)]])
+    for a, b in ((FieldMatrix(Q3, [[1]]), FieldMatrix(Q2, [[1]])),
+                 (FieldMatrix.identity(F3T, 2), FieldMatrix.identity(Q2, 2)),
+                 (FieldMatrix.identity(Q2, 2), FieldMatrix.identity(F3T, 3))):
+        with pytest.raises(InputError):
+            a * b
+    with pytest.raises(DimensionMismatchError):
+        FieldMatrix(Q2, [[1]]) * FieldMatrix.identity(Q2, 2)
+    assert FieldMatrix(Q2, [[3]]) * FieldMatrix(FieldSpec("Qp", 2), [[2]]) == \
+        FieldMatrix(Q2, [[6]])
 
 
 def test_determinant_small_cases():

@@ -152,6 +152,14 @@ def test_fpt_degree_bound():
             element_from_json(F3T, data)
 
 
+def test_fpt_element_refuses_keys_other_than_num_and_den():
+    # a misspelt key is refused, not read as a missing numerator or denominator
+    for data in ({"nmu": {"1": 1}}, {"num": {"1": 1}, "dne": {"5": 1}},
+                 {"num": {"0": 1}, "den": {"0": 1}, "x": 0}):
+        with pytest.raises(InputError, match="key other than num and den"):
+            element_from_json(F3T, data)
+
+
 def test_matrix_round_trip():
     rng = random.Random(1)
     for spec in (Q5, F3T):

@@ -12,9 +12,8 @@ from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix
 from tropstab.symplectic import (SpApartmentPoint, _require_symplectic,
                                  antitranspose, embed_point, is_symplectic, sp_fixes_ray,
-                                 sp_in_star_of_origin, sp_normalizer_action,
-                                 sp_parahoric_oracle, sp_stabilizer_membership,
-                                 standard_form)
+                                 sp_normalizer_action, sp_parahoric_oracle,
+                                 sp_stabilizer_membership, standard_form)
 from tropstab.tropical import trop_matvec, tropicalize
 
 Q2 = FieldSpec("Qp", 2)
@@ -171,7 +170,9 @@ def test_block_criterion():
         d = [[g.rows[i + 2][j + 2] for j in range(2)] for i in range(2)]
         A, B = FieldMatrix(Q2, a), FieldMatrix(Q2, b)
         C, D = FieldMatrix(Q2, c), FieldMatrix(Q2, d)
-        assert antitranspose(A) * D - antitranspose(C) * B == FieldMatrix.identity(Q2, 2)
+        difference = [[x - y for x, y in zip(r, s)] for r, s in
+                      zip((antitranspose(A) * D).rows, (antitranspose(C) * B).rows)]
+        assert FieldMatrix(Q2, difference) == FieldMatrix.identity(Q2, 2)
         assert antitranspose(A) * C == antitranspose(C) * A
         assert antitranspose(B) * D == antitranspose(D) * B
 
@@ -215,10 +216,21 @@ def test_rank_one_matches_special_linear():
             stabilizer_membership(g, ApartmentPoint((c, -c)))
 
 
+def _in_sp_star(coords):
+    """Does sp_parahoric_oracle accept the point, i.e. is it in its star of
+    the origin, the special-linear star of the embedded point?"""
+    try:
+        sp_parahoric_oracle(FieldMatrix.identity(Q2, 2 * len(coords)),
+                            SpApartmentPoint(coords))
+    except OutOfStarError:
+        return False
+    return True
+
+
 def test_star_of_origin_predicate():
-    assert sp_in_star_of_origin((Fraction(1, 4), Fraction(-1, 4)))
-    assert not sp_in_star_of_origin((Fraction(1, 2), 0))
-    assert not sp_in_star_of_origin((Fraction(1, 4), Fraction(-3, 4)))
+    assert _in_sp_star((Fraction(1, 4), Fraction(-1, 4)))
+    assert not _in_sp_star((Fraction(1, 2), 0))
+    assert not _in_sp_star((Fraction(1, 4), Fraction(-3, 4)))
 
 
 def test_parahoric_oracle_iwahori_case():
@@ -290,13 +302,12 @@ def test_star_matches_embedded_arrangement():
     # the rank-n wall data (doubled coordinates, sums, differences) is the
     # restriction of the embedded rank-2n wall data to symmetric vectors
     rng = random.Random(41)
-    from tropstab.apartment import in_star_of_origin
     for _ in range(80):
         n = rng.choice((2, 3))
-        x = SpApartmentPoint(tuple(Fraction(rng.randint(-8, 8), 8)
-                                   for _ in range(n)))
-        assert sp_in_star_of_origin(x.coords) == \
-            in_star_of_origin(embed_point(x).coords)
+        xs = tuple(Fraction(rng.randint(-8, 8), 8) for _ in range(n))
+        walls = [2 * a for a in xs] + [a + sign * b for i, a in enumerate(xs)
+                                       for b in xs[i + 1:] for sign in (1, -1)]
+        assert _in_sp_star(xs) == all(abs(w) < 1 for w in walls)
 
 
 def test_samplers_self_check():

@@ -10,10 +10,8 @@ from .apartment import (ApartmentPoint, FaceAddress, face_address,
                         normalizer_action, origin, parahoric_oracle,
                         stabilizer_membership)
 from .compactification import (BoundaryPoint, boundary_block_oracle,
-                               boundary_point_from_direction,
-                               boundary_stabilizes, direction_for_stratum,
-                               sp_boundary_point, sp_boundary_stabilizes,
-                               stratum)
+                               boundary_point_from_direction, direction_for_stratum,
+                               sp_boundary_point, sp_boundary_stabilizes)
 from .fields import FieldSpec
 from .matrices import FieldMatrix
 from .symplectic import (SpApartmentPoint, antitranspose, embed_point,

@@ -117,8 +117,9 @@ def in_star_of_origin(coords) -> bool:
     return all(abs(a - b) < 1 for i, a in enumerate(coords) for b in coords[i + 1:])
 
 
-def stabilizer_membership(g: FieldMatrix, x: ApartmentPoint) -> bool:
-    """Is g in the stabilizer of x, i.e. does g fix x tropically?"""
+def stabilizer_membership(g: FieldMatrix, x: CoordinatePoint) -> bool:
+    """Is g in the stabilizer of x, i.e. does g fix x tropically?  For an
+    apartment point and for a boundary point alike."""
     _require_det_one(g)
     return stabilizes_tropically(g, x.coords)
 

@@ -2,10 +2,12 @@
 
 Subcommands: stabilize, verify, fan, schur, hypersurface,
 boundary-stabilize (stabilize's query, every point read as a boundary
-point), plot.  Matrix and point payloads are inline JSON or a path to a
-JSON file.  All randomized commands require an explicit seed and produce
-byte-identical output for identical inputs.  Exit codes: 0 ok, 1 failed
-verification, 2 malformed input, 3 precondition violation.
+point), plot.  Each takes only the flags it reads, spelt out in full, and
+verify refuses a given flag that its suite does not read.  Matrix and
+point payloads are inline JSON or a path to a JSON file.  All randomized
+commands require an explicit seed and produce byte-identical output for
+identical inputs.  Exit codes: 0 ok, 1 failed verification, 2 malformed
+input (a usage error included), 3 precondition violation.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import suites, svgplot
 from .apartment import ApartmentPoint, stabilizer_membership
 from .compactification import BoundaryPoint
 from .errors import InputError, TropstabError
-from .fields import FieldSpec
+from .fields import FieldSpec, is_prime
 from .serialize import (fan_to_json, fraction_from_json, matrix_from_json,
                         point_from_json, point_to_json, spec_to_json)
 from .symplectic import SpApartmentPoint, embed_point, _require_symplectic
@@ -50,6 +52,13 @@ def _field_spec(args) -> FieldSpec:
     return FieldSpec({"qp": "Qp", "fpt": "FpT"}[args.field], args.p)
 
 
+def _prime(p: int) -> int:
+    """A --p that no field is built from, held to a field's rule."""
+    if not is_prime(p):
+        raise InputError(f"residue characteristic must be prime, got {p}")
+    return p
+
+
 def _parse_lambda(text: str):
     """Parts as given, trailing zeros kept; they must form a partition."""
     try:
@@ -75,78 +84,76 @@ def _emit_json(args, doc) -> None:
     _emit(args, json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: one error line and exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", choices=("qp", "fpt"), default="qp",
-                        help="ground field: p-adic rationals or F_p(T)")
-    common.add_argument("--p", type=int, default=2,
-                        help="residue characteristic (a prime)")
-    common.add_argument("--group", choices=("sln", "sp2n"), default="sln",
-                        help="which group's predicates to use")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized runs (mandatory there)")
-    common.add_argument("--out", default=None, help="write output to this path")
-
-    parser = argparse.ArgumentParser(
-        prog="tropstab",
-        description="exact max-plus stabilizers over discretely valued fields")
+    parser = _Parser(prog="tropstab", allow_abbrev=False,
+                     description="exact max-plus stabilizers over discretely valued fields")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    st = sub.add_parser("stabilize", parents=[common],
-                        help="tropical stabilizer membership for a point")
-    st.add_argument("--matrix", required=True,
-                    help="matrix payload, or an array of matrices to compare "
-                         "product action with composed action")
-    st.add_argument("--point", required=True, help="point payload")
+    def command(name, run, about):
+        cmd = sub.add_parser(name, help=about, allow_abbrev=False)
+        cmd.set_defaults(run=run)
+        cmd.add_argument("--out", help="write output to this path")
+        return cmd
 
-    ver = sub.add_parser("verify", parents=[common], help="run a property suite")
-    ver.add_argument("--suite", required=True,
-                     help="semiring | stabilizer | parahoric | sp | fans | "
-                          "hypersurface | schur | boundary")
-    ver.add_argument("--n", type=int, default=3)
-    ver.add_argument("--count", type=int, default=None)
-    ver.add_argument("--matrices", type=int, default=None)
-    ver.add_argument("--points", type=int, default=None)
-    ver.add_argument("--samples", type=int, default=None)
-    ver.add_argument("--rep", choices=("identity", "sp", "schur"),
-                     default="identity")
-    ver.add_argument("--lambda", dest="lam", default=None,
-                     help="partition, e.g. 2,1,0")
+    def character(cmd, **rep):
+        cmd.add_argument("--rep", choices=("identity", "sp", "schur"), **rep)
+        cmd.add_argument("--n", type=int)
+        cmd.add_argument("--lambda", dest="lam", help="partition, e.g. 2,1,0")
 
-    fan = sub.add_parser("fan", parents=[common],
-                         help="maximal cones and vertices of a weight fan")
-    fan.add_argument("--rep", choices=("identity", "sp", "schur"), required=True)
-    fan.add_argument("--n", type=int, default=None)
-    fan.add_argument("--lambda", dest="lam", default=None)
+    field = dict(choices=("qp", "fpt"), help="ground field: p-adic rationals or F_p(T)")
+    prime = dict(type=int, help="residue characteristic (a prime)")
+    seed = dict(type=int, help="seed of the random run")
 
-    sch = sub.add_parser("schur", parents=[common],
-                         help="evaluate a Schur polynomial by both routes")
+    for name, about in (("stabilize", "tropical stabilizer membership for a point"),
+                        ("boundary-stabilize", "stabilizer membership for a boundary point")):
+        st = command(name, _cmd_stabilize, about)
+        st.add_argument("--field", default="qp", **field)
+        st.add_argument("--p", default=2, **prime)
+        st.add_argument("--group", choices=("sln", "sp2n"), default="sln",
+                        help="which group's predicates to use")
+        st.add_argument("--matrix", required=True,
+                        help="matrix payload; stabilize also takes an array of matrices "
+                             "to compare product action with composed action")
+        st.add_argument("--point", required=True, help="point payload")
+
+    # no default but None here, so that _cmd_verify sees which flags were given
+    ver = command("verify", _cmd_verify, "run a property suite")
+    ver.add_argument("--suite", required=True, choices=tuple(_SUITES))
+    ver.add_argument("--seed", **seed)
+    ver.add_argument("--field", **field)
+    ver.add_argument("--p", **prime)
+    character(ver)
+    for name in ("count", "matrices", "points", "samples"):
+        ver.add_argument(f"--{name}", type=int)
+
+    fan = command("fan", _cmd_fan, "maximal cones and vertices of a weight fan")
+    character(fan, required=True)
+
+    sch = command("schur", _cmd_schur, "evaluate a Schur polynomial by both routes")
     sch.add_argument("--lambda", dest="lam", required=True)
     sch.add_argument("--z", required=True, help="comma-separated rationals")
 
-    hyp = sub.add_parser("hypersurface", parents=[common],
-                         help="sample tropical hypersurface membership")
-    hyp.add_argument("--rep", choices=("identity", "sp", "schur"),
-                     default="identity")
-    hyp.add_argument("--n", type=int, default=None)
-    hyp.add_argument("--lambda", dest="lam", default=None)
+    hyp = command("hypersurface", _cmd_hypersurface, "sample tropical hypersurface membership")
+    character(hyp, default="identity")
     hyp.add_argument("--sample", type=int, required=True)
+    hyp.add_argument("--seed", **seed)
+    hyp.add_argument("--p", default=2, **prime)
 
-    bst = sub.add_parser("boundary-stabilize", parents=[common],
-                         help="stabilizer membership for a boundary point")
-    bst.add_argument("--matrix", required=True)
-    bst.add_argument("--point", required=True)
-
-    plot = sub.add_parser("plot", parents=[common],
-                          help="SVG figure of a rank-two fan")
-    plot.add_argument("--rep", choices=("identity", "sp", "schur"),
-                      default="identity")
-    plot.add_argument("--n", type=int, default=None)
-    plot.add_argument("--lambda", dest="lam", default=None)
+    plot = command("plot", _cmd_plot, "SVG figure of a rank-two fan")
+    character(plot, default="identity")
     plot.add_argument("--sample", type=int, default=0,
                       help="hypersurface samples to overlay; 0 draws the fan alone")
     plot.add_argument("--walls", action="store_true")
+    plot.add_argument("--seed", **seed)
+    plot.add_argument("--p", default=2, **prime)
 
     return parser
 
@@ -275,7 +282,7 @@ def _expected_cone_count(rep, n, lam):
 MAX_WEYL_ORDER = 5040
 
 
-def _verify_fans(a, spec, seed):
+def _verify_fans(a, seed):
     rep, n, lam = _char_params(a)
     rank = len(lam) if n is None else n
     if math.factorial(rank) * (2 ** rank if rep == "sp" else 1) > MAX_WEYL_ORDER:
@@ -285,48 +292,54 @@ def _verify_fans(a, spec, seed):
                            expected_cones=_expected_cone_count(rep, n, lam))
 
 
-def _verify_hypersurface(a, spec, seed):
+def _verify_hypersurface(a, seed):
+    p = _prime(a.p)
     rep, n, lam = _char_params(a)
-    return suites.run_hypersurface(rep, a.p, seed, n=n, lam=lam,
+    return suites.run_hypersurface(rep, p, seed, n=n, lam=lam,
                                    samples=_count(a, "samples", 500))
 
 
-def _verify_boundary(a, spec, seed):
-    if a.group == "sp2n":
-        return suites.run_sp_boundary(spec, seed, count=_count(a, "count", 100))
-    return suites.run_boundary(spec, _rank_in(a.n, 2, "the boundary suite",
-                                              MAX_BOUNDARY_RANK),
-                               seed, count=_count(a, "count", 100))
-
-
-#: Suite name -> run(args, spec, seed): the suite's call with the command
-#: line defaults, after its preconditions on the parameters.
+#: Suite name -> (the flags it reads by dest, run(args, seed)): the suite's
+#: call with the command line defaults, after its preconditions on the
+#: parameters.  Every suite reads --seed and --out besides.
 _SUITES = {
-    "semiring": lambda a, spec, seed: suites.run_semiring(
-        seed, count=_count(a, "count", 200), spec=spec),
-    "stabilizer": lambda a, spec, seed: suites.run_stabilizer(
-        spec, _rank_in(a.n, 2, "the stabilizer suite"), seed,
-        matrices=_count(a, "matrices", 100), points=_count(a, "points", 10),
-        closure_pairs=_count(a, "count", 100)),
-    "parahoric": lambda a, spec, seed: suites.run_parahoric(
-        spec, _rank_in(a.n, 2, "the parahoric suite", MAX_PARAHORIC_RANK), seed,
-        count=_count(a, "count", 100)),
-    "sp": lambda a, spec, seed: suites.run_sp(
-        spec, _rank_in(a.n, 1, "the sp suite"), seed,
-        count=_count(a, "count", 100)),
-    "fans": _verify_fans,
-    "hypersurface": _verify_hypersurface,
-    "schur": lambda a, spec, seed: suites.run_schur(seed, inputs=_count(a, "count", 10)),
-    "boundary": _verify_boundary,
+    "semiring": ({"field", "p", "count"}, lambda a, seed: suites.run_semiring(
+        seed, count=_count(a, "count", 200), spec=_field_spec(a))),
+    "stabilizer": ({"field", "p", "n", "matrices", "points", "count"},
+                   lambda a, seed: suites.run_stabilizer(
+                       _field_spec(a), _rank_in(a.n, 2, "the stabilizer suite"), seed,
+                       matrices=_count(a, "matrices", 100), points=_count(a, "points", 10),
+                       closure_pairs=_count(a, "count", 100))),
+    "parahoric": ({"field", "p", "n", "count"}, lambda a, seed: suites.run_parahoric(
+        _field_spec(a), _rank_in(a.n, 2, "the parahoric suite", MAX_PARAHORIC_RANK), seed,
+        count=_count(a, "count", 100))),
+    "sp": ({"field", "p", "n", "count"}, lambda a, seed: suites.run_sp(
+        _field_spec(a), _rank_in(a.n, 1, "the sp suite"), seed,
+        count=_count(a, "count", 100))),
+    "fans": ({"rep", "n", "lam", "samples"}, _verify_fans),
+    "hypersurface": ({"p", "rep", "n", "lam", "samples"}, _verify_hypersurface),
+    "schur": ({"count"}, lambda a, seed: suites.run_schur(
+        seed, inputs=_count(a, "count", 10))),
+    "boundary": ({"field", "p", "n", "count"}, lambda a, seed: suites.run_boundary(
+        _field_spec(a), _rank_in(a.n, 2, "the boundary suite", MAX_BOUNDARY_RANK), seed,
+        count=_count(a, "count", 100))),
+    "sp-boundary": ({"field", "p", "count"}, lambda a, seed: suites.run_sp_boundary(
+        _field_spec(a), seed, count=_count(a, "count", 100))),
 }
 
 
 def _cmd_verify(args) -> int:
-    spec = _field_spec(args)
-    seed = _require_seed(args)
-    if args.suite not in _SUITES:
-        raise InputError(f"unknown suite {args.suite!r}")
-    report = _SUITES[args.suite](args, spec, seed)
+    reads, run = _SUITES[args.suite]
+    given = {name for name, value in vars(args).items() if value is not None}
+    refused = sorted(given - reads - {"command", "run", "suite", "seed", "out"})
+    if refused:
+        raise InputError(f"--suite {args.suite} does not read " + ", ".join(
+            "--lambda" if name == "lam" else f"--{name}" for name in refused))
+    # the defaults, once the suite is known to read every flag given
+    for name, value in (("field", "qp"), ("p", 2), ("n", 3), ("rep", "identity")):
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+    report = run(args, _require_seed(args))
     _emit_json(args, report)
     return 0 if report["pass"] else 1
 
@@ -361,14 +374,14 @@ def _cmd_schur(args) -> int:
 def _cmd_hypersurface(args) -> int:
     rep, n, lam = _char_params(args)
     count = _count(args, "sample")
-    _field_spec(args)
+    p = _prime(args.p)
     char = suites.character_from_params(rep, n, lam)
     seed = _require_seed(args)
     samples = [{"point": point_to_json(x), "member": member, "skeleton": skel}
                for x, member, skel in suites.hypersurface_samples(
-                   char, args.p, random.Random(seed), count, 12)]
+                   char, p, random.Random(seed), count, 12)]
     agree = all(s["member"] == s["skeleton"] for s in samples)
-    doc = {"field_p": args.p, "rep": rep, "seed": seed,
+    doc = {"field_p": p, "rep": rep, "seed": seed,
            "samples": samples, "agree_all": agree}
     _emit_json(args, doc)
     return 0 if agree else 1
@@ -379,7 +392,7 @@ def _cmd_plot(args) -> int:
     if args.sample < 0:
         raise InputError("--sample must be at least 0")
     if args.sample:
-        _field_spec(args)
+        _prime(args.p)
     seed = _require_seed(args) if args.sample else 0
     # refused before the character is built: a large Schur one costs seconds
     svgplot._check_rank_two(GROUP_SP if rep == "sp" else GROUP_SL,
@@ -391,26 +404,10 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "stabilize": _cmd_stabilize,
-    "verify": _cmd_verify,
-    "fan": _cmd_fan,
-    "schur": _cmd_schur,
-    "hypersurface": _cmd_hypersurface,
-    "boundary-stabilize": _cmd_stabilize,
-    "plot": _cmd_plot,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.group == "sp2n" and args.command not in ("stabilize", "boundary-stabilize") \
-                and getattr(args, "suite", None) not in ("boundary", "sp"):
-            raise InputError("--group sp2n is read only by stabilize, boundary-stabilize "
-                             "and verify --suite boundary or sp; use --suite sp or --rep sp")
-        return _DISPATCH[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

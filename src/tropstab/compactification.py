@@ -5,8 +5,9 @@ vectors over the rationals with minus infinity adjoined, not all entries
 infinite, modulo a common finite shift.  The stratum of a point is the set
 of finite positions.  A direction is a plain coordinate tuple d, and the
 limit of x + s*d keeps finite the coordinates where d is largest.
-Stabilizers of boundary points are computed by the same tropical
-fixed-point test, and independently by a block condition: the matrix must
+Stabilizers of boundary points are decided by the apartment's predicate,
+`apartment.stabilizer_membership`, and independently by a block
+condition: the matrix must
 preserve the coordinate subspace of the stratum and its restriction must
 fix the finite part.
 """
@@ -15,17 +16,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .apartment import CoordinatePoint
+from .apartment import CoordinatePoint, stabilizer_membership
 from .errors import (AllInfiniteError, DimensionMismatchError, DomainError,
                      InvalidDirectionError)
 from .matrices import FieldMatrix, _require_det_one
 from .symplectic import SpApartmentPoint, _embed, _require_symplectic
-from .tropical import NEG_INF, stabilizes_tropically, trop_vector
-
-
-def stratum(x) -> frozenset:
-    """Indices of the finite entries of a tropical vector."""
-    return BoundaryPoint(x).stratum
+from .tropical import NEG_INF, trop_vector
 
 
 class BoundaryPoint(CoordinatePoint):
@@ -64,12 +60,6 @@ def boundary_point_from_direction(ys, ds) -> BoundaryPoint:
     return BoundaryPoint(tuple(y if e == top else NEG_INF for y, e in zip(ys, ds)))
 
 
-def boundary_stabilizes(g: FieldMatrix, b: BoundaryPoint) -> bool:
-    """Does g fix the boundary point tropically?"""
-    _require_det_one(g)
-    return stabilizes_tropically(g, b.coords)
-
-
 def boundary_block_oracle(g: FieldMatrix, b: BoundaryPoint) -> bool:
     """Independent check: g preserves the stratum subspace and the restricted
     block fixes the finite part, attainment of every row maximum included."""
@@ -105,4 +95,4 @@ def sp_boundary_point(x: SpApartmentPoint, d) -> BoundaryPoint:
 def sp_boundary_stabilizes(g: FieldMatrix, x: SpApartmentPoint, d) -> bool:
     """Does the symplectic matrix g fix the embedded limit point tropically?"""
     _require_symplectic(g)
-    return boundary_stabilizes(g, sp_boundary_point(x, d))
+    return stabilizer_membership(g, sp_boundary_point(x, d))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZeroError, InputError
-from .fields import FieldSpec, FpTElement, QpElement, _exact
+from .fields import FieldSpec, FpTElement, QpElement
 from .matrices import FieldMatrix
 from .tropical import NEG_INF
 from .weights import Fan, canonical_weight
@@ -67,13 +67,6 @@ def trop_from_json(v):
 
 def spec_to_json(spec: FieldSpec) -> dict:
     return {"kind": spec.kind, "p": spec.p}
-
-
-def spec_from_json(data) -> FieldSpec:
-    try:
-        return FieldSpec(str(data["kind"]), _exact(data["p"], int, "residue characteristic"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"invalid field description: {data!r}") from exc
 
 
 def element_to_json(e):

@@ -24,8 +24,7 @@ from . import sampling
 from .apartment import (ApartmentPoint, face_address, normalizer_action,
                         parahoric_oracle, stabilizer_membership)
 from .compactification import (BoundaryPoint, boundary_block_oracle,
-                               boundary_point_from_direction,
-                               boundary_stabilizes, direction_for_stratum,
+                               boundary_point_from_direction, direction_for_stratum,
                                sp_boundary_stabilizes)
 from .errors import InputError
 from .fields import FieldSpec
@@ -563,7 +562,7 @@ def run_boundary(spec: FieldSpec, n: int, seed: int, count: int = 300):
                 yield _boundary_matrix(spec, n, stratum_set, rng), b
 
     def block_test_disagrees(g, b):
-        direct = boundary_stabilizes(g, b)
+        direct = stabilizer_membership(g, b)
         blocked = boundary_block_oracle(g, b)
         return None if direct == blocked else {
             "matrix": matrix_to_json(g), "point": point_to_json(b.coords),
@@ -572,7 +571,7 @@ def run_boundary(spec: FieldSpec, n: int, seed: int, count: int = 300):
     checks = [_run("block_oracle_equivalence", block_cases(), block_test_disagrees)]
 
     def full_stratum_differs(x, g):
-        same = boundary_stabilizes(g, BoundaryPoint(x)) == stabilizes_tropically(g, x)
+        same = stabilizer_membership(g, BoundaryPoint(x)) == stabilizes_tropically(g, x)
         return None if same else {"matrix": matrix_to_json(g),
                                   "point": point_to_json(x)}
 
@@ -589,7 +588,7 @@ def run_boundary(spec: FieldSpec, n: int, seed: int, count: int = 300):
                    _boundary_matrix(spec, n, stratum_set, rng))
 
     checks.append(_run("monomial_equivariance", monomial_cases(), lambda b, m, g:
-                       _not_equivariant(boundary_stabilizes, normalizer_action, g, m, b)))
+                       _not_equivariant(stabilizer_membership, normalizer_action, g, m, b)))
 
     def ray_cases():
         for k in range(max(1, count // 2)):
@@ -603,7 +602,7 @@ def run_boundary(spec: FieldSpec, n: int, seed: int, count: int = 300):
 
     checks.append(_limit_coherence(
         ray_cases(), lambda g, x, v: fixes_ray(g, x.coords, v),
-        lambda g, x, d: boundary_stabilizes(g, boundary_point_from_direction(x.coords, d))))
+        lambda g, x, d: stabilizer_membership(g, boundary_point_from_direction(x.coords, d))))
 
     return _report("boundary", {"seed": seed, "n": n,
                                 "field": spec_to_json(spec), "count": count},

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropstab import matrices, suites
+from tropstab import cli, matrices, suites
 from tropstab.cli import _expected_cone_count, main
 
 
@@ -176,6 +177,21 @@ def test_verify_semiring_deterministic(capsys):
      "--point", '["0","0"]'],
     ["stabilize", "--field", "fpt", "--p", "3",
      "--matrix", '[[{"numerator":{"0":2}},"0"],["0","1"]]', "--point", '["0","0"]'],
+    ["stabilize"],
+    ["verify", "--suite", "stabilizer", "--n", "x", "--seed", "1"],
+    ["fan", "--rep", "identity", "--n", "3", "--p", "4", "--field", "fpt", "--seed", "5"],
+    ["schur", "--lambda", "2,1", "--z", "1,2", "--p", "9"],
+    ["verify", "--suite", "schur", "--seed", "1", "--count", "1", "--n", "99", "--rep", "sp",
+     "--samples", "5", "--matrices", "7"],
+    ["verify", "--suite", "sp", "--n", "1", "--seed", "1", "--count", "1",
+     "--group", "sp2n"],
+    ["verify", "--suite", "boundary", "--group", "sp2n", "--n", "9", "--seed", "1",
+     "--count", "1"],
+    ["verify", "--suite", "sp-boundary", "--n", "9", "--seed", "1", "--count", "1"],
+    ["hypersurface", "--rep", "identity", "--n", "3", "--sample", "5", "--seed", "1",
+     "--field", "fpt"],
+    ["verify", "--suite", "semiring", "--seed", "1", "--count", "1", "--sample", "5"],
+    ["stabilize", "--mat", '[["1","1"],["0","1"]]', "--poi", '["0","0"]'],
 ], ids=["negative-degree", "stabilizer-n1", "parahoric-n1", "boundary-n1",
         "sp-n0", "fans-identity-n1", "fan-negative-part", "negative-count",
         "zero-count", "zero-matrices", "negative-points", "zero-samples",
@@ -193,7 +209,10 @@ def test_verify_semiring_deterministic(capsys):
         "hypersurface-suite-n33", "parahoric-n6", "parahoric-n12", "boundary-n11",
         "boundary-n40", "fpt-overflowing-coefficient", "fpt-infinite-coefficient",
         "fpt-boolean-coefficient", "fpt-float-coefficient", "fpt-float-denominator",
-        "fpt-misspelt-key"])
+        "fpt-misspelt-key", "stabilize-no-flags", "verify-n-not-an-int",
+        "fan-unread-flags", "schur-unread-p", "schur-suite-unread-flags",
+        "sp-suite-group", "boundary-suite-group", "sp-boundary-suite-n",
+        "hypersurface-field", "verify-abbreviated-samples", "stabilize-abbreviated-flags"])
 def test_bad_parameters_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -344,8 +363,8 @@ def test_verify_stabilizer_small(capsys):
 
 
 def test_verify_boundary_sp_group(capsys):
-    code, doc = run_json(capsys, "verify", "--suite", "boundary",
-                         "--group", "sp2n", "--seed", "5", "--count", "10")
+    code, doc = run_json(capsys, "verify", "--suite", "sp-boundary",
+                         "--seed", "5", "--count", "10")
     assert code == 0 and doc["pass"]
     assert doc["suite"] == "sp-boundary"
 
@@ -695,3 +714,141 @@ def test_payload_commands_exit_cleanly_on_any_json(command, field, matrix, point
     assert code in (0, 2, 3)
     assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
     assert (code == 0) == (err.getvalue() == "")
+
+
+def _command_options():
+    """Each command's options, --help left out, as the parser declares them."""
+    commands = next(action for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    return {name: [action for action in parser._actions
+                   if action.option_strings and action.option_strings[0] != "-h"]
+            for name, parser in commands.items()}
+
+
+def _command_flags():
+    return {name: sorted(action.option_strings[0] for action in actions)
+            for name, actions in _command_options().items()}
+
+
+def test_command_flags():
+    # every flag added to or removed from a command or a suite shows up here
+    payload = ["--field", "--group", "--matrix", "--out", "--p", "--point"]
+    character = ["--lambda", "--n", "--rep"]
+    assert _command_flags() == {
+        "stabilize": payload,
+        "boundary-stabilize": payload,
+        "verify": sorted(["--suite", "--seed", "--out", "--field", "--p", "--count",
+                          "--matrices", "--points", "--samples", *character]),
+        "fan": sorted(["--out", *character]),
+        "schur": ["--lambda", "--out", "--z"],
+        "hypersurface": sorted(["--out", "--p", "--sample", "--seed", *character]),
+        "plot": sorted(["--out", "--p", "--sample", "--seed", "--walls", *character]),
+    }
+    assert {suite: sorted(reads) for suite, (reads, _) in cli._SUITES.items()} == {
+        "semiring": ["count", "field", "p"],
+        "stabilizer": ["count", "field", "matrices", "n", "p", "points"],
+        "parahoric": ["count", "field", "n", "p"],
+        "sp": ["count", "field", "n", "p"],
+        "fans": ["lam", "n", "rep", "samples"],
+        "hypersurface": ["lam", "n", "p", "rep", "samples"],
+        "schur": ["count"],
+        "boundary": ["count", "field", "n", "p"],
+        "sp-boundary": ["count", "field", "p"],
+    }
+
+
+#: A value that verify's parser takes for each flag a suite may read.
+_VERIFY_VALUES = {"field": "fpt", "p": "3", "n": "2", "count": "1", "matrices": "1",
+                  "points": "1", "samples": "1", "rep": "identity", "lam": "1"}
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+def test_verify_suites_refuse_every_flag_they_do_not_read(capsys, suite):
+    # without --seed, a flag the suite reads gets as far as the seed check
+    reads = cli._SUITES[suite][0]
+    for name, value in _VERIFY_VALUES.items():
+        flag = "--lambda" if name == "lam" else f"--{name}"
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, value)
+        assert (code, out) == (2, "")
+        assert err == ("error: --seed is required for randomized runs\n" if name in reads
+                       else f"error: --suite {suite} does not read {flag}\n")
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tropstab")
+
+
+def _values(valid, invalid=()):
+    """One of the valid values, or one time in eight an invalid one."""
+    return st.integers(0, 7 if invalid else 0).flatmap(
+        lambda i: st.sampled_from(valid if i or not invalid else invalid))
+
+
+#: Values for every flag of any command: small ranks, counts and partitions,
+#: a few refused forms among them.
+_FLAG_VALUES = {
+    "--field": _values(("qp", "fpt"), ("zz",)),
+    "--p": _values(("2", "3", "5"), ("4", "1", "-3", "x")),
+    "--group": _values(("sln", "sp2n")),
+    "--seed": _values(("0", "7", "-1"), ("x",)),
+    "--matrix": _values(('[["1","1"],["0","1"]]', '[["1","0"],["0","1"]]', _SP4,
+                         '[[["1","1"],["0","1"]],[["1","0"],["-1","1"]]]'),
+                        ('[["2","0"],["0","1"]]', "[[1]]", "x")),
+    "--point": _values(('["0","0"]', '["1/2","-inf"]', '["0"]', '["0","1","-inf","-inf"]'),
+                       ('["-inf","-inf"]', "[]")),
+    "--suite": _values(sorted(cli._SUITES), ("boundary-sp",)),
+    "--n": _values(("1", "2", "3", "4"), ("-1", "0", "x")),
+    "--rep": _values(("identity", "sp", "schur"), ("adjoint",)),
+    "--lambda": _values(("1", "2,1", "2,1,0", "1,1,1", "3,2,1", "6", "1,1,1,1,1,1"),
+                        ("2,-1", "1,2", "x")),
+    "--z": _values(("1,2", "1/2,3,5", "2,2"), ("x",)),
+    "--walls": st.none(),
+    "--out": st.just("OUT"),  # a file in the test's own directory
+    **{flag: _values(("1", "2", "3"), ("0", "-1"))
+       for flag in ("--count", "--matrices", "--points", "--samples", "--sample")},
+}
+_COUNTS = ("--count", "--matrices", "--points", "--samples")
+_mostly = st.integers(0, 3).map(bool)
+
+
+@st.composite
+def _command_lines(draw):
+    """A command with at most one flag of any command, its required flags
+    and some of its others.  verify's others are those its suite reads, with
+    every count among them, since a default count runs for seconds."""
+    options = _command_options()
+    command = draw(st.sampled_from(sorted(options)))
+    values = {flag: draw(_FLAG_VALUES[flag])
+              for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=1))}
+    reads = {"seed", "out"}
+    if command == "verify":
+        values.setdefault("--suite", draw(_FLAG_VALUES["--suite"]))
+        reads |= cli._SUITES.get(values["--suite"], (set(),))[0]
+    for action in options[command]:
+        flag = action.option_strings[0]
+        count = command == "verify" and flag in _COUNTS and action.dest in reads
+        if flag not in values and (action.required or count or (
+                (command != "verify" or action.dest in reads) and draw(_mostly))):
+            values[flag] = draw(_FLAG_VALUES[flag])
+    argv = [command]
+    for flag, value in values.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(_command_lines())
+def test_commands_exit_cleanly_on_any_flags(tmp_path_factory, argv):
+    out_path = str(tmp_path_factory.getbasetemp() / "out")
+    argv = [out_path if arg == "OUT" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in ((0, 1, 2, 3) if argv[0] in ("verify", "schur", "hypersurface")
+                    else (0, 2, 3))
+    assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
+    assert (code in (0, 1)) == (err.getvalue() == "")

@@ -8,7 +8,7 @@ def test_public_names():
         "FieldMatrix", "FieldSpec", "NEG_INF", "SpApartmentPoint",
         "WeightedCharacter", "WeylElement", "antitranspose", "apartment",
         "boundary_block_oracle", "boundary_point_from_direction",
-        "boundary_stabilizes", "compactification", "direction_for_stratum",
+        "compactification", "direction_for_stratum",
         "dominance_cone", "embed_point", "errors", "face_address",
         "feasibility", "fields", "fixes_ray", "is_symplectic", "kostka_number",
         "matrices", "normal_cone_member", "normalizer_action", "origin",
@@ -18,7 +18,7 @@ def test_public_names():
         "sp_boundary_stabilizes", "sp_fixes_ray", "sp_parahoric_oracle",
         "sp_stabilizer_membership", "sp_standard_character",
         "stabilizer_membership", "stabilizes_tropically", "standard_form",
-        "stratum", "symplectic", "trop_add", "trop_matvec", "trop_mul",
+        "symplectic", "trop_add", "trop_matvec", "trop_mul",
         "tropical", "tropical_hypersurface_member", "tropicalize",
         "valuation_inequality_oracle", "weight_fan", "weights",
         "weyl_elements",

@@ -14,8 +14,8 @@ from tropstab.serialize import (MAX_DEGREE, InputError, element_from_json,
                                 element_to_json,
                                 fraction_from_json, fraction_to_str,
                                 matrix_from_json, matrix_to_json,
-                                point_from_json, point_to_json, spec_from_json,
-                                spec_to_json, trop_from_json, trop_to_json)
+                                point_from_json, point_to_json, trop_from_json,
+                                trop_to_json)
 from tropstab.tropical import NEG_INF
 from tropstab.weights import as_partition
 
@@ -78,18 +78,6 @@ def test_trop_scalar_round_trip():
     assert trop_to_json(NEG_INF) == "-inf"
     assert trop_from_json("-inf") is NEG_INF
     assert trop_from_json(trop_to_json(Fraction(-3, 4))) == Fraction(-3, 4)
-
-
-def test_spec_round_trip():
-    for spec in (Q5, F3T):
-        assert spec_from_json(spec_to_json(spec)) == spec
-    with pytest.raises(InputError):
-        spec_from_json({"kind": "Qp"})
-    assert spec_from_json({"kind": "Qp", "p": "5"}) == Q5
-    assert spec_from_json({"kind": "FpT", "p": Fraction(3)}) == F3T
-    for p in (2.9, 5.0, Fraction(5, 2), "2.5", None):
-        with pytest.raises(InputError):
-            spec_from_json({"kind": "Qp", "p": p})
 
 
 def test_qp_element_round_trip():

@@ -13,10 +13,10 @@ characterizes parahoric subgroups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, InputError, OutOfStarError
+from .fields import _Frozen
 from .matrices import FieldMatrix, _require_det_one
 from .tropical import NEG_INF, stabilizes_tropically, trop_mul, trop_vector
 
@@ -83,17 +83,25 @@ def normalizer_action(m: FieldMatrix, x: CoordinatePoint) -> CoordinatePoint:
     return type(x)(out)
 
 
-@dataclass(frozen=True)
-class FaceAddress:
+class FaceAddress(_Frozen):
     """Relative position of a point in the integer hyperplane arrangement.
 
     For each pair i < j the coordinate difference either sits on a wall
     (an integer m) or strictly between walls m and m+1.  Two points share
     an address exactly when they lie in the relative interior of the same
-    face.
+    face.  Immutable, equal and hashed by its relations.
     """
 
-    relations: tuple
+    def __init__(self, relations: tuple):
+        self.__dict__["relations"] = relations
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.relations == other.relations
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.relations,))
 
     def __repr__(self):
         return f"FaceAddress{self.relations}"

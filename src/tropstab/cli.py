@@ -20,7 +20,7 @@ import random
 import sys
 from pathlib import Path
 
-from . import suites, svgplot
+from . import suites, svgplot, weights
 from .apartment import ApartmentPoint, stabilizer_membership
 from .compactification import BoundaryPoint
 from .errors import InputError, TropstabError
@@ -29,8 +29,6 @@ from .serialize import (fan_to_json, fraction_from_json, matrix_from_json,
                         point_from_json, point_to_json, spec_to_json)
 from .symplectic import SpApartmentPoint, embed_point, _require_symplectic
 from .tropical import NEG_INF, trop_matvec, tropicalize
-from .weights import (GROUP_SL, GROUP_SP, as_partition, schur_eval_bialternant,
-                      schur_eval_tableaux, weight_fan)
 
 
 def _load_payload(text: str):
@@ -63,7 +61,7 @@ def _parse_lambda(text: str):
     """Parts as given, trailing zeros kept; they must form a partition."""
     try:
         lam = tuple(int(part) for part in text.split(","))
-        as_partition(lam)
+        weights.as_partition(lam)
     except ValueError as exc:
         raise InputError(f"invalid partition: {text!r}") from exc
     return lam
@@ -153,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="hypersurface samples to overlay; 0 draws the fan alone")
     plot.add_argument("--walls", action="store_true")
     plot.add_argument("--seed", **seed)
-    plot.add_argument("--p", default=2, **prime)
+    plot.add_argument("--p", **prime)
 
     return parser
 
@@ -190,19 +188,20 @@ def _count(args, name, default=None):
 
 
 def _char_params(args):
+    """(rep, rank, lam): a Schur --lambda without --n has rank its number of parts."""
     lam = _parse_lambda(args.lam) if args.lam else None
     n = args.n
     if args.rep == "schur" and lam is None:
         raise InputError("--lambda is required for the schur representation")
     if n is not None:
         _rank_in(n, 2 if args.rep == "identity" else 1, f"the {args.rep} representation")
-        if args.rep == "schur" and len(as_partition(lam)) > n:
+        if args.rep == "schur" and len(weights.as_partition(lam)) > n:
             raise InputError(f"--lambda has more than --n = {n} nonzero parts")
     elif args.rep != "schur":
         raise InputError("--n is required for this representation")
     elif len(lam) > MAX_RANK:
         raise InputError(f"--lambda without --n must have at most {MAX_RANK} parts")
-    return args.rep, n, lam
+    return args.rep, len(lam) if n is None else n, lam
 
 
 def _cmd_stabilize(args) -> int:
@@ -271,7 +270,7 @@ def _expected_cone_count(rep, n, lam):
     if rep == "sp":
         return 2 * n
     rank = len(lam) if n is None else n
-    part = as_partition(lam)
+    part = weights.as_partition(lam)
     padded = part + (0,) * (rank - len(part))
     # distinct permutations of the padded partition: a multinomial coefficient
     return math.factorial(len(padded)) // math.prod(
@@ -284,8 +283,7 @@ MAX_WEYL_ORDER = 5040
 
 def _verify_fans(a, seed):
     rep, n, lam = _char_params(a)
-    rank = len(lam) if n is None else n
-    if math.factorial(rank) * (2 ** rank if rep == "sp" else 1) > MAX_WEYL_ORDER:
+    if math.factorial(n) * (2 ** n if rep == "sp" else 1) > MAX_WEYL_ORDER:
         raise InputError(f"the fans suite runs over the Weyl group, whose "
                          f"order must be at most {MAX_WEYL_ORDER}")
     return suites.run_fans(rep, seed, n=n, lam=lam, samples=_count(a, "samples", 500),
@@ -335,10 +333,13 @@ def _cmd_verify(args) -> int:
     if refused:
         raise InputError(f"--suite {args.suite} does not read " + ", ".join(
             "--lambda" if name == "lam" else f"--{name}" for name in refused))
-    # the defaults, once the suite is known to read every flag given
-    for name, value in (("field", "qp"), ("p", 2), ("n", 3), ("rep", "identity")):
+    # the defaults, once the suite is known to read every flag given; a Schur
+    # --lambda without --n has rank its number of parts, as in fan and plot
+    for name, value in (("field", "qp"), ("p", 2), ("rep", "identity")):
         if getattr(args, name) is None:
             setattr(args, name, value)
+    if args.n is None and args.rep != "schur":
+        args.n = 3
     report = run(args, _require_seed(args))
     _emit_json(args, report)
     return 0 if report["pass"] else 1
@@ -347,15 +348,15 @@ def _cmd_verify(args) -> int:
 def _cmd_fan(args) -> int:
     rep, n, lam = _char_params(args)
     char = suites.character_from_params(rep, n, lam)
-    _emit_json(args, fan_to_json(weight_fan(char)))
+    _emit_json(args, fan_to_json(weights.weight_fan(char)))
     return 0
 
 
 def _cmd_schur(args) -> int:
     lam = _parse_lambda(args.lam)
     values = _parse_values(args.z)
-    tabl = schur_eval_tableaux(lam, values)
-    bial = schur_eval_bialternant(lam, values)
+    tabl = weights.schur_eval_tableaux(lam, values)
+    bial = weights.schur_eval_bialternant(lam, values)
     try:
         shown = str(tabl), str(bial)
     except ValueError as exc:  # more digits than Python converts to text
@@ -391,14 +392,14 @@ def _cmd_plot(args) -> int:
     rep, n, lam = _char_params(args)
     if args.sample < 0:
         raise InputError("--sample must be at least 0")
-    if args.sample:
-        _prime(args.p)
+    if not args.sample and (args.p is not None or args.seed is not None):
+        raise InputError("--p and --seed are read only with --sample above 0")
+    p = 2 if args.p is None else _prime(args.p)
     seed = _require_seed(args) if args.sample else 0
     # refused before the character is built: a large Schur one costs seconds
-    svgplot._check_rank_two(GROUP_SP if rep == "sp" else GROUP_SL,
-                            len(lam) if n is None else n)
+    svgplot._check_rank_two(weights.GROUP_SP if rep == "sp" else weights.GROUP_SL, n)
     char = suites.character_from_params(rep, n, lam)
-    svg = svgplot.render_fan_svg(char, p=args.p, samples=args.sample, seed=seed,
+    svg = svgplot.render_fan_svg(char, p=p, samples=args.sample, seed=seed,
                                  walls=args.walls)
     _emit(args, svg)
     return 0

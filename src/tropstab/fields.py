@@ -19,7 +19,6 @@ operand.  Each FieldSpec builds 0 and 1 once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -174,20 +173,37 @@ def _exact(value, read, what: str):
     return out
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """A discretely valued field: kind "Qp" or "FpT", residue characteristic p."""
+class _Frozen:
+    """Refuses assignment and deletion, as a frozen dataclass does."""
 
-    kind: str
-    p: int
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
 
-    def __post_init__(self):
-        if self.kind not in ("Qp", "FpT"):
-            raise InputError(f"unsupported field kind: {self.kind!r}")
-        if not is_prime(self.p):
-            raise InputError(f"residue characteristic must be prime, got {self.p}")
-        object.__setattr__(self, "_zero", self.element(0))
-        object.__setattr__(self, "_one", self.element(1))
+    __delattr__ = __setattr__
+
+
+class FieldSpec(_Frozen):
+    """A discretely valued field: kind "Qp" or "FpT", residue characteristic p.
+    Immutable, equal and hashed by (kind, p)."""
+
+    def __init__(self, kind: str, p: int):
+        if kind not in ("Qp", "FpT"):
+            raise InputError(f"unsupported field kind: {kind!r}")
+        if not is_prime(p):
+            raise InputError(f"residue characteristic must be prime, got {p}")
+        self.__dict__.update(kind=kind, p=p)
+        self.__dict__.update(_zero=self.element(0), _one=self.element(1))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.p) == (other.kind, other.p)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.p))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(kind={self.kind!r}, p={self.p!r})"
 
     def element(self, value: Coercible) -> "FieldElement":
         """Coerce an int, a Fraction, or an element of the same field."""

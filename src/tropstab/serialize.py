@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import weights
 from .errors import DivisionByZeroError, InputError
 from .fields import FieldSpec, FpTElement, QpElement
 from .matrices import FieldMatrix
 from .tropical import NEG_INF
-from .weights import Fan, canonical_weight
 
 
 #: The largest degree an F_p(T) payload may use.  Elements are dense
@@ -138,15 +138,15 @@ def point_from_json(data):
     return [trop_from_json(v) for v in data]
 
 
-def fan_to_json(fan: Fan) -> dict:
+def fan_to_json(fan: weights.Fan) -> dict:
     return {
         "group": fan.group,
         "rank": fan.rank,
-        "vertices": [list(canonical_weight(fan.group, fc.vertex))
+        "vertices": [list(weights.canonical_weight(fan.group, fc.vertex))
                      for fc in fan.maximal_cones],
         "cones": [
             {
-                "vertex": list(canonical_weight(fan.group, fc.vertex)),
+                "vertex": list(weights.canonical_weight(fan.group, fc.vertex)),
                 "inequalities": [list(f) for f in fc.cone.functionals],
             }
             for fc in fan.maximal_cones

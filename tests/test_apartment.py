@@ -92,6 +92,16 @@ def test_face_address_examples():
     assert a.relations == ((0, 1, "strip", 0),)
     b = face_address(ApartmentPoint((Fraction(1, 3), 0, Fraction(-1, 3))))
     assert all(kind == "strip" and m == 0 for (_, _, kind, m) in b.relations)
+    # the equality, hash, repr and refused assignment of the frozen dataclass
+    # FaceAddress was
+    again = face_address(ApartmentPoint((Fraction(1, 4), Fraction(-1, 4))))
+    assert again == a and again is not a and a != b and a != a.relations
+    assert hash(again) == hash(a) == hash((a.relations,))
+    assert {a: 1, b: 2}[again] == 1
+    assert repr(a) == "FaceAddress((0, 1, 'strip', 0),)"
+    with pytest.raises(AttributeError):
+        a.relations = b.relations
+    assert a.relations == ((0, 1, "strip", 0),)
 
 
 def test_face_address_separates_faces():

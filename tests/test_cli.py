@@ -192,6 +192,8 @@ def test_verify_semiring_deterministic(capsys):
      "--field", "fpt"],
     ["verify", "--suite", "semiring", "--seed", "1", "--count", "1", "--sample", "5"],
     ["stabilize", "--mat", '[["1","1"],["0","1"]]', "--poi", '["0","0"]'],
+    ["plot", "--rep", "identity", "--n", "3", "--p", "4", "--seed", "5"],
+    ["plot", "--rep", "identity", "--n", "3", "--p", "2"],
 ], ids=["negative-degree", "stabilizer-n1", "parahoric-n1", "boundary-n1",
         "sp-n0", "fans-identity-n1", "fan-negative-part", "negative-count",
         "zero-count", "zero-matrices", "negative-points", "zero-samples",
@@ -212,7 +214,8 @@ def test_verify_semiring_deterministic(capsys):
         "fpt-misspelt-key", "stabilize-no-flags", "verify-n-not-an-int",
         "fan-unread-flags", "schur-unread-p", "schur-suite-unread-flags",
         "sp-suite-group", "boundary-suite-group", "sp-boundary-suite-n",
-        "hypersurface-field", "verify-abbreviated-samples", "stabilize-abbreviated-flags"])
+        "hypersurface-field", "verify-abbreviated-samples", "stabilize-abbreviated-flags",
+        "plot-unread-p-and-seed", "plot-unread-p"])
 def test_bad_parameters_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -622,6 +625,14 @@ def test_verify_fans_counts_cones_of_the_partition_cut_to_the_rank(capsys):
         code, doc = run_json(capsys, "verify", "--suite", "fans", "--rep", "schur",
                              *args, "--seed", "1")
         assert code == 0 and doc["pass"]
+
+
+def test_verify_schur_rank_is_the_number_of_parts_of_lambda(capsys):
+    # as in fan, hypersurface and plot, when --n is left out
+    for suite in ("fans", "hypersurface"):
+        code, doc = run_json(capsys, "verify", "--suite", suite, "--rep", "schur",
+                             "--lambda", "2,1,1,1", "--seed", "1", "--samples", "20")
+        assert code == 0 and doc["pass"] and doc["params"]["n"] == 4
 
 
 def test_verify_fans_accepts_the_largest_weyl_order(capsys):

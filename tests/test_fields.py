@@ -37,6 +37,23 @@ def test_spec_validation():
         FieldSpec("Laurent", 2)
 
 
+def test_spec_is_an_immutable_value():
+    # the equality, hash, repr and refused assignment of the frozen dataclass
+    # FieldSpec was
+    assert FieldSpec("Qp", 2) == Q2 and FieldSpec("Qp", 2) is not Q2
+    assert Q2 != Q3 and Q2 != F2T and Q2 != ("Qp", 2)
+    assert hash(FieldSpec("FpT", 3)) == hash(F3T) == hash(("FpT", 3))
+    assert {FieldSpec("Qp", 2): 1, F3T: 2}[Q2] == 1
+    assert {FieldSpec("Qp", 2): 1, F3T: 2}[FieldSpec("FpT", 3)] == 2
+    assert repr(Q2) == "FieldSpec(kind='Qp', p=2)"
+    assert repr(F3T) == "FieldSpec(kind='FpT', p=3)"
+    for change in (lambda: setattr(Q2, "p", 3), lambda: setattr(Q2, "other", 1),
+                   lambda: delattr(Q2, "kind")):
+        with pytest.raises(AttributeError):
+            change()
+    assert (Q2.kind, Q2.p) == ("Qp", 2)
+
+
 def test_is_prime_matches_trial_division():
     def by_trial(n):
         return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))

@@ -3,7 +3,8 @@
 Every run_* report is a deterministic function of its parameters.  The
 table pins the sha256 of json.dumps(report, sort_keys=True) for small
 runs over Q_2 and F_3(T), at every rank from one to three that a suite
-accepts, so that a change to how the suites draw or judge their cases
+accepts, and of the stabilizer, parahoric and symplectic suites over F_2(T)
+and F_5(T), so that a change to how the suites draw or judge their cases
 cannot alter a passing report unnoticed.  A second test makes a predicate
 fail at a chosen case and checks what the report says about it.
 """
@@ -21,6 +22,8 @@ from tropstab.serialize import matrix_to_json, point_to_json
 
 Q2 = FieldSpec("Qp", 2)
 F3T = FieldSpec("FpT", 3)
+F2T = FieldSpec("FpT", 2)
+F5T = FieldSpec("FpT", 5)
 
 #: (runner, positional arguments, keyword arguments, report digest)
 RUNS = [
@@ -98,6 +101,34 @@ RUNS = [
      "ac7b356c2ff98db902e167568087f3dad2230205fa2e247aaff62029173ecce9"),
     ("run_schur", (19,), {"inputs": 2, "max_size": 3, "max_rank": 3, "linear_inputs": 5},
      "04ea5fa7a8de8076ad29f0b5917a83b9c0375d61e9816583b87b1c99a44799d3"),
+    ("run_stabilizer", (F2T, 2, 12), {"matrices": 4, "points": 3, "closure_pairs": 4},
+     "42363bd8199f509374475262ed00c4629e622574cf455c39dfcd4e864a1ca7bc"),
+    ("run_parahoric", (F2T, 2, 13), {"count": 4},
+     "3cb6e92836ee9d77e270b5b6dcdb742f69d6705716b43af41b49fed6ef5fa755"),
+    ("run_stabilizer", (F2T, 3, 12), {"matrices": 4, "points": 3, "closure_pairs": 4},
+     "a0e97cc1f93dfd652607d45472e9dd82b1659c88111fc46ef97adfbec5b4d1ab"),
+    ("run_parahoric", (F2T, 3, 13), {"count": 4},
+     "5a6f3b43d770d75b6548957845f2b0dc98aec9bf61809edb2383a5880e64ee53"),
+    ("run_sp", (F2T, 1, 15), {"count": 4},
+     "4fd872323ad5a023d1ab7d9faf858409867b66e18d779224dcf22a2ab03497a5"),
+    ("run_sp", (F2T, 2, 15), {"count": 4},
+     "0167d727b78f20998001e59f675896ad27dc3ee43fa8166d2cd57bb35a9e54dd"),
+    ("run_sp", (F2T, 3, 15), {"count": 2},
+     "dc63dc13ca67cbba8d9f2a3ccfbd8ddfe94be9c0025d1e4fe5abb48670f42871"),
+    ("run_stabilizer", (F5T, 2, 12), {"matrices": 4, "points": 3, "closure_pairs": 4},
+     "09d1e05c400fef131b3af091164fd3646437797352fc8f6ceabd66f4cdd1af30"),
+    ("run_parahoric", (F5T, 2, 13), {"count": 4},
+     "00e5e0f6233f628ae5979018a4ebbc0452355bc4f28375efae5f1de1b4ef53a0"),
+    ("run_stabilizer", (F5T, 3, 12), {"matrices": 4, "points": 3, "closure_pairs": 4},
+     "02f6630fc428ac4f4e44b912f9892937dd529bd4d920cc6f653affa7bc2212eb"),
+    ("run_parahoric", (F5T, 3, 13), {"count": 4},
+     "6e00a9b23eeb2e53aebba279908fe4c238677f38703ca7cfe129099cc4a5261f"),
+    ("run_sp", (F5T, 1, 15), {"count": 4},
+     "5938b0587c57d2293e8725189f7bc58140bc57501fcc74d29ea830a60d6b0a46"),
+    ("run_sp", (F5T, 2, 15), {"count": 4},
+     "43f99f666e2d32fa9f3f1806d8dbd66ed3a146c6d1cd5a8a700d40357791ff6b"),
+    ("run_sp", (F5T, 3, 15), {"count": 2},
+     "9b4dd22dac3bdff690c9705f282a6333e0e21ea9f398fa8d9ab9a49a8287d338"),
 ]
 
 

@@ -18,7 +18,6 @@ import json
 import math
 import random
 import sys
-from pathlib import Path
 
 from . import suites, svgplot, weights
 from .apartment import ApartmentPoint, stabilizer_membership
@@ -39,7 +38,8 @@ def _load_payload(text: str):
     except ValueError as exc:
         raise InputError(f"invalid JSON payload: {exc}") from exc
     try:
-        return json.loads(Path(text).read_text(encoding="utf-8"))
+        with open(text, encoding="utf-8") as f:
+            return json.load(f)
     except OSError as exc:
         raise InputError(f"neither valid JSON nor an existing file: {text!r}") from exc
     except ValueError as exc:
@@ -73,7 +73,8 @@ def _parse_values(text: str):
 
 def _emit(args, text: str):
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 

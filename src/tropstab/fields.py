@@ -7,27 +7,28 @@ construction, and expose their valuation and, when integral, their image
 in the residue field F_p.
 
 A Q_p element is a pair of ints in lowest terms, the denominator
-positive; `.value` gives the Fraction.  An F_p(T) element is a pair of
-little-endian coefficient tuples in lowest terms, the denominator 1 at its
-lowest nonzero degree.  Both combine as Fraction combines its pairs, with a
-gcd only where a factor can cancel.  Against a power T^k the gcd is
-T^min(ord, k) and the exact quotient a shift, with no Euclid's algorithm;
-a sum with a 0 operand and a product with a 1 operand return the other
-operand.  Each FieldSpec builds 0 and 1 once.
+positive; `.value` gives the Fraction.  An F_p(T) element is stored in
+T-adic normal form T^v * u/w: an int v, which is its valuation, and
+little-endian coefficient tuples u, w with u(0) != 0, w(0) = 1 and
+gcd(u, w) = 1; zero is v = 0, u = (), w = (1,).  Its `num` and `den` give
+the reduced pair, T^v joining the numerator or the denominator.  Both kinds
+combine as Fraction combines its pairs, with a gcd only where a factor can
+cancel.  A Laurent polynomial (w = 1), as every payload entry u/T^k and
+every sampler element is, multiplies by one product of the u's and adds
+by one shifted sum, with no gcd; a sum with a 0 operand and a Q_p product
+with a 1 operand return the other operand.  Each FieldSpec builds 0 and 1
+once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 from .errors import DivisionByZeroError, DomainError, InputError
 
 #: Valuation of the zero element.
 INF = math.inf
-
-Coercible = Union[int, Fraction, "FieldElement"]
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -82,9 +83,9 @@ def _trim(c):
 
 
 def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([(x + y) % p for x, y in zip(a, b)] + list(a[len(b):]))
 
 
 def _pneg(a, p):
@@ -118,20 +119,9 @@ def _pdivmod(a, b, p):
     return _trim(q), _trim(rem)
 
 
-def _is_tpower(a):
-    """Is a the monomial T^k, for some k >= 0?"""
-    return a and a[-1] == 1 and a.count(0) == len(a) - 1
-
-
 def _pgcd(a, b, p):
     """The gcd scaled so that its lowest nonzero coefficient is 1; dividing by
-    it keeps the lowest coefficient of a normalised denominator at 1.
-    Against T^k it is T^min(ord, k), with no division."""
-    if _is_tpower(b):
-        a, b = b, a
-    if _is_tpower(a):
-        k = _pord(b)
-        return a if k is None or k >= len(a) - 1 else (0,) * k + (1,)
+    it keeps the constant term of a denominator w with w(0) = 1 at 1."""
     while b:
         a, b = b, _pdivmod(a, b, p)[1]
     if a:
@@ -140,14 +130,8 @@ def _pgcd(a, b, p):
 
 
 def _pquo(a, b, p):
-    """The exact quotient a / b; by T^k it is a shift."""
-    return a[len(b) - 1:] if _is_tpower(b) else _pdivmod(a, b, p)[0]
-
-
-def _normalised(num, den, p):
-    """(num, den) scaled so that the lowest nonzero coefficient of den is 1."""
-    unit = pow(den[_pord(den)], -1, p)
-    return (num, den) if unit == 1 else (_pscale(num, unit, p), _pscale(den, unit, p))
+    """The exact quotient a / b."""
+    return a if b == (1,) else _pdivmod(a, b, p)[0]
 
 
 def _pord(a):
@@ -205,7 +189,7 @@ class FieldSpec(_Frozen):
     def __repr__(self):
         return f"{type(self).__name__}(kind={self.kind!r}, p={self.p!r})"
 
-    def element(self, value: Coercible) -> "FieldElement":
+    def element(self, value: int | Fraction | FieldElement) -> "FieldElement":
         """Coerce an int, a Fraction, or an element of the same field."""
         if isinstance(value, FieldElement):
             if value.spec is not self and value.spec != self:
@@ -223,7 +207,7 @@ class FieldSpec(_Frozen):
             raise DivisionByZeroError(
                 f"denominator of {value} vanishes modulo {self.p}")
         c = (num * pow(den, -1, self.p)) % self.p
-        return FpTElement(self, (c,) if c else (), (1,))
+        return FpTElement._reduced(self, 0, (c,) if c else (), (1,))
 
     def polynomial(self, coeffs) -> "FieldElement":
         """Polynomial in T; coeffs is a low-to-high sequence or a {degree: coeff} map."""
@@ -250,7 +234,7 @@ class FieldSpec(_Frozen):
         """The canonical valuation-one element: p, or the variable T."""
         if self.kind == "Qp":
             return QpElement(self, self.p, 1)
-        return FpTElement(self, (0, 1), (1,))
+        return FpTElement._reduced(self, 1, (1,), (1,))
 
     def label(self) -> str:
         return f"Q_{self.p}" if self.kind == "Qp" else f"F_{self.p}(T)"
@@ -306,7 +290,7 @@ class FieldElement:
                 base = base * base
         return out
 
-    # num is an int or a coefficient tuple, falsy exactly at zero
+    # a Q_p num is falsy exactly at zero; FpTElement reads its u
     def __bool__(self):
         return bool(self.num)
 
@@ -404,91 +388,106 @@ class QpElement(FieldElement):
 
 
 class FpTElement(FieldElement):
-    """A reduced fraction of polynomials over F_p in the variable T."""
+    """A rational function over F_p in the variable T, as T^v * u/w with
+    u(0) != 0, w(0) = 1 and gcd(u, w) = 1."""
 
-    __slots__ = ("num", "den", "_val")
+    __slots__ = ("_v", "_u", "_w")
 
     def __init__(self, spec: FieldSpec, num, den):
-        num = _trim(num)
-        den = _trim(den)
+        num, den = _trim(num), _trim(den)
         if not den:
             raise DivisionByZeroError("zero denominator")
-        p = spec.p
-        if not num:
-            den = (1,)
-        elif den != (1,):
-            g = _pgcd(num, den, p)
-            num, den = _normalised(_pquo(num, g, p), _pquo(den, g, p), p)
-        self.spec, self.num, self.den, self._val = spec, num, den, None
-
-    def valuation(self):
-        if self._val is None:
-            if not self.num:
-                self._val = INF
-            else:
-                self._val = _pord(self.num) - _pord(self.den)
-        return self._val
-
-    def residue(self) -> int:
-        v = self.valuation()
-        if v != INF and v < 0:
-            raise DomainError(f"residue of non-integral element {self!r}")
-        if v == INF or v > 0:
-            return 0
-        p = self.spec.p
-        return (self.num[0] * pow(self.den[0], -1, p)) % p
+        v, u, w = 0, num, (1,)
+        if num:
+            i, j = _pord(num), _pord(den)
+            v, u, w = i - j, num[i:], den[j:]
+            if w != (1,):
+                p = spec.p
+                g, unit = _pgcd(u, w, p), pow(w[0], -1, p)
+                u, w = (_pscale(_pquo(c, g, p), unit, p) for c in (u, w))
+        self.spec, self._v, self._u, self._w = spec, v, u, w
 
     @classmethod
-    def _reduced(cls, spec, num, den):
-        """An element from a pair already in lowest terms with den normalised."""
+    def _reduced(cls, spec, v, u, w):
+        """T^v * u/w from parts already in normal form."""
         e = object.__new__(cls)
-        e.spec, e.num, e.den, e._val = spec, num, den, None
+        e.spec, e._v, e._u, e._w = spec, v, u, w
         return e
 
+    num = property(lambda self: (0,) * self._v + self._u, doc="reduced numerator")
+    den = property(lambda self: (0,) * -self._v + self._w, doc="reduced denominator")
+
+    def __bool__(self):
+        return bool(self._u)
+
+    def is_zero(self) -> bool:
+        return not self._u
+
+    def valuation(self):
+        return self._v if self._u else INF
+
+    def residue(self) -> int:
+        if self._v < 0:
+            raise DomainError(f"residue of non-integral element {self!r}")
+        return self._u[0] if self._u and not self._v else 0
+
     def inv(self):
-        if not self.num:
+        if not self._u:
             raise DivisionByZeroError("inverse of zero")
-        return FpTElement._reduced(self.spec, *_normalised(self.den, self.num, self.spec.p))
+        p = self.spec.p
+        unit = pow(self._u[0], -1, p)
+        return FpTElement._reduced(self.spec, -self._v, _pscale(self._w, unit, p),
+                                   _pscale(self._u, unit, p))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num or not o.num:
-            return self if not o.num else o
-        # as Fraction._add: a common factor of t and s * db divides g, so
-        # there is no second gcd when g is 1
-        p = self.spec.p
-        na, da, nb, db = self.num, self.den, o.num, o.den
-        g = (1,) if da == (1,) or db == (1,) else _pgcd(da, db, p)
-        s = _pquo(da, g, p)
-        t = _padd(_pmul(na, _pquo(db, g, p), p), _pmul(nb, s, p), p)
-        g2 = g if g == (1,) else _pgcd(t, g, p)
-        return FpTElement._reduced(self.spec, _pquo(t, g2, p),
-                                   _pmul(s, _pquo(db, g2, p), p))
+        if not self._u or not o._u:
+            return self if not o._u else o
+        # T^m (a/wa + b/wb), with m the lesser v and the other u shifted up
+        p, m = self.spec.p, min(self._v, o._v)
+        a, b = (0,) * (self._v - m) + self._u, (0,) * (o._v - m) + o._u
+        wa, wb = self._w, o._w
+        if wa == wb == (1,):
+            t, w = _padd(a, b, p), wa
+        else:
+            # as Fraction._add: a common factor of t and s * wb divides g, so
+            # there is no second gcd when g is 1
+            g = (1,) if wa == (1,) or wb == (1,) else _pgcd(wa, wb, p)
+            s = _pquo(wa, g, p)
+            t = _padd(_pmul(a, _pquo(wb, g, p), p), _pmul(b, s, p), p)
+            g2 = g if g == (1,) else _pgcd(t, g, p)
+            t, w = _pquo(t, g2, p), _pmul(s, _pquo(wb, g2, p), p)
+        if not t:
+            return self.spec.zero()
+        k = _pord(t)
+        return FpTElement._reduced(self.spec, m + k, t[k:], w)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        na, da, nb, db = self.num, self.den, o.num, o.den
-        if na == da or nb == db:
-            return o if na == da else self
+        ua, wa, ub, wb = self._u, self._w, o._u, o._w
+        if not ua or not ub:
+            return self if not ua else o
+        p, v = self.spec.p, self._v + o._v
+        if wa == wb == (1,):
+            return FpTElement._reduced(self.spec, v, _pmul(ua, ub, p), wa)
         # as Fraction._mul: cancel across, and the products are coprime
-        p = self.spec.p
-        g1 = db if db == (1,) else _pgcd(na, db, p)
-        g2 = da if da == (1,) else _pgcd(nb, da, p)
-        return FpTElement._reduced(self.spec, _pmul(_pquo(na, g1, p), _pquo(nb, g2, p), p),
-                                   _pmul(_pquo(da, g2, p), _pquo(db, g1, p), p))
+        g1 = wb if wb == (1,) else _pgcd(ua, wb, p)
+        g2 = wa if wa == (1,) else _pgcd(ub, wa, p)
+        return FpTElement._reduced(self.spec, v, _pmul(_pquo(ua, g1, p), _pquo(ub, g2, p), p),
+                                   _pmul(_pquo(wa, g2, p), _pquo(wb, g1, p), p))
 
     def __neg__(self):
-        return FpTElement._reduced(self.spec, _pneg(self.num, self.spec.p), self.den)
+        return FpTElement._reduced(self.spec, self._v, _pneg(self._u, self.spec.p), self._w)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self._v == o._v and self._u == o._u and self._w == o._w
 
     def __hash__(self):
         return hash((self.spec, self.num, self.den))
@@ -509,6 +508,5 @@ class FpTElement(FieldElement):
                     terms.append(f"T^{d}" if a == 1 else f"{a}*T^{d}")
             return " + ".join(terms)
 
-        if self.den == (1,):
-            return poly(self.num)
-        return f"({poly(self.num)})/({poly(self.den)})"
+        num, den = self.num, self.den
+        return poly(num) if den == (1,) else f"({poly(num)})/({poly(den)})"

@@ -28,8 +28,9 @@ def random_point(rng: random.Random, n: int, max_num=6, max_den=6) -> tuple:
 
 
 def _unit_times_power(spec: FieldSpec, rng: random.Random, v: int):
-    """A random unit times pi^v as a reduced pair: the unit's parts are prime
-    to p, so pi^v joins the numerator or the denominator with no gcd."""
+    """A random unit times pi^v, built whole with no gcd: over Q_p the unit's
+    parts are prime to p, and over F_p(T) it is u with u(0) != 0, so the
+    element is T^v * u in normal form."""
     p = spec.p
     if spec.kind == "Qp":
         # numerator and denominator: the k-th of the 3p - 3 integers in
@@ -41,7 +42,7 @@ def _unit_times_power(spec: FieldSpec, rng: random.Random, v: int):
         sign = rng.choice((1, -1))
         return QpElement(spec, sign * (num // g) * p ** max(v, 0), den // g * p ** max(-v, 0))
     coeffs = _trim([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randint(0, 2))])
-    return FpTElement._reduced(spec, (0,) * max(v, 0) + coeffs, (0,) * max(-v, 0) + (1,))
+    return FpTElement._reduced(spec, v, coeffs, (1,))
 
 
 def random_unit(spec: FieldSpec, rng: random.Random):

@@ -11,8 +11,8 @@ a ray, and the valuation-inequality test that agrees with the first.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .errors import (AllInfiniteError, DimensionMismatchError, DomainError,
                      InputError, SingularMatrixError)
@@ -57,7 +57,7 @@ class NegInfinity:
 
 NEG_INF = NegInfinity()
 
-TropScalar = Union[int, Fraction, NegInfinity]
+TropScalar = int | Fraction | NegInfinity
 
 
 def as_trop_scalar(value) -> TropScalar:

@@ -496,6 +496,19 @@ def test_matrix_payload_from_file(tmp_path, capsys):
     assert doc["stabilizes"] is True
 
 
+def test_payload_file_errors_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('[["1", "0"]', encoding="utf-8")
+    missing = str(tmp_path / "missing.json")
+    for payload, message in (
+            (missing, f"error: neither valid JSON nor an existing file: {missing!r}\n"),
+            (str(tmp_path), f"error: neither valid JSON nor an existing file: {str(tmp_path)!r}\n"),
+            ("m\0.json", "error: file m\0.json does not contain valid JSON\n"),
+            (str(bad), f"error: file {bad} does not contain valid JSON\n")):
+        assert run_cli(capsys, "stabilize", "--matrix", payload,
+                       "--point", '["0","0"]') == (2, "", message)
+
+
 def test_fpt_matrix_payload(capsys):
     matrix = json.dumps([
         [{"num": {"0": 1}, "den": {"0": 1}}, {"num": {"1": 1}, "den": {"0": 1}}],

@@ -363,8 +363,8 @@ def _euclid_reduced(num, den, p):
 @settings(max_examples=200)
 @given(p=st.sampled_from([2, 3, 5]), data=st.data(), k=st.integers(min_value=0, max_value=6))
 def test_tpower_gcd_and_quotient_match_euclid(p, data, k):
-    # against T^k the gcd is T^min(ord a, k) and the quotient a shift, with
-    # no division; both must be what Euclid's algorithm gives
+    # against T^k the gcd is T^min(ord a, k) and the quotient a shift; both
+    # must be what Euclid's algorithm gives
     poly = st.lists(st.integers(min_value=0, max_value=p - 1), max_size=6).map(tuple)
     shift = (0,) * data.draw(st.integers(min_value=0, max_value=6)) + (1,)
     a = _pmul(data.draw(poly), shift, p)
@@ -432,3 +432,70 @@ def test_fpt_pairs_match_cross_multiplied_arithmetic(p, data, k):
         assert (got.num, got.den) == (want.num, want.den) == _euclid_reduced(num, den, p)
         assert got == want and hash(got) == hash(want)
         assert got.den[_pord(got.den)] == 1 and _pgcd(got.num, got.den, p) == (1,)
+
+
+def _assert_normal_form(e, num, den, p):
+    """e is T^v * u/w with u(0) != 0, w(0) = 1 and gcd(u, w) = 1, or the
+    zero (0, (), (1,)); its valuation is v, and (num, den) reduces to its
+    pair by Euclid's algorithm."""
+    v, u, w = e._v, e._u, e._w
+    if u:
+        assert u[0] != 0 and w[0] == 1 and _pgcd(u, w, p) == (1,)
+        assert e.valuation() == v
+    else:
+        assert (v, w) == (0, (1,)) and e.valuation() == INF
+    assert _trim(u) == u and _trim(w) == w
+    assert (e.num, e.den) == _euclid_reduced(num, den, p)
+
+
+@settings(max_examples=200)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data(),
+       k=st.integers(min_value=-3, max_value=3))
+def test_fpt_results_are_in_tadic_normal_form(p, data, k):
+    # operands with runs of leading zeros in both parts, with a power of T
+    # as denominator and with a general one, some sharing a factor
+    spec = FieldSpec("FpT", p)
+    coeff = st.integers(min_value=0, max_value=p - 1)
+    shift = st.integers(min_value=0, max_value=3).map(lambda j: (0,) * j)
+    poly = st.builds(lambda z, c: z + tuple(c), shift, st.lists(coeff, max_size=4))
+    nonzero = poly.filter(any)
+    tpower = st.builds(lambda z, c: z + (c,), shift, st.integers(1, p - 1))
+    common = data.draw(nonzero)
+
+    def operand():
+        num = data.draw(poly)
+        den = data.draw(st.one_of(tpower, nonzero, nonzero.map(lambda d: _pmul(d, common, p))))
+        return FpTElement(spec, num, den), num, den
+
+    (x, xn, xd), (y, yn, yd) = operand(), operand()
+    cases = [(x, xn, xd), (y, yn, yd),
+             (x + y, _padd(_pmul(xn, yd, p), _pmul(yn, xd, p), p), _pmul(xd, yd, p)),
+             (x - y, _padd(_pmul(xn, yd, p), _pneg(_pmul(yn, xd, p), p), p), _pmul(xd, yd, p)),
+             (x * y, _pmul(xn, yn, p), _pmul(xd, yd, p)), (-x, _pneg(xn, p), xd)]
+    if any(yn):
+        cases += [(x / y, _pmul(xn, yd, p), _pmul(xd, yn, p)), (y.inv(), yd, yn)]
+    if any(xn) or k >= 0:
+        num, den = (xn, xd) if k >= 0 else (xd, xn)
+        cases.append((x ** k, _ppow(num, abs(k), p), _ppow(den, abs(k), p)))
+    for e, num, den in cases:
+        _assert_normal_form(e, num, den, p)
+
+
+def test_laurent_arithmetic_takes_no_gcd(monkeypatch):
+    from tropstab import fields
+
+    def refuse(*args):
+        raise AssertionError("a Laurent polynomial took a gcd or a division")
+
+    monkeypatch.setattr(fields, "_pgcd", refuse)
+    monkeypatch.setattr(fields, "_pdivmod", refuse)
+    for p in (2, 3, 5):
+        spec = FieldSpec("FpT", p)
+        x = FpTElement(spec, (0, 0, 1, p - 1), (0, 0, 0, 1))  # (1 - T) / T
+        y = FpTElement(spec, (1, 1), (0, 0, 1))               # (1 + T) / T^2
+        z = FpTElement(spec, (0, 1), (1,))                   # T
+        for e, v in ((x + y, -2), (x - x, INF), (x - y, -2), (x * y, -3), (x * z, 0),
+                     (y + z, -2), (z - z * z, 1), (-x * x, -2)):
+            assert e.valuation() == v
+        assert (x * z).residue() == 1 and (z + y * z * z).residue() == 1
+        assert (z * z - z).residue() == 0 and (x + z).valuation() == -1

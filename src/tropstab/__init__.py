@@ -16,15 +16,12 @@ import sys as _sys
 
 from .apartment import (ApartmentPoint, FaceAddress, face_address,
                         normalizer_action, origin, parahoric_oracle,
-                        stabilizer_membership)
+                        ray_membership, stabilizer_membership)
 from .compactification import (BoundaryPoint, boundary_block_oracle,
-                               boundary_point_from_direction, direction_for_stratum,
-                               sp_boundary_point, sp_boundary_stabilizes)
+                               boundary_point_from_direction, direction_for_stratum)
 from .fields import FieldSpec
 from .matrices import FieldMatrix
-from .symplectic import (SpApartmentPoint, antitranspose, embed_point,
-                         is_symplectic, sp_fixes_ray, sp_parahoric_oracle,
-                         sp_stabilizer_membership, standard_form)
+from .symplectic import SpApartmentPoint, antitranspose, is_symplectic, standard_form
 from .tropical import (NEG_INF, fixes_ray, stabilizes_tropically, trop_add,
                        trop_matvec, trop_mul, tropicalize,
                        valuation_inequality_oracle)

@@ -18,14 +18,18 @@ from fractions import Fraction
 from .errors import DimensionMismatchError, InputError, OutOfStarError
 from .fields import _Frozen
 from .matrices import FieldMatrix, _require_det_one
-from .tropical import NEG_INF, stabilizes_tropically, trop_mul, trop_vector
+from .tropical import NEG_INF, fixes_ray, stabilizes_tropically, trop_mul, trop_vector
 
 
 class CoordinatePoint:
     """A point given by exact coordinates, rational unless a subclass
-    normalises them otherwise; equal to points of its own type only."""
+    normalises them otherwise; equal to points of its own type only.  Its group
+    is `require(g)`, a check of g, and `embed(v)`, a map of coordinate vectors
+    into the special-linear apartment: here det g = 1 and the identity."""
 
     __slots__ = ("coords",)
+    require = staticmethod(_require_det_one)
+    embed = staticmethod(tuple)
 
     def __init__(self, coords):
         xs = trop_vector(coords)
@@ -51,6 +55,10 @@ class CoordinatePoint:
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(str(c) for c in self.coords)})"
 
+    def pull_back(self, ys: tuple) -> "CoordinatePoint":
+        """The point of this point's type and group whose embedding is ys."""
+        return type(self)(ys)
+
 
 class ApartmentPoint(CoordinatePoint):
     """A point of the rank n-1 apartment, stored as sum-zero rationals."""
@@ -68,19 +76,21 @@ def origin(n: int) -> ApartmentPoint:
 
 
 def normalizer_action(m: FieldMatrix, x: CoordinatePoint) -> CoordinatePoint:
-    """The action of a determinant-one monomial matrix by its tropicalization:
-    coordinate j moves to the row of the one nonzero entry t of column j,
-    shifted by -v(t).  Apartment points re-centre, boundary points re-anchor."""
-    _require_det_one(m)
-    if m.size != x.n:
+    """The action of a monomial matrix of x's group by its tropicalization on
+    the embedded point: coordinate j moves to the row of the one nonzero
+    entry t of column j, shifted by -v(t).  The image is pulled back to
+    x's type: apartment points re-centre, boundary points re-anchor."""
+    x.require(m)
+    ys = x.embed(x.coords)
+    if m.size != len(ys):
         raise DimensionMismatchError("monomial matrix and point dimensions differ")
-    out = [None] * x.n
-    for j, xj in enumerate(x.coords):
+    out = [None] * len(ys)
+    for j, yj in enumerate(ys):
         hits = [i for i in range(m.size) if m.rows[i][j]]
         if len(hits) != 1:
             raise InputError("matrix is not monomial")
-        out[hits[0]] = trop_mul(xj, -m.rows[hits[0]][j].valuation())
-    return type(x)(out)
+        out[hits[0]] = trop_mul(yj, -m.rows[hits[0]][j].valuation())
+    return x.pull_back(tuple(out))
 
 
 class FaceAddress(_Frozen):
@@ -126,21 +136,28 @@ def in_star_of_origin(coords) -> bool:
 
 
 def stabilizer_membership(g: FieldMatrix, x: CoordinatePoint) -> bool:
-    """Is g in the stabilizer of x, i.e. does g fix x tropically?  For an
-    apartment point and for a boundary point alike."""
-    _require_det_one(g)
-    return stabilizes_tropically(g, x.coords)
+    """Is g, of x's group, in the stabilizer of x, i.e. does g fix the
+    embedded point tropically?  For apartment and boundary points alike."""
+    x.require(g)
+    return stabilizes_tropically(g, x.embed(x.coords))
 
 
-def parahoric_oracle(g: FieldMatrix, x: ApartmentPoint) -> bool:
-    """Residue-flag membership test, valid on the star of the origin.
+def ray_membership(g: FieldMatrix, x: CoordinatePoint, d) -> bool:
+    """Does g, of x's group, fix x + s*d for every s >= 0?  The direction d
+    is in x's coordinates; the ray is decided embedded, by fixes_ray."""
+    x.require(g)
+    return fixes_ray(g, x.embed(x.coords), x.embed(d))
+
+
+def parahoric_oracle(g: FieldMatrix, x: CoordinatePoint) -> bool:
+    """Residue-flag test on the embedded point, valid on the star of the origin.
 
     True exactly when g is integral and its reduction mod the uniformizer
     is block upper triangular for the partition of indices by decreasing
     coordinate value.  Agrees with stabilizer_membership on its domain.
     """
-    _require_det_one(g)
-    cs = x.coords
+    x.require(g)
+    cs = x.embed(x.coords)
     if len(cs) != g.size:
         raise DimensionMismatchError("matrix and point dimensions differ")
     if not in_star_of_origin(cs):

@@ -26,7 +26,7 @@ from .errors import InputError, TropstabError
 from .fields import FieldSpec, is_prime
 from .serialize import (fan_to_json, fraction_from_json, matrix_from_json,
                         point_from_json, point_to_json, spec_to_json)
-from .symplectic import SpApartmentPoint, embed_point, _require_symplectic
+from .symplectic import SpApartmentPoint, _require_symplectic
 from .tropical import NEG_INF, trop_matvec, tropicalize
 
 
@@ -236,9 +236,10 @@ def _cmd_stabilize(args) -> int:
     if boundary or any(c is NEG_INF for c in coords):
         x, key = BoundaryPoint(coords), "canonical_point"
     elif args.group == "sp2n":
-        x, key = embed_point(SpApartmentPoint(coords)), "embedded_point"
+        x, key = SpApartmentPoint(coords), "embedded_point"
     else:
         x, key = ApartmentPoint(coords), "canonical_point"
+    ys = x.embed(x.coords)
     doc = {
         "field": spec_to_json(spec),
         "tropicalized": [point_to_json(row) for row in trop],
@@ -247,11 +248,11 @@ def _cmd_stabilize(args) -> int:
     # the image is of the point as reported: boundary-stabilize reports the
     # anchored point, stabilize the point as given or its sp2n embedding
     if boundary:
-        doc.update(point=point_to_json(x.coords), stratum=sorted(x.stratum))
-        mapped = x.coords
+        doc.update(point=point_to_json(ys), stratum=sorted(x.stratum))
+        mapped = ys
     else:
-        doc.update({"point": point_to_json(coords), key: point_to_json(x.coords)})
-        mapped = x.coords if key == "embedded_point" else coords
+        doc.update({"point": point_to_json(coords), key: point_to_json(ys)})
+        mapped = ys if key == "embedded_point" else coords
     doc["image"] = point_to_json(trop_matvec(trop, mapped))
 
     if len(matrices) > 1:

@@ -3,31 +3,31 @@
 The compactified apartment of the identity representation is the set of
 vectors over the rationals with minus infinity adjoined, not all entries
 infinite, modulo a common finite shift.  The stratum of a point is the set
-of finite positions.  A direction is a plain coordinate tuple d, and the
-limit of x + s*d keeps finite the coordinates where d is largest.
+of finite positions.  A direction is a coordinate tuple d in x's own
+coordinates, and the limit of x + s*d, which keeps the group check of x,
+keeps finite the embedded coordinates where the embedded d is largest.
 Stabilizers of boundary points are decided by the apartment's predicate,
 `apartment.stabilizer_membership`, and independently by a block
-condition: the matrix must
-preserve the coordinate subspace of the stratum and its restriction must
-fix the finite part.
+condition: the matrix must preserve the coordinate subspace of the
+stratum and its restriction must fix the finite part.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .apartment import CoordinatePoint, stabilizer_membership
+from .apartment import CoordinatePoint
 from .errors import (AllInfiniteError, DimensionMismatchError, DomainError,
                      InvalidDirectionError)
 from .matrices import FieldMatrix, _require_det_one
-from .symplectic import SpApartmentPoint, _embed, _require_symplectic
 from .tropical import NEG_INF, trop_vector
 
 
 class BoundaryPoint(CoordinatePoint):
-    """A point of the compactified apartment, anchored at its first finite entry."""
+    """A point of the compactified apartment, anchored at its first finite
+    entry; its group check is det g = 1 or that of the point it is a limit of."""
 
-    __slots__ = ("stratum",)
+    __slots__ = ("stratum", "require")
 
     def __init__(self, coords):
         xs = trop_vector(coords)
@@ -38,6 +38,12 @@ class BoundaryPoint(CoordinatePoint):
         self.coords = tuple(
             NEG_INF if e is NEG_INF else Fraction(e) - anchor for e in xs)
         self.stratum = frozenset(fin)
+        self.require = _require_det_one
+
+    def pull_back(self, ys: tuple) -> "BoundaryPoint":
+        b = BoundaryPoint(ys)
+        b.require = self.require
+        return b
 
 
 def direction_for_stratum(indices, n: int) -> tuple:
@@ -48,22 +54,26 @@ def direction_for_stratum(indices, n: int) -> tuple:
     return tuple(Fraction(n * (i in I) - len(I), n) for i in range(n))
 
 
-def boundary_point_from_direction(ys, ds) -> BoundaryPoint:
-    """Limit of ys + s*ds as s grows: the coordinates where ds attains its
-    maximum stay finite, the others go to minus infinity."""
-    ds = trop_vector(ds)
+def boundary_point_from_direction(x: CoordinatePoint, d) -> BoundaryPoint:
+    """Limit of x + s*d as s grows, with d in x's coordinates, taken
+    embedded: the coordinates where the embedded d attains its maximum stay
+    finite, the others go to minus infinity.  The limit keeps x's group."""
+    ds = trop_vector(d)
     if any(e is NEG_INF for e in ds):
         raise DomainError("finite direction required")
+    ys, ds = x.embed(x.coords), x.embed(ds)
     if not ds or len(ds) != len(ys):
         raise InvalidDirectionError("direction must be nonempty and match the point")
     top = max(ds)
-    return BoundaryPoint(tuple(y if e == top else NEG_INF for y, e in zip(ys, ds)))
+    b = BoundaryPoint(tuple(y if e == top else NEG_INF for y, e in zip(ys, ds)))
+    b.require = x.require
+    return b
 
 
 def boundary_block_oracle(g: FieldMatrix, b: BoundaryPoint) -> bool:
     """Independent check: g preserves the stratum subspace and the restricted
     block fixes the finite part, attainment of every row maximum included."""
-    _require_det_one(g)
+    b.require(g)
     if g.size != b.n:
         raise DimensionMismatchError("matrix and point dimensions differ")
     inside = sorted(b.stratum)
@@ -84,15 +94,3 @@ def boundary_block_oracle(g: FieldMatrix, b: BoundaryPoint) -> bool:
         if best is None or best != b.coords[i]:
             return False
     return True
-
-
-def sp_boundary_point(x: SpApartmentPoint, d) -> BoundaryPoint:
-    """Embedded limit point: the weights +-e_i of the standard symplectic
-    representation, evaluated on d, are the embedded direction."""
-    return boundary_point_from_direction(_embed(x.coords), _embed(d))
-
-
-def sp_boundary_stabilizes(g: FieldMatrix, x: SpApartmentPoint, d) -> bool:
-    """Does the symplectic matrix g fix the embedded limit point tropically?"""
-    _require_symplectic(g)
-    return stabilizer_membership(g, sp_boundary_point(x, d))

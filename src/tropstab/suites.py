@@ -22,17 +22,15 @@ from fractions import Fraction
 
 from . import sampling
 from .apartment import (ApartmentPoint, face_address, normalizer_action,
-                        parahoric_oracle, stabilizer_membership)
+                        parahoric_oracle, ray_membership, stabilizer_membership)
 from .compactification import (BoundaryPoint, boundary_block_oracle,
-                               boundary_point_from_direction, direction_for_stratum,
-                               sp_boundary_stabilizes)
+                               boundary_point_from_direction, direction_for_stratum)
 from .errors import InputError
 from .fields import FieldSpec
 from .matrices import FieldMatrix
 from .serialize import (matrix_to_json, point_to_json, spec_to_json)
-from .symplectic import (SpApartmentPoint, sp_fixes_ray, sp_normalizer_action,
-                         sp_parahoric_oracle, sp_stabilizer_membership)
-from .tropical import (NEG_INF, fixes_ray, stabilizes_tropically, trop_add,
+from .symplectic import SpApartmentPoint
+from .tropical import (NEG_INF, stabilizes_tropically, trop_add,
                        trop_matvec, trop_mul, tropicalize,
                        valuation_inequality_oracle)
 from .weights import (WeightedCharacter, dominance_cone, dominant_weight,
@@ -89,15 +87,15 @@ def _not_equivariant(member, act, g, m, x):
             "point": point_to_json(x.coords)}
 
 
-def _limit_coherence(candidates, fixes, limit_fixed):
+def _limit_coherence(candidates):
     """limit_coherence: each candidate (g, x, d) whose g fixes the ray x + s*d
     must fix its limit; the others are vacuous, and some case must be left."""
     def limit_not_fixed(g, x, d):
-        return None if limit_fixed(g, x, d) else {
+        return None if stabilizer_membership(g, boundary_point_from_direction(x, d)) else {
             "matrix": matrix_to_json(g), "point": point_to_json(x.coords),
             "direction": point_to_json(d)}
 
-    rays = ((g, x, d) for g, x, d in candidates if fixes(g, x, d))
+    rays = ((g, x, d) for g, x, d in candidates if ray_membership(g, x, d))
     return _nonvacuous(_run("limit_coherence", rays, limit_not_fixed))
 
 
@@ -319,7 +317,7 @@ def run_sp(spec: FieldSpec, n: int, seed: int, count: int = 300):
     checks = [_run("origin_stabilizer_is_integral",
                    ((sampling.random_sp(spec, n, rng),) for _ in range(count)),
                    lambda g: None
-                   if sp_stabilizer_membership(g, origin) == g.is_integral()
+                   if stabilizer_membership(g, origin) == g.is_integral()
                    else {"matrix": matrix_to_json(g)})]
 
     def closure_cases():
@@ -332,7 +330,7 @@ def run_sp(spec: FieldSpec, n: int, seed: int, count: int = 300):
                    sampling._torus_conjugate(sampling.random_sp_integral(spec, n, rng), t))
 
     checks.append(_run("group_closure", closure_cases(), lambda x, g, h:
-                       _not_closed(sp_stabilizer_membership, x, x.coords, g, h)))
+                       _not_closed(stabilizer_membership, x, x.coords, g, h)))
 
     def weyl_cases():
         for _ in range(max(1, count // 2)):
@@ -341,7 +339,7 @@ def run_sp(spec: FieldSpec, n: int, seed: int, count: int = 300):
                    SpApartmentPoint(sampling.random_point(rng, n)))
 
     checks.append(_run("weyl_equivariance", weyl_cases(), lambda g, w, x:
-                       _not_equivariant(sp_stabilizer_membership, sp_normalizer_action,
+                       _not_equivariant(stabilizer_membership, normalizer_action,
                                         g, w, x)))
 
     def star_cases():
@@ -351,7 +349,7 @@ def run_sp(spec: FieldSpec, n: int, seed: int, count: int = 300):
                                           for _ in range(n))))
 
     def residue_test_disagrees(g, x):
-        same = sp_parahoric_oracle(g, x) == sp_stabilizer_membership(g, x)
+        same = parahoric_oracle(g, x) == stabilizer_membership(g, x)
         return None if same else {"matrix": matrix_to_json(g),
                                   "point": point_to_json(x.coords)}
 
@@ -360,7 +358,7 @@ def run_sp(spec: FieldSpec, n: int, seed: int, count: int = 300):
 
     if n == 1:
         def sides_differ(g, c):
-            sp_side = sp_stabilizer_membership(g, SpApartmentPoint((c,)))
+            sp_side = stabilizer_membership(g, SpApartmentPoint((c,)))
             sl_side = stabilizer_membership(g, ApartmentPoint((c, -c)))
             return None if sp_side == sl_side else {"matrix": matrix_to_json(g),
                                                     "coordinate": str(c)}
@@ -600,9 +598,7 @@ def run_boundary(spec: FieldSpec, n: int, seed: int, count: int = 300):
                 g = sampling.random_sl(spec, n, rng, 4)
             yield g, x, d
 
-    checks.append(_limit_coherence(
-        ray_cases(), lambda g, x, v: fixes_ray(g, x.coords, v),
-        lambda g, x, d: stabilizer_membership(g, boundary_point_from_direction(x.coords, d))))
+    checks.append(_limit_coherence(ray_cases()))
 
     return _report("boundary", {"seed": seed, "n": n,
                                 "field": spec_to_json(spec), "count": count},
@@ -625,7 +621,8 @@ def run_sp_boundary(spec: FieldSpec, seed: int, count: int = 200):
                      for _ in range(count))
 
     def trivial_limit_differs(g, x):
-        same = sp_boundary_stabilizes(g, x, trivial) == sp_stabilizer_membership(g, x)
+        same = (stabilizer_membership(g, boundary_point_from_direction(x, trivial))
+                == stabilizer_membership(g, x))
         return None if same else {"matrix": matrix_to_json(g),
                                   "point": point_to_json(x.coords)}
 
@@ -643,7 +640,7 @@ def run_sp_boundary(spec: FieldSpec, seed: int, count: int = 200):
                     g = sampling.random_sp(spec, n, rng, 3)
                 yield g, x, d
 
-    checks.append(_limit_coherence(ray_cases(), sp_fixes_ray, sp_boundary_stabilizes))
+    checks.append(_limit_coherence(ray_cases()))
 
     return _report("sp-boundary", {"seed": seed, "n": n,
                                    "field": spec_to_json(spec), "count": count},

@@ -4,21 +4,19 @@ special-linear apartment.
 The standard form is built from the antidiagonal identity; symplectic
 apartment points have n free rational coordinates and embed into the
 rank 2n-1 apartment as the palindromically antisymmetric vectors
-(x_1, ..., x_n, -x_n, ..., -x_1).  Each symplectic predicate is the form
-check followed by the special-linear predicate on the embedded point.  The
-form check records det = 1 and the embedded vector sums to zero, so the
-membership and ray predicates hand the embedded coordinates straight to
-the tropical test.
+(x_1, ..., x_n, -x_n, ..., -x_1).  A symplectic point carries its group:
+the predicates of `apartment` and `compactification` run its form check,
+then the special-linear test on its embedding.  The form check records
+det = 1 and the embedded vector sums to zero, so the embedded coordinates
+go straight to the tropical test.
 """
 
 from __future__ import annotations
 
-from .apartment import (ApartmentPoint, CoordinatePoint, normalizer_action,
-                        parahoric_oracle)
+from .apartment import CoordinatePoint
 from .errors import DimensionMismatchError, InputError, NotSymplecticError
 from .fields import FieldSpec
 from .matrices import FieldMatrix
-from .tropical import fixes_ray, stabilizes_tropically
 
 
 def standard_form(spec: FieldSpec, n: int) -> FieldMatrix:
@@ -68,20 +66,9 @@ def is_symplectic(m: FieldMatrix) -> bool:
     return True
 
 
-class SpApartmentPoint(CoordinatePoint):
-    """A point of the symplectic apartment: n free rational coordinates."""
-
-    __slots__ = ()
-
-
 def _embed(values) -> tuple:
     """The palindromically antisymmetric vector (x, -reversed(x))."""
     return tuple(values) + tuple(-v for v in reversed(values))
-
-
-def embed_point(x: SpApartmentPoint) -> ApartmentPoint:
-    """Embedding into the special-linear apartment: (x, -reversed(x))."""
-    return ApartmentPoint(_embed(x.coords))
 
 
 def _require_symplectic(g: FieldMatrix) -> None:
@@ -97,28 +84,15 @@ def _require_symplectic(g: FieldMatrix) -> None:
     g._symplectic = True
 
 
-def sp_stabilizer_membership(g: FieldMatrix, x: SpApartmentPoint) -> bool:
-    """Is the symplectic matrix g in the stabilizer of the apartment point x?"""
-    _require_symplectic(g)
-    return stabilizes_tropically(g, _embed(x.coords))
+class SpApartmentPoint(CoordinatePoint):
+    """A point of the symplectic apartment: n free rational coordinates.  Its
+    group check is the form check, and it embeds as (x, -reversed(x))."""
 
+    __slots__ = ()
+    require = staticmethod(_require_symplectic)
+    embed = staticmethod(_embed)
 
-def sp_fixes_ray(g: FieldMatrix, x: SpApartmentPoint, d) -> bool:
-    """Does the symplectic matrix g fix x + s*d for every s >= 0?"""
-    _require_symplectic(g)
-    return fixes_ray(g, _embed(x.coords), _embed(d))
-
-
-def sp_parahoric_oracle(g: FieldMatrix, x: SpApartmentPoint) -> bool:
-    """Residue-flag test through the embedding, valid on the star of the origin."""
-    _require_symplectic(g)
-    return parahoric_oracle(g, embed_point(x))
-
-
-def sp_normalizer_action(m: FieldMatrix, x: SpApartmentPoint) -> SpApartmentPoint:
-    """Action of a symplectic monomial matrix, computed in the embedded picture."""
-    _require_symplectic(m)
-    cs = normalizer_action(m, embed_point(x)).coords
-    if _embed(cs[:x.n]) != cs:
-        raise InputError("matrix does not act on the symplectic apartment")
-    return SpApartmentPoint(cs[:x.n])
+    def pull_back(self, ys: tuple) -> "SpApartmentPoint":
+        if _embed(ys[:self.n]) != ys:
+            raise InputError("matrix does not act on the symplectic apartment")
+        return SpApartmentPoint(ys[:self.n])

@@ -6,26 +6,29 @@ import pytest
 
 from tropstab import matrices, sampling, suites
 from tropstab.apartment import (ApartmentPoint, normalizer_action, origin,
-                                parahoric_oracle, stabilizer_membership)
+                                parahoric_oracle, ray_membership,
+                                stabilizer_membership)
 from tropstab.compactification import (BoundaryPoint, boundary_block_oracle,
                                        boundary_point_from_direction,
-                                       direction_for_stratum,
-                                       sp_boundary_point,
-                                       sp_boundary_stabilizes)
+                                       direction_for_stratum)
 from tropstab.errors import (AllInfiniteError, DeterminantNotOneError,
                              DimensionMismatchError, DomainError, InputError,
                              InvalidDirectionError, NotSymplecticError)
 from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix
-from tropstab.symplectic import (SpApartmentPoint, _embed, _require_symplectic,
-                                 embed_point, sp_fixes_ray, sp_parahoric_oracle,
-                                 sp_stabilizer_membership)
-from tropstab.tropical import NEG_INF, fixes_ray, stabilizes_tropically
+from tropstab.symplectic import SpApartmentPoint, _embed, _require_symplectic
+from tropstab.tropical import (NEG_INF, fixes_ray, stabilizes_tropically, trop_matvec,
+                               tropicalize)
 from tropstab.weights import sl_identity_character, sp_standard_character, weight_fan
 
 Q2 = FieldSpec("Qp", 2)
 Q5 = FieldSpec("Qp", 5)
 F3T = FieldSpec("FpT", 3)
+
+
+def fixes_limit(g, x, d):
+    """Does g fix the limit of x + s*d?"""
+    return stabilizer_membership(g, boundary_point_from_direction(x, d))
 
 
 def test_stratum_examples():
@@ -57,15 +60,15 @@ def test_boundary_point_from_direction_examples():
     n = 3
     x = ApartmentPoint((Fraction(5), Fraction(7), Fraction(11)))
     interior = direction_for_stratum({0}, n)
-    b = boundary_point_from_direction(x.coords, interior)
+    b = boundary_point_from_direction(x, interior)
     assert b.coords == (0, NEG_INF, NEG_INF)
 
     pair = direction_for_stratum({0, 1}, n)
-    b2 = boundary_point_from_direction(origin(3).coords, pair)
+    b2 = boundary_point_from_direction(origin(3), pair)
     assert b2.coords == (0, 0, NEG_INF)
 
     trivial = direction_for_stratum({0, 1, 2}, n)
-    b3 = boundary_point_from_direction(x.coords, trivial)
+    b3 = boundary_point_from_direction(x, trivial)
     assert b3.stratum == frozenset({0, 1, 2})
     assert b3 == BoundaryPoint(x.coords)
 
@@ -80,7 +83,7 @@ def test_direction_for_stratum_rejects_bad_input():
     with pytest.raises(InvalidDirectionError):
         direction_for_stratum({"a"}, 3)
     with pytest.raises(InvalidDirectionError):
-        boundary_point_from_direction((), ())
+        boundary_point_from_direction(origin(2), ())
 
 
 def test_directions_lie_in_their_fan_cones():
@@ -97,7 +100,7 @@ def test_directions_lie_in_their_fan_cones():
                 assert sum(d) == 0
                 assert cones[tuple(int(i == min(I)) for i in range(n))].contains(d)
                 x = sampling.random_point(rng, n)
-                assert boundary_point_from_direction(x, d).stratum == frozenset(I)
+                assert boundary_point_from_direction(ApartmentPoint(x), d).stratum == frozenset(I)
     sp_cones = [fc.cone for fc in weight_fan(sp_standard_character(2)).maximal_cones]
     trivial, *directions = suites._SP4_DIRECTIONS
     assert trivial == (0, 0)
@@ -107,9 +110,9 @@ def test_directions_lie_in_their_fan_cones():
 def test_limits_reject_infinite_directions():
     g = sampling.random_sp(Q2, 2, random.Random(31))
     x = SpApartmentPoint((0, 0))
-    for limit in (lambda: boundary_point_from_direction((0, 0), (0, NEG_INF)),
-                  lambda: sp_boundary_point(x, (0, NEG_INF)),
-                  lambda: sp_boundary_stabilizes(g, x, (0, NEG_INF))):
+    for limit in (lambda: boundary_point_from_direction(origin(2), (0, NEG_INF)),
+                  lambda: boundary_point_from_direction(x, (0, NEG_INF)),
+                  lambda: fixes_limit(g, x, (0, NEG_INF))):
         with pytest.raises(DomainError):
             limit()
 
@@ -218,7 +221,7 @@ def test_limit_coherence_one_directional():
             x = ApartmentPoint(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
             g = sampling.random_ray_stabilizing(spec, x.coords, d, rng)
             assert fixes_ray(g, x.coords, d)
-            assert stabilizer_membership(g, boundary_point_from_direction(x.coords, d))
+            assert stabilizer_membership(g, boundary_point_from_direction(x, d))
 
 
 def test_converse_of_limit_coherence_fails():
@@ -237,15 +240,15 @@ def test_converse_of_limit_coherence_fails():
 def test_sp_boundary_point_examples():
     x = SpApartmentPoint((0, 0))
     d = (Fraction(1), Fraction(0))
-    b = sp_boundary_point(x, d)
+    b = boundary_point_from_direction(x, d)
     assert b.coords == (0, NEG_INF, NEG_INF, NEG_INF)
 
     ray = (Fraction(1), Fraction(1))
-    b2 = sp_boundary_point(SpApartmentPoint((Fraction(1, 2), 0)), ray)
+    b2 = boundary_point_from_direction(SpApartmentPoint((Fraction(1, 2), 0)), ray)
     assert b2.coords == (0, Fraction(-1, 2), NEG_INF, NEG_INF)
 
     trivial = (Fraction(0), Fraction(0))
-    b3 = sp_boundary_point(x, trivial)
+    b3 = boundary_point_from_direction(x, trivial)
     assert b3.stratum == frozenset(range(4))
 
 
@@ -256,7 +259,7 @@ def test_sp_rank_one_boundary_matches_special_linear():
     for _ in range(60):
         g = sampling.random_sp(Q2, 1, rng)
         expected = stabilizer_membership(g, BoundaryPoint((0, NEG_INF)))
-        assert sp_boundary_stabilizes(g, x, d) == expected
+        assert fixes_limit(g, x, d) == expected
 
 
 def test_sp_trivial_direction_reduces_to_stabilizer():
@@ -265,14 +268,13 @@ def test_sp_trivial_direction_reduces_to_stabilizer():
     for _ in range(40):
         g = sampling.random_sp(Q2, 2, rng)
         x = SpApartmentPoint(sampling.random_point(rng, 2))
-        assert sp_boundary_stabilizes(g, x, d) == sp_stabilizer_membership(g, x)
+        assert fixes_limit(g, x, d) == stabilizer_membership(g, x)
 
 
 def test_sp_boundary_requires_symplectic():
     d = (Fraction(1), Fraction(0))
     with pytest.raises(NotSymplecticError):
-        sp_boundary_stabilizes(FieldMatrix.diagonal(Q2, [2, 1, 1, 1]),
-                               SpApartmentPoint((0, 0)), d)
+        fixes_limit(FieldMatrix.diagonal(Q2, [2, 1, 1, 1]), SpApartmentPoint((0, 0)), d)
 
 
 def test_boundary_predicates_reject_wrong_sizes():
@@ -280,8 +282,7 @@ def test_boundary_predicates_reject_wrong_sizes():
         stabilizer_membership(FieldMatrix.identity(Q2, 3), BoundaryPoint((0, NEG_INF)))
     g = sampling.random_sp(Q2, 3, random.Random(61))
     with pytest.raises(DimensionMismatchError):
-        sp_boundary_stabilizes(g, SpApartmentPoint((0, 0)),
-                               (Fraction(1), Fraction(0)))
+        fixes_limit(g, SpApartmentPoint((0, 0)), (Fraction(1), Fraction(0)))
 
 
 def test_sp_predicates_eliminate_no_matrix(monkeypatch):
@@ -297,17 +298,17 @@ def test_sp_predicates_eliminate_no_matrix(monkeypatch):
     def fresh(g):
         return FieldMatrix(g.spec, g.rows)
 
-    y = embed_point(x)
+    y = ApartmentPoint(x.embed(x.coords))
     expected = [(stabilizer_membership(g, y), fixes_ray(g, y.coords, _embed(d)),
-                 parahoric_oracle(g, y), stabilizer_membership(g, sp_boundary_point(x, d)))
+                 parahoric_oracle(g, y), stabilizer_membership(g, boundary_point_from_direction(x, d)))
                 for g in words]
 
     def refuse(rows, zero):
         raise AssertionError("a symplectic matrix was eliminated")
 
     monkeypatch.setattr(matrices, "_eliminate", refuse)
-    assert [(sp_stabilizer_membership(fresh(g), x), sp_fixes_ray(fresh(g), x, d),
-             sp_parahoric_oracle(fresh(g), x), sp_boundary_stabilizes(fresh(g), x, d))
+    assert [(stabilizer_membership(fresh(g), x), ray_membership(fresh(g), x, d),
+             parahoric_oracle(fresh(g), x), fixes_limit(fresh(g), x, d))
             for g in words] == expected
 
 
@@ -324,10 +325,10 @@ def test_sp_predicates_reject_non_symplectic_products():
         bad = FieldMatrix.diagonal(spec, [pi, pi.inv(), 1, 1])
         for m in (bad, g * bad, bad * g, g * bad.inverse(), (g * bad) * g.inverse()):
             assert m.determinant() == spec.one()
-            for predicate in (lambda: sp_stabilizer_membership(m, x),
-                              lambda: sp_fixes_ray(m, x, d),
-                              lambda: sp_parahoric_oracle(m, x),
-                              lambda: sp_boundary_stabilizes(m, x, d)):
+            for predicate in (lambda: stabilizer_membership(m, x),
+                              lambda: ray_membership(m, x, d),
+                              lambda: parahoric_oracle(m, x),
+                              lambda: fixes_limit(m, x, d)):
                 with pytest.raises(NotSymplecticError):
                     predicate()
 
@@ -341,5 +342,76 @@ def test_sp_limit_coherence():
                 x = SpApartmentPoint(tuple(Fraction(rng.randint(-1, 1))
                                            for _ in range(2)))
                 g = sampling.random_sp_ray_adapted(spec, 2, x.coords, d, rng)
-                assert sp_fixes_ray(g, x, d)
-                assert sp_boundary_stabilizes(g, x, d)
+                assert ray_membership(g, x, d)
+                assert fixes_limit(g, x, d)
+
+
+# ----------------------------------------------------------------------
+# points that carry their group
+
+@pytest.mark.parametrize("spec", [Q2, F3T], ids=["Q2", "F3T"])
+def test_predicates_decide_on_the_embedded_point(spec):
+    # each point-level predicate is its tuple kernel on x.embed(x.coords),
+    # for a special-linear point, a symplectic one and a symplectic limit;
+    # every even word fixes its point, so both answers occur
+    rng = random.Random(79)
+    base, ray = SpApartmentPoint((Fraction(1, 4), 0)), (1, 0)
+    sl = ApartmentPoint((Fraction(1, 4), Fraction(-1, 8), Fraction(-1, 8)))
+
+    def sl_word(k):
+        if k % 2:
+            return sampling.random_sl(spec, 3, rng, 4)
+        return sampling.random_stabilizing(spec, sl.coords, rng)
+
+    def sp_word(k):
+        if k % 2:
+            return sampling.random_sp(spec, 2, rng)
+        return sampling.random_sp_ray_adapted(spec, 2, base.coords, ray, rng)
+
+    def sl_monomial():
+        return sampling.random_monomial(spec, 3, rng)
+
+    def sp_monomial():
+        return sampling.random_sp_monomial(spec, 2, rng)
+
+    cases = [(sl, sl_word, sl_monomial), (base, sp_word, sp_monomial),
+             (boundary_point_from_direction(base, ray), sp_word, sp_monomial)]
+    for x, word, monomial in cases:
+        ys = x.embed(x.coords)
+        seen = set()
+        for k in range(20):
+            g, m = word(k), monomial()
+            d = tuple(Fraction(rng.randint(-1, 1)) for _ in x.coords)
+            fixed = stabilizer_membership(g, x)
+            seen.add(fixed)
+            assert fixed == stabilizes_tropically(g, ys)
+            assert ray_membership(g, x, d) == fixes_ray(g, ys, x.embed(d))
+            if NEG_INF not in ys:
+                assert parahoric_oracle(g, x) == fixed
+            image = trop_matvec(tropicalize(m), ys)
+            normal = (BoundaryPoint if NEG_INF in image else ApartmentPoint)(image)
+            assert x.embed(normalizer_action(m, x).coords) == normal.coords
+        assert seen == {True, False}
+
+
+@pytest.mark.parametrize("spec", [Q2, F3T], ids=["Q2", "F3T"])
+def test_symplectic_points_refuse_other_matrices(spec):
+    # a det-one matrix that breaks the form is refused by every predicate on
+    # a symplectic point, on its limit and on the limit moved by a
+    # symplectic monomial: the limit and its image keep the form check
+    rng = random.Random(83)
+    pi = spec.uniformizer()
+    bad = FieldMatrix.diagonal(spec, [pi, pi.inv(), 1, 1])
+    assert bad.determinant() == spec.one()
+    x = SpApartmentPoint((Fraction(1, 4), 0))
+    limit = boundary_point_from_direction(x, (1, 0))
+    moved = normalizer_action(sampling.random_sp_monomial(spec, 2, rng), limit)
+    assert isinstance(limit, BoundaryPoint) and isinstance(moved, BoundaryPoint)
+    for y, d in ((x, (1, 0)), (limit, (1, 0, 0, -1)), (moved, (1, 0, 0, -1))):
+        predicates = [stabilizer_membership, parahoric_oracle, normalizer_action,
+                      lambda g, y: ray_membership(g, y, d)]
+        if y is not x:
+            predicates.append(boundary_block_oracle)
+        for predicate in predicates:
+            with pytest.raises(NotSymplecticError):
+                predicate(bad, y)

@@ -7,7 +7,7 @@ import pytest
 from tropstab import sampling
 from tropstab.errors import (DimensionMismatchError, DomainError, InputError,
                              SingularMatrixError)
-from tropstab.fields import INF, FieldSpec
+from tropstab.fields import INF, FieldSpec, FpTElement
 from tropstab.matrices import FieldMatrix, _eliminate, perm_sign
 
 Q2 = FieldSpec("Qp", 2)
@@ -229,6 +229,26 @@ def test_inverse_matches_adjugate(spec):
     for singular in ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], [[1, 2, 0], [2, 4, 0], [0, 0, 1]]):
         with pytest.raises(SingularMatrixError):
             FieldMatrix(spec, singular).inverse()
+
+
+def test_elimination_inverts_each_pivot_once(monkeypatch):
+    # a dense F_3(T) determinant inverts one pivot per eliminated column,
+    # not one per row below it, and still equals the Leibniz sum
+    rng = random.Random(37)
+    n = 6
+    m = FieldMatrix(F3T, [[sampling.random_element(F3T, rng, -2, 2) for _ in range(n)]
+                          for _ in range(n)])
+    expected = _leibniz(m)
+    calls = []
+    inv = FpTElement.inv
+
+    def counted(self):
+        calls.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(FpTElement, "inv", counted)
+    assert m.determinant() == expected
+    assert 0 < len(calls) <= n
 
 
 def test_residue_matrix():

@@ -5,21 +5,25 @@ from fractions import Fraction
 import pytest
 
 from tropstab import sampling, suites, symplectic
-from tropstab.apartment import ApartmentPoint, stabilizer_membership
+from tropstab.apartment import (ApartmentPoint, normalizer_action, parahoric_oracle,
+                                ray_membership, stabilizer_membership)
 from tropstab.errors import (DimensionMismatchError, NotSymplecticError,
                              OutOfStarError)
 from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix
 from tropstab.symplectic import (SpApartmentPoint, _require_symplectic,
-                                 antitranspose, embed_point, is_symplectic, sp_fixes_ray,
-                                 sp_normalizer_action, sp_parahoric_oracle,
-                                 sp_stabilizer_membership, standard_form)
+                                 antitranspose, is_symplectic, standard_form)
 from tropstab.tropical import trop_matvec, tropicalize
 
 Q2 = FieldSpec("Qp", 2)
 Q5 = FieldSpec("Qp", 5)
 F2T = FieldSpec("FpT", 2)
 F3T = FieldSpec("FpT", 3)
+
+
+def embedded(x):
+    """The special-linear apartment point of a symplectic one."""
+    return ApartmentPoint(x.embed(x.coords))
 
 
 def test_standard_form_shape():
@@ -121,7 +125,7 @@ def test_membership_builds_no_apartment_point(monkeypatch):
     cases = [(sampler(spec, 2, rng), SpApartmentPoint(sampling.random_point(rng, 2, 2, 2)))
              for spec in (Q2, F3T) for sampler in (sampling.random_sp_integral,
                                                    sampling.random_sp) for _ in range(3)]
-    expected = [stabilizer_membership(g, embed_point(x)) for g, x in cases]
+    expected = [stabilizer_membership(g, embedded(x)) for g, x in cases]
     assert set(expected) == {True, False}
     built = []
     init = ApartmentPoint.__init__
@@ -131,7 +135,7 @@ def test_membership_builds_no_apartment_point(monkeypatch):
         init(self, coords)
 
     monkeypatch.setattr(ApartmentPoint, "__init__", counted)
-    assert [sp_stabilizer_membership(g, x) for g, x in cases] == expected
+    assert [stabilizer_membership(g, x) for g, x in cases] == expected
     assert built == []
 
 
@@ -139,14 +143,14 @@ def test_predicates_reject_wrong_sizes():
     g = sampling.random_sp(Q2, 2, random.Random(59))
     for x in (SpApartmentPoint((0,)), SpApartmentPoint((0, 0, 0))):
         with pytest.raises(DimensionMismatchError):
-            sp_stabilizer_membership(g, x)
+            stabilizer_membership(g, x)
         with pytest.raises(DimensionMismatchError):
-            sp_parahoric_oracle(g, x)
+            parahoric_oracle(g, x)
         with pytest.raises(DimensionMismatchError):
-            sp_fixes_ray(g, x, (1,) * x.n)
+            ray_membership(g, x, (1,) * x.n)
     for d in ((1,), (1, 0, 0)):
         with pytest.raises(DimensionMismatchError):
-            sp_fixes_ray(g, SpApartmentPoint((0, 0)), d)
+            ray_membership(g, SpApartmentPoint((0, 0)), d)
 
 
 def test_antitranspose():
@@ -178,9 +182,9 @@ def test_block_criterion():
 
 
 def test_embed_point_examples():
-    assert embed_point(SpApartmentPoint((0, 0))) == ApartmentPoint((0, 0, 0, 0))
-    assert embed_point(SpApartmentPoint((1, 0))) == ApartmentPoint((1, 0, 0, -1))
-    assert embed_point(SpApartmentPoint((Fraction(1, 2), Fraction(1, 3)))) == \
+    assert embedded(SpApartmentPoint((0, 0))) == ApartmentPoint((0, 0, 0, 0))
+    assert embedded(SpApartmentPoint((1, 0))) == ApartmentPoint((1, 0, 0, -1))
+    assert embedded(SpApartmentPoint((Fraction(1, 2), Fraction(1, 3)))) == \
         ApartmentPoint((Fraction(1, 2), Fraction(1, 3), Fraction(-1, 3), Fraction(-1, 2)))
 
 
@@ -189,22 +193,22 @@ def test_origin_stabilizer_is_integrality():
     zero = SpApartmentPoint((0, 0))
     for _ in range(60):
         g = sampling.random_sp(Q2, 2, rng)
-        assert sp_stabilizer_membership(g, zero) == g.is_integral()
+        assert stabilizer_membership(g, zero) == g.is_integral()
 
 
 def test_torus_translate_does_not_stabilize_origin():
     p = Q2.uniformizer()
     g = FieldMatrix.diagonal(Q2, [p, 1, 1, p.inv()])
     assert is_symplectic(g)
-    assert not sp_stabilizer_membership(g, SpApartmentPoint((0, 0)))
+    assert not stabilizer_membership(g, SpApartmentPoint((0, 0)))
 
 
 def test_requires_symplectic():
     g = FieldMatrix.diagonal(Q2, [2, 1, 1, 1])
     with pytest.raises(NotSymplecticError):
-        sp_stabilizer_membership(g, SpApartmentPoint((0, 0)))
+        stabilizer_membership(g, SpApartmentPoint((0, 0)))
     with pytest.raises(NotSymplecticError):
-        sp_fixes_ray(g, SpApartmentPoint((0, 0)), (1, 0))
+        ray_membership(g, SpApartmentPoint((0, 0)), (1, 0))
 
 
 def test_rank_one_matches_special_linear():
@@ -212,16 +216,16 @@ def test_rank_one_matches_special_linear():
     for _ in range(80):
         g = sampling.random_sp(Q5, 1, rng)
         c = sampling.random_fraction(rng)
-        assert sp_stabilizer_membership(g, SpApartmentPoint((c,))) == \
+        assert stabilizer_membership(g, SpApartmentPoint((c,))) == \
             stabilizer_membership(g, ApartmentPoint((c, -c)))
 
 
 def _in_sp_star(coords):
-    """Does sp_parahoric_oracle accept the point, i.e. is it in its star of
-    the origin, the special-linear star of the embedded point?"""
+    """Does parahoric_oracle accept the symplectic point, i.e. is it in its
+    star of the origin, the special-linear star of the embedded point?"""
     try:
-        sp_parahoric_oracle(FieldMatrix.identity(Q2, 2 * len(coords)),
-                            SpApartmentPoint(coords))
+        parahoric_oracle(FieldMatrix.identity(Q2, 2 * len(coords)),
+                         SpApartmentPoint(coords))
     except OutOfStarError:
         return False
     return True
@@ -239,11 +243,11 @@ def test_parahoric_oracle_iwahori_case():
     x = SpApartmentPoint((eps, eps / 2))
     for _ in range(120):
         g = sampling.random_sp(Q2, 2, rng)
-        assert sp_parahoric_oracle(g, x) == sp_stabilizer_membership(g, x)
+        assert parahoric_oracle(g, x) == stabilizer_membership(g, x)
         if g.is_integral():
             res = g.residue()
             upper = all(res[i][j] == 0 for i in range(4) for j in range(4) if i > j)
-            assert sp_parahoric_oracle(g, x) == upper
+            assert parahoric_oracle(g, x) == upper
 
 
 def test_parahoric_oracle_partial_flag():
@@ -251,12 +255,12 @@ def test_parahoric_oracle_partial_flag():
     x = SpApartmentPoint((Fraction(1, 4), 0))
     for _ in range(120):
         g = sampling.random_sp(F3T, 2, rng)
-        assert sp_parahoric_oracle(g, x) == sp_stabilizer_membership(g, x)
+        assert parahoric_oracle(g, x) == stabilizer_membership(g, x)
 
 
 def test_parahoric_outside_star():
     with pytest.raises(OutOfStarError):
-        sp_parahoric_oracle(FieldMatrix.identity(Q2, 4), SpApartmentPoint((1, 0)))
+        parahoric_oracle(FieldMatrix.identity(Q2, 4), SpApartmentPoint((1, 0)))
 
 
 def test_group_closure():
@@ -267,9 +271,9 @@ def test_group_closure():
         t = sampling.sp_torus(Q2, n, [Q2.uniformizer() ** -int(c) for c in x.coords])
         g = t * sampling.random_sp_integral(Q2, n, rng) * t.inverse()
         h = t * sampling.random_sp_integral(Q2, n, rng) * t.inverse()
-        assert sp_stabilizer_membership(g, x) and sp_stabilizer_membership(h, x)
-        assert sp_stabilizer_membership(g * h, x)
-        assert sp_stabilizer_membership(g.inverse(), x)
+        assert stabilizer_membership(g, x) and stabilizer_membership(h, x)
+        assert stabilizer_membership(g * h, x)
+        assert stabilizer_membership(g.inverse(), x)
 
 
 def test_weyl_equivariance():
@@ -279,8 +283,8 @@ def test_weyl_equivariance():
         g = sampling.random_sp(Q2, n, rng)
         w = sampling.random_sp_monomial(Q2, n, rng)
         x = SpApartmentPoint(sampling.random_point(rng, n))
-        assert sp_stabilizer_membership(g, x) == \
-            sp_stabilizer_membership(w * g * w.inverse(), sp_normalizer_action(w, x))
+        assert stabilizer_membership(g, x) == \
+            stabilizer_membership(w * g * w.inverse(), normalizer_action(w, x))
 
 
 @pytest.mark.parametrize("spec", [Q2, Q5, F3T], ids=["Q2", "Q5", "F3T"])
@@ -294,8 +298,8 @@ def test_sp_normalizer_action_is_the_tropical_action(spec):
                 w = sampling.sp_torus(spec, n, [sampling.random_element(spec, rng, -2, 2)
                                                 for _ in range(n)]) * w
             x = SpApartmentPoint(sampling.random_point(rng, n))
-            reference = trop_matvec(tropicalize(w), embed_point(x).coords)
-            assert embed_point(sp_normalizer_action(w, x)) == ApartmentPoint(reference)
+            reference = trop_matvec(tropicalize(w), embedded(x).coords)
+            assert embedded(normalizer_action(w, x)) == ApartmentPoint(reference)
 
 
 def test_star_matches_embedded_arrangement():
@@ -482,7 +486,7 @@ def _ref_sp(spec, n, rng, length=5):
 
 
 def _ref_sp_ray_adapted(spec, n, base, direction, rng, length=4):
-    y0 = embed_point(SpApartmentPoint(base)).coords
+    y0 = embedded(SpApartmentPoint(base)).coords
     dy = tuple(Fraction(c) for c in direction)
     dy = dy + tuple(-c for c in reversed(dy))
 

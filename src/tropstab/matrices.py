@@ -53,9 +53,10 @@ def _eliminate(rows, zero):
         top = rows[col]
         pivot = top[col]
         support = [j for j in range(col + 1, len(top)) if top[j]]
-        scale = -1 / pivot  # the one inverse of this column
+        scale = None  # -1 / pivot: the one inverse of this column, taken once used
         for row in rows[col + 1:]:
             if row[col]:
+                scale = scale or -1 / pivot
                 _add_multiple(row, row[col] * scale, top, support)
         det = pivot if det is None else det * pivot
     return -det if negate else det

@@ -232,8 +232,9 @@ def test_inverse_matches_adjugate(spec):
 
 
 def test_elimination_inverts_each_pivot_once(monkeypatch):
-    # a dense F_3(T) determinant inverts one pivot per eliminated column,
-    # not one per row below it, and still equals the Leibniz sum
+    # a dense F_3(T) determinant inverts one pivot per eliminated column
+    # (the last has no row below it), not one per row below it, and still
+    # equals the Leibniz sum
     rng = random.Random(37)
     n = 6
     m = FieldMatrix(F3T, [[sampling.random_element(F3T, rng, -2, 2) for _ in range(n)]
@@ -248,7 +249,7 @@ def test_elimination_inverts_each_pivot_once(monkeypatch):
 
     monkeypatch.setattr(FpTElement, "inv", counted)
     assert m.determinant() == expected
-    assert 0 < len(calls) <= n
+    assert 0 < len(calls) <= n - 1
 
 
 def test_residue_matrix():

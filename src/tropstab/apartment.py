@@ -1,13 +1,13 @@
 """The apartment of the special linear group as a tropical torus.
 
 Points carry exact rational coordinates modulo the all-ones line; the
-canonical representative sums to zero.  The module provides the action of
-the torus normalizer, where a determinant-one monomial matrix acts on any
-coordinate point by its tropicalization (a diagonal one translates), the
-simplicial face address cut out by the integer hyperplane arrangement, and
-two membership predicates for point stabilizers: the tropical fixed-point
-test and, on the star of the origin, the residue-flag test that
-characterizes parahoric subgroups.
+canonical representative sums to zero.  A point also names its group, a
+matrix check and an embedding into this apartment (det g = 1 and the
+identity here), and each predicate decides on the embedded point: the
+action of the torus normalizer by a monomial matrix's tropicalization, the
+tropical fixed-point test for the point and for a ray from it and, on the
+star of the origin, the residue-flag test that characterizes parahoric
+subgroups.  Face addresses come from the integer hyperplane arrangement.
 """
 
 from __future__ import annotations

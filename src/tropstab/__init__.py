@@ -14,14 +14,14 @@ to it, such as `weights.weight_fan` or `tropstab.weight_fan`.
 import importlib.util as _util
 import sys as _sys
 
-from .apartment import (ApartmentPoint, FaceAddress, face_address,
+from .apartment import (ApartmentPoint, FaceAddress, SpApartmentPoint, face_address,
                         normalizer_action, origin, parahoric_oracle,
                         ray_membership, stabilizer_membership)
 from .compactification import (BoundaryPoint, boundary_block_oracle,
                                boundary_point_from_direction, direction_for_stratum)
 from .fields import FieldSpec
 from .matrices import FieldMatrix
-from .symplectic import SpApartmentPoint, antitranspose, is_symplectic, standard_form
+from .symplectic import antitranspose, is_symplectic, standard_form
 from .tropical import (NEG_INF, fixes_ray, stabilizes_tropically, trop_add,
                        trop_matvec, trop_mul, tropicalize,
                        valuation_inequality_oracle)

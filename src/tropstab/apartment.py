@@ -1,13 +1,13 @@
 """The apartment of the special linear group as a tropical torus.
 
 Points carry exact rational coordinates modulo the all-ones line; the
-canonical representative sums to zero.  A point also names its group, a
-matrix check and an embedding into this apartment (det g = 1 and the
-identity here), and each predicate decides on the embedded point: the
-action of the torus normalizer by a monomial matrix's tropicalization, the
-tropical fixed-point test for the point and for a ray from it and, on the
-star of the origin, the residue-flag test that characterizes parahoric
-subgroups.  Face addresses come from the integer hyperplane arrangement.
+canonical representative sums to zero.  A point also holds its group, and
+each predicate runs the group's matrix check and decides on the point's
+embedding into this apartment: the action of the torus normalizer by a
+monomial matrix's tropicalization, the tropical fixed-point test for the
+point and for a ray from it and, on the star of the origin, the
+residue-flag test that characterizes parahoric subgroups.  Face addresses
+come from the integer hyperplane arrangement.
 """
 
 from __future__ import annotations
@@ -17,21 +17,19 @@ from fractions import Fraction
 
 from .errors import DimensionMismatchError, InputError, OutOfStarError
 from .fields import _Frozen
-from .matrices import FieldMatrix, _require_det_one
+from .groups import GROUP_SL, GROUP_SP
+from .matrices import FieldMatrix
 from .tropical import NEG_INF, fixes_ray, stabilizes_tropically, trop_mul, trop_vector
 
 
 class CoordinatePoint:
     """A point given by exact coordinates, rational unless a subclass
-    normalises them otherwise; equal to points of its own type only.  Its group
-    is `require(g)`, a check of g, and `embed(v)`, a map of coordinate vectors
-    into the special-linear apartment: here det g = 1 and the identity."""
+    normalises them otherwise, and its group; equal to points of its own
+    type and group only."""
 
-    __slots__ = ("coords",)
-    require = staticmethod(_require_det_one)
-    embed = staticmethod(tuple)
+    __slots__ = ("coords", "group")
 
-    def __init__(self, coords):
+    def __init__(self, coords, group=GROUP_SL):
         xs = trop_vector(coords)
         if any(c is NEG_INF for c in xs):
             raise InputError("apartment coordinates must be finite")
@@ -39,6 +37,7 @@ class CoordinatePoint:
         if not cs:
             raise InputError("empty coordinate vector")
         self.coords = cs
+        self.group = group
 
     @property
     def n(self) -> int:
@@ -47,7 +46,7 @@ class CoordinatePoint:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.coords == other.coords
+        return self.coords == other.coords and self.group == other.group
 
     def __hash__(self):
         return hash(self.coords)
@@ -55,9 +54,16 @@ class CoordinatePoint:
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(str(c) for c in self.coords)})"
 
+    def embed(self, v) -> tuple:
+        """Coordinates v of this point's apartment, mapped into the special-linear one."""
+        return self.group.embed(v)
+
     def pull_back(self, ys: tuple) -> "CoordinatePoint":
         """The point of this point's type and group whose embedding is ys."""
-        return type(self)(ys)
+        xs = ys[:self.n]
+        if self.embed(xs) != ys:
+            raise InputError("matrix does not act on the symplectic apartment")
+        return type(self)(xs, self.group)
 
 
 class ApartmentPoint(CoordinatePoint):
@@ -65,10 +71,19 @@ class ApartmentPoint(CoordinatePoint):
 
     __slots__ = ()
 
-    def __init__(self, coords):
-        super().__init__(coords)
+    def __init__(self, coords, group=GROUP_SL):
+        super().__init__(coords, group)
         shift = sum(self.coords) / self.n
         self.coords = tuple(c - shift for c in self.coords)
+
+
+class SpApartmentPoint(CoordinatePoint):
+    """A point of the symplectic apartment: n free rational coordinates."""
+
+    __slots__ = ()
+
+    def __init__(self, coords, group=GROUP_SP):
+        super().__init__(coords, group)
 
 
 def origin(n: int) -> ApartmentPoint:
@@ -80,7 +95,7 @@ def normalizer_action(m: FieldMatrix, x: CoordinatePoint) -> CoordinatePoint:
     the embedded point: coordinate j moves to the row of the one nonzero
     entry t of column j, shifted by -v(t).  The image is pulled back to
     x's type: apartment points re-centre, boundary points re-anchor."""
-    x.require(m)
+    x.group.require(m)
     ys = x.embed(x.coords)
     if m.size != len(ys):
         raise DimensionMismatchError("monomial matrix and point dimensions differ")
@@ -138,14 +153,14 @@ def in_star_of_origin(coords) -> bool:
 def stabilizer_membership(g: FieldMatrix, x: CoordinatePoint) -> bool:
     """Is g, of x's group, in the stabilizer of x, i.e. does g fix the
     embedded point tropically?  For apartment and boundary points alike."""
-    x.require(g)
+    x.group.require(g)
     return stabilizes_tropically(g, x.embed(x.coords))
 
 
 def ray_membership(g: FieldMatrix, x: CoordinatePoint, d) -> bool:
     """Does g, of x's group, fix x + s*d for every s >= 0?  The direction d
     is in x's coordinates; the ray is decided embedded, by fixes_ray."""
-    x.require(g)
+    x.group.require(g)
     return fixes_ray(g, x.embed(x.coords), x.embed(d))
 
 
@@ -156,7 +171,7 @@ def parahoric_oracle(g: FieldMatrix, x: CoordinatePoint) -> bool:
     is block upper triangular for the partition of indices by decreasing
     coordinate value.  Agrees with stabilizer_membership on its domain.
     """
-    x.require(g)
+    x.group.require(g)
     cs = x.embed(x.coords)
     if len(cs) != g.size:
         raise DimensionMismatchError("matrix and point dimensions differ")

@@ -20,13 +20,13 @@ import random
 import sys
 
 from . import suites, svgplot, weights
-from .apartment import ApartmentPoint, stabilizer_membership
+from .apartment import ApartmentPoint, SpApartmentPoint, stabilizer_membership
 from .compactification import BoundaryPoint
 from .errors import InputError, TropstabError
 from .fields import FieldSpec, is_prime
+from .groups import GROUP_SL, GROUP_SP, GROUPS
 from .serialize import (fan_to_json, fraction_from_json, matrix_from_json,
                         point_from_json, point_to_json, spec_to_json)
-from .symplectic import SpApartmentPoint, _require_symplectic
 from .tropical import NEG_INF, trop_matvec, tropicalize
 
 
@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
         st = command(name, _cmd_stabilize, about)
         st.add_argument("--field", default="qp", **field)
         st.add_argument("--p", default=2, **prime)
-        st.add_argument("--group", choices=("sln", "sp2n"), default="sln",
+        st.add_argument("--group", choices=tuple(GROUPS), default=GROUP_SL.tag,
                         help="which group's predicates to use")
         st.add_argument("--matrix", required=True,
                         help="matrix payload; stabilize also takes an array of matrices "
@@ -207,8 +207,8 @@ def _char_params(args):
 
 def _cmd_stabilize(args) -> int:
     """stabilize and boundary-stabilize: one tropical fixed-point test, on a
-    boundary point for boundary-stabilize or any -inf entry, else on the
-    embedded point under sp2n, else on an apartment point."""
+    boundary point for boundary-stabilize or any -inf entry, else on an
+    apartment point of the group, embedded outside SL_n."""
     spec = _field_spec(args)
     payload = _load_payload(args.matrix)
     point_payload = _load_payload(args.point)
@@ -229,16 +229,18 @@ def _cmd_stabilize(args) -> int:
     product = matrices[0]
     for m in matrices[1:]:
         product = product * m
-    if args.group == "sp2n":
-        _require_symplectic(product)
+    group = GROUPS[args.group]
+    # a form check precedes tropicalize; under SL_n a singular matrix is "not invertible"
+    if group is not GROUP_SL:
+        group.require(product)
     trop = tropicalize(product)
 
     if boundary or any(c is NEG_INF for c in coords):
-        x, key = BoundaryPoint(coords), "canonical_point"
-    elif args.group == "sp2n":
-        x, key = SpApartmentPoint(coords), "embedded_point"
-    else:
+        x, key = BoundaryPoint(coords, group), "canonical_point"
+    elif group is GROUP_SL:
         x, key = ApartmentPoint(coords), "canonical_point"
+    else:
+        x, key = SpApartmentPoint(coords, group), "embedded_point"
     ys = x.embed(x.coords)
     doc = {
         "field": spec_to_json(spec),
@@ -246,7 +248,7 @@ def _cmd_stabilize(args) -> int:
         "stabilizes": stabilizer_membership(product, x),
     }
     # the image is of the point as reported: boundary-stabilize reports the
-    # anchored point, stabilize the point as given or its sp2n embedding
+    # anchored point, stabilize the point as given or its embedding
     if boundary:
         doc.update(point=point_to_json(ys), stratum=sorted(x.stratum))
         mapped = ys
@@ -282,10 +284,13 @@ def _expected_cone_count(rep, n, lam):
 #: verify --suite fans checks every Weyl element: SL n <= 7, Sp n <= 5.
 MAX_WEYL_ORDER = 5040
 
+#: --rep -> the group whose character it is.
+_REP_GROUPS = {"identity": GROUP_SL, "sp": GROUP_SP, "schur": GROUP_SL}
+
 
 def _verify_fans(a, seed):
     rep, n, lam = _char_params(a)
-    if math.factorial(n) * (2 ** n if rep == "sp" else 1) > MAX_WEYL_ORDER:
+    if math.factorial(n) * len(_REP_GROUPS[rep].signs) ** n > MAX_WEYL_ORDER:
         raise InputError(f"the fans suite runs over the Weyl group, whose "
                          f"order must be at most {MAX_WEYL_ORDER}")
     return suites.run_fans(rep, seed, n=n, lam=lam, samples=_count(a, "samples", 500),
@@ -399,7 +404,7 @@ def _cmd_plot(args) -> int:
     p = 2 if args.p is None else _prime(args.p)
     seed = _require_seed(args) if args.sample else 0
     # refused before the character is built: a large Schur one costs seconds
-    svgplot._check_rank_two(weights.GROUP_SP if rep == "sp" else weights.GROUP_SL, n)
+    svgplot._check_rank_two(_REP_GROUPS[rep], n)
     char = suites.character_from_params(rep, n, lam)
     svg = svgplot.render_fan_svg(char, p=p, samples=args.sample, seed=seed,
                                  walls=args.walls)

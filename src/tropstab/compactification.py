@@ -3,9 +3,10 @@
 The compactified apartment of the identity representation is the set of
 vectors over the rationals with minus infinity adjoined, not all entries
 infinite, modulo a common finite shift.  The stratum of a point is the set
-of finite positions.  A direction is a coordinate tuple d in x's own
-coordinates, and the limit of x + s*d, which keeps the group check of x,
-keeps finite the embedded coordinates where the embedded d is largest.
+of finite positions, which are already special-linear coordinates.  A
+direction is a coordinate tuple d in x's own coordinates, and the limit of
+x + s*d, which keeps the group of x, keeps finite the embedded coordinates
+where the embedded d is largest.
 Stabilizers of boundary points are decided by the apartment's predicate,
 `apartment.stabilizer_membership`, and independently by a block
 condition: the matrix must preserve the coordinate subspace of the
@@ -19,17 +20,18 @@ from fractions import Fraction
 from .apartment import CoordinatePoint
 from .errors import (AllInfiniteError, DimensionMismatchError, DomainError,
                      InvalidDirectionError)
-from .matrices import FieldMatrix, _require_det_one
+from .groups import GROUP_SL
+from .matrices import FieldMatrix
 from .tropical import NEG_INF, trop_vector
 
 
 class BoundaryPoint(CoordinatePoint):
     """A point of the compactified apartment, anchored at its first finite
-    entry; its group check is det g = 1 or that of the point it is a limit of."""
+    entry; its group is SL_n or that of the point it is a limit of."""
 
-    __slots__ = ("stratum", "require")
+    __slots__ = ("stratum",)
 
-    def __init__(self, coords):
+    def __init__(self, coords, group=GROUP_SL):
         xs = trop_vector(coords)
         fin = [i for i, e in enumerate(xs) if e is not NEG_INF]
         if not fin:
@@ -38,12 +40,11 @@ class BoundaryPoint(CoordinatePoint):
         self.coords = tuple(
             NEG_INF if e is NEG_INF else Fraction(e) - anchor for e in xs)
         self.stratum = frozenset(fin)
-        self.require = _require_det_one
+        self.group = group
 
-    def pull_back(self, ys: tuple) -> "BoundaryPoint":
-        b = BoundaryPoint(ys)
-        b.require = self.require
-        return b
+    def embed(self, v) -> tuple:
+        """The identity: the coordinates already lie in the special-linear apartment."""
+        return tuple(v)
 
 
 def direction_for_stratum(indices, n: int) -> tuple:
@@ -65,15 +66,13 @@ def boundary_point_from_direction(x: CoordinatePoint, d) -> BoundaryPoint:
     if not ds or len(ds) != len(ys):
         raise InvalidDirectionError("direction must be nonempty and match the point")
     top = max(ds)
-    b = BoundaryPoint(tuple(y if e == top else NEG_INF for y, e in zip(ys, ds)))
-    b.require = x.require
-    return b
+    return BoundaryPoint(tuple(y if e == top else NEG_INF for y, e in zip(ys, ds)), x.group)
 
 
 def boundary_block_oracle(g: FieldMatrix, b: BoundaryPoint) -> bool:
     """Independent check: g preserves the stratum subspace and the restricted
     block fixes the finite part, attainment of every row maximum included."""
-    b.require(g)
+    b.group.require(g)
     if g.size != b.n:
         raise DimensionMismatchError("matrix and point dimensions differ")
     inside = sorted(b.stratum)

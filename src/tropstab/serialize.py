@@ -140,7 +140,7 @@ def point_from_json(data):
 
 def fan_to_json(fan: weights.Fan) -> dict:
     return {
-        "group": fan.group,
+        "group": fan.group.tag,
         "rank": fan.rank,
         "vertices": [list(weights.canonical_weight(fan.group, fc.vertex))
                      for fc in fan.maximal_cones],

@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from .errors import UnsupportedRankError
 from .feasibility import _primitive_vector
+from .groups import GROUP_SL, GROUP_SP
 from .suites import hypersurface_samples
-from .weights import (GROUP_SL, GROUP_SP, WeightedCharacter, polytope_vertices,
-                      weight_eval)
+from .weights import WeightedCharacter, polytope_vertices, weight_eval
 
 
 def fan_rays(char: WeightedCharacter) -> list:

@@ -1,20 +1,15 @@
-"""The symplectic group, its apartment, and the embedding into the
-special-linear apartment.
+"""The symplectic group's form check and its apartment's embedding, which
+make up `groups.GROUP_SP`, the group of `apartment.SpApartmentPoint`.
 
-The standard form is built from the antidiagonal identity; symplectic
-apartment points have n free rational coordinates and embed into the
-rank 2n-1 apartment as the palindromically antisymmetric vectors
-(x_1, ..., x_n, -x_n, ..., -x_1).  A symplectic point carries its group:
-the predicates of `apartment` and `compactification` run its form check,
-then the special-linear test on its embedding.  The form check records
-det = 1 and the embedded vector sums to zero, so the embedded coordinates
-go straight to the tropical test.
+The standard form is built from the antidiagonal identity.  The form check
+records det = 1, and the embedding x -> (x, -reversed(x)) into the rank
+2n-1 special-linear apartment sums to zero, so an embedded point goes
+straight to the tropical test.
 """
 
 from __future__ import annotations
 
-from .apartment import CoordinatePoint
-from .errors import DimensionMismatchError, InputError, NotSymplecticError
+from .errors import DimensionMismatchError, NotSymplecticError
 from .fields import FieldSpec
 from .matrices import FieldMatrix
 
@@ -83,16 +78,3 @@ def _require_symplectic(g: FieldMatrix) -> None:
     g._det = g.spec.one()
     g._symplectic = True
 
-
-class SpApartmentPoint(CoordinatePoint):
-    """A point of the symplectic apartment: n free rational coordinates.  Its
-    group check is the form check, and it embeds as (x, -reversed(x))."""
-
-    __slots__ = ()
-    require = staticmethod(_require_symplectic)
-    embed = staticmethod(_embed)
-
-    def pull_back(self, ys: tuple) -> "SpApartmentPoint":
-        if _embed(ys[:self.n]) != ys:
-            raise InputError("matrix does not act on the symplectic apartment")
-        return SpApartmentPoint(ys[:self.n])

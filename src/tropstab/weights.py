@@ -1,12 +1,12 @@
 """Weight systems of the built-in representations and their geometry.
 
 A WeightedCharacter is a finite map from integer weight vectors to
-multiplicities.  From it we compute the dominance cone of each extreme
-weight, the complete fan of such cones, the vertex set of the weight
-polytope (by exact integer certificates, and linear feasibility where
-they say nothing), and membership in the tropical hypersurface cut out by
-the character, whose locus coincides with the codimension-one skeleton of
-the fan.  Schur polynomials are evaluated by two independent routes:
+multiplicities, and a group.  From it we compute the dominance cone of
+each extreme weight, the complete fan of such cones, the vertex set of the
+weight polytope (by exact integer certificates, and linear feasibility
+where they say nothing), and membership in the tropical hypersurface cut
+out by the character, whose locus coincides with the codimension-one
+skeleton of the fan.  Two independent routes evaluate Schur polynomials:
 semistandard tableau enumeration and the bialternant determinant ratio.
 """
 
@@ -24,20 +24,9 @@ from .errors import (DimensionMismatchError, InputError, NotAVertexError,
                      TypeMismatchError, WeightMismatchError)
 from .feasibility import _primitive_vector, strictly_feasible
 from .fields import FieldSpec, _exact, int_valuation
+from .groups import GROUP_SL, GROUP_SP, Group
 from .matrices import _eliminate
 from .tropical import NEG_INF, _scaled_int_vector, trop_vector
-
-GROUP_SL = "sln"
-GROUP_SP = "sp2n"
-
-#: Signs a Weyl element may give a coordinate: SL_n only permutes, Sp_2n also flips.
-_WEYL_SIGNS = {GROUP_SL: (1,), GROUP_SP: (1, -1)}
-
-
-def _weyl_signs(group: str) -> tuple:
-    if group not in _WEYL_SIGNS:
-        raise InputError(f"unknown group tag {group!r}")
-    return _WEYL_SIGNS[group]
 
 
 # ----------------------------------------------------------------------
@@ -127,9 +116,9 @@ class WeightedCharacter:
 
     __slots__ = ("group", "rank", "_map", "_vertices", "_fan", "_dominant")
 
-    def __init__(self, group: str, rank: int, multiplicities):
-        if group not in (GROUP_SL, GROUP_SP):
-            raise InputError(f"unknown group tag {group!r}")
+    def __init__(self, group: Group, rank: int, multiplicities):
+        if not isinstance(group, Group):
+            raise InputError(f"unknown group {group!r}")
         mp = {}
         for mu, c in dict(multiplicities).items():
             mu = tuple(_exact(a, int, "weight entry") for a in mu)
@@ -170,29 +159,24 @@ class WeightedCharacter:
         return f"WeightedCharacter({self.group}, rank={self.rank}, dim={self.dimension()})"
 
 
+def _standard_character(group: Group, n: int) -> WeightedCharacter:
+    """The Weyl orbit of the first coordinate character, each weight once."""
+    return WeightedCharacter(group, n, {tuple(s * (j == i) for j in range(n)): 1
+                                        for i in range(n) for s in group.signs})
+
+
 def sl_identity_character(n: int) -> WeightedCharacter:
     """Weights of the identity representation: the n coordinate characters."""
     if n < 2:
         raise InputError("rank at least two required")
-    weights = {}
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        weights[tuple(e)] = 1
-    return WeightedCharacter(GROUP_SL, n, weights)
+    return _standard_character(GROUP_SL, n)
 
 
 def sp_standard_character(n: int) -> WeightedCharacter:
     """Weights of the standard symplectic representation: plus-minus coordinates."""
     if n < 1:
         raise InputError("rank at least one required")
-    weights = {}
-    for i in range(n):
-        for s in (1, -1):
-            e = [0] * n
-            e[i] = s
-            weights[tuple(e)] = 1
-    return WeightedCharacter(GROUP_SP, n, weights)
+    return _standard_character(GROUP_SP, n)
 
 
 @lru_cache(maxsize=None)
@@ -297,23 +281,21 @@ class WeylElement:
         return cls(tuple(range(n)), (1,) * n)
 
 
-def weyl_elements(group: str, n: int):
+def weyl_elements(group: Group, n: int):
     """All Weyl elements: permutations, or signed permutations for the symplectic type."""
-    choices = _weyl_signs(group)
     for perm in itertools.permutations(range(n)):
-        for signs in itertools.product(choices, repeat=n):
+        for signs in itertools.product(group.signs, repeat=n):
             yield WeylElement(perm, signs)
 
 
-def weyl_orbit(group: str, mu) -> set:
+def weyl_orbit(group: Group, mu) -> set:
     """The distinct images w.apply(mu) over all Weyl elements w, built
     coordinate by coordinate: the work follows the orbit, not the group."""
-    choices = _weyl_signs(group)
     orbit = set()
     for a in set(mu):
         i = mu.index(a)
         rest = weyl_orbit(group, mu[:i] + mu[i + 1:]) if len(mu) > 1 else {()}
-        orbit.update((s * a,) + r for s in choices for r in rest)
+        orbit.update((s * a,) + r for s in group.signs for r in rest)
     return orbit
 
 
@@ -339,7 +321,7 @@ class FanCone:
 class Fan:
     """Maximal cones of a complete fan, each tagged with its extreme weight."""
 
-    group: str
+    group: Group
     rank: int
     maximal_cones: tuple
 
@@ -392,7 +374,7 @@ def dominant_weight(char: WeightedCharacter) -> tuple:
 def _check_weyl(char: WeightedCharacter, w: WeylElement):
     if len(w.perm) != char.rank:
         raise TypeMismatchError("Weyl element rank does not match the character")
-    choices = _weyl_signs(char.group)
+    choices = char.group.signs
     if any(s not in choices for s in w.signs):
         raise TypeMismatchError(
             f"Weyl elements of type {char.group} take only the signs {choices}")
@@ -494,26 +476,23 @@ def skeleton_member(fan: Fan, x) -> bool:
     return False
 
 
-def weyl_cone(group: str, n: int, w: WeylElement) -> Cone:
+def weyl_cone(group: Group, n: int, w: WeylElement) -> Cone:
     """The w-image of the leading Weyl chamber, as an H-representation."""
-    choices = _weyl_signs(group)
     base = []
     for i in range(n - 1):
         row = [0] * n
         row[i], row[i + 1] = 1, -1
         base.append(tuple(row))
-    if -1 in choices:  # the sign flip of the last coordinate is a simple reflection
+    if -1 in group.signs:  # the sign flip of the last coordinate is a simple reflection
         last = [0] * n
         last[n - 1] = 1
         base.append(tuple(last))
     return Cone(tuple(sorted(_primitive_vector(w.apply(f)) for f in base)))
 
 
-def canonical_weight(group: str, mu) -> tuple:
+def canonical_weight(group: Group, mu) -> tuple:
     """Canonical representative: for the special linear type, last coordinate zero."""
     mu = tuple(int(a) for a in mu)
-    if group == GROUP_SL and mu:
-        last = mu[-1]
-        if last:
-            mu = tuple(a - last for a in mu)
+    if group is GROUP_SL and mu:
+        mu = tuple(a - mu[-1] for a in mu)
     return mu

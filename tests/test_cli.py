@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 import shlex
 from datetime import timedelta
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from tropstab import cli, matrices, suites
 from tropstab.cli import _expected_cone_count, main
+from tropstab.groups import GROUPS
 
 
 def run_cli(capsys, *argv):
@@ -561,6 +563,20 @@ def test_stabilize_symplectic_group_checks_the_form_first(capsys):
         assert err == "error: matrix does not preserve the symplectic form\n"
 
 
+@pytest.mark.parametrize("group,matrix,point,message", [
+    ("sln", '[["1","1"],["1","1"]]', '["0","0"]', "tropicalization requires an invertible matrix"),
+    ("sp2n", '[["1","1"],["1","1"]]', '["0","0"]', "matrix does not preserve the symplectic form"),
+    ("sln", '[["1","0"],["0","1"]]', '["-inf","-inf"]', "vector has no finite entry"),
+    ("sp2n", '[["1","0"],["0","1"]]', '["-inf","-inf"]', "vector has no finite entry"),
+], ids=["sln-singular", "sp2n-singular", "sln-all-infinite", "sp2n-all-infinite"])
+def test_stabilize_error_order(capsys, group, matrix, point, message):
+    # only a form check comes before tropicalization: under SL_n a singular
+    # matrix is refused as not invertible, not for its determinant
+    code, out, err = run_cli(capsys, "stabilize", "--group", group,
+                             "--matrix", matrix, "--point", point)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("field,factors", [
     ("qp", _Q3_FACTORS[:2]), ("qp", _Q3_FACTORS), ("fpt", _FPT_FACTORS[:2]),
     ("fpt", _FPT_FACTORS)], ids=["q3-two", "q3-three", "f3t-two", "f3t-three"])
@@ -747,6 +763,18 @@ def _command_options():
     return {name: [action for action in parser._actions
                    if action.option_strings and action.option_strings[0] != "-h"]
             for name, parser in commands.items()}
+
+
+def test_group_tags_live_in_one_module():
+    # every other module reads a group value, and the command line its tags
+    source = Path(cli.__file__).parent
+    holders = sorted(path.name for path in source.glob("*.py")
+                     if re.search(r"""["'](sln|sp2n)["']""", path.read_text(encoding="utf-8")))
+    assert holders == ["groups.py"]
+    options = _command_options()
+    for command in ("stabilize", "boundary-stabilize"):
+        group = next(a for a in options[command] if a.option_strings == ["--group"])
+        assert group.choices == tuple(GROUPS)
 
 
 def _command_flags():

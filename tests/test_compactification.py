@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tropstab import matrices, sampling, suites
-from tropstab.apartment import (ApartmentPoint, normalizer_action, origin,
+from tropstab.apartment import (ApartmentPoint, SpApartmentPoint, normalizer_action, origin,
                                 parahoric_oracle, ray_membership,
                                 stabilizer_membership)
 from tropstab.compactification import (BoundaryPoint, boundary_block_oracle,
@@ -16,7 +16,7 @@ from tropstab.errors import (AllInfiniteError, DeterminantNotOneError,
                              InvalidDirectionError, NotSymplecticError)
 from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix
-from tropstab.symplectic import SpApartmentPoint, _embed, _require_symplectic
+from tropstab.symplectic import _embed, _require_symplectic
 from tropstab.tropical import (NEG_INF, fixes_ray, stabilizes_tropically, trop_matvec,
                                tropicalize)
 from tropstab.weights import sl_identity_character, sp_standard_character, weight_fan
@@ -275,6 +275,19 @@ def test_sp_boundary_requires_symplectic():
     d = (Fraction(1), Fraction(0))
     with pytest.raises(NotSymplecticError):
         fixes_limit(FieldMatrix.diagonal(Q2, [2, 1, 1, 1]), SpApartmentPoint((0, 0)), d)
+
+
+def test_limit_and_boundary_point_of_other_groups_differ():
+    # equal coordinates, but the limit keeps the symplectic group check
+    a = boundary_point_from_direction(SpApartmentPoint((1, 0)), (1, 0))
+    b = BoundaryPoint(a.coords)
+    assert a.coords == b.coords and hash(a) == hash(b)
+    assert a != b
+    assert {b: 1}.get(a) is None
+    g = FieldMatrix.diagonal(Q2, [2, Fraction(1, 2), 1, 1])
+    with pytest.raises(NotSymplecticError):
+        stabilizer_membership(g, a)
+    assert stabilizer_membership(g, b) is False
 
 
 def test_boundary_predicates_reject_wrong_sizes():

@@ -15,7 +15,7 @@ def test_public_names():
         "boundary_block_oracle", "boundary_point_from_direction",
         "compactification", "direction_for_stratum",
         "dominance_cone", "errors", "face_address",
-        "feasibility", "fields", "fixes_ray", "is_symplectic", "kostka_number",
+        "feasibility", "fields", "fixes_ray", "groups", "is_symplectic", "kostka_number",
         "matrices", "normal_cone_member", "normalizer_action", "origin",
         "parahoric_oracle", "partitions_of", "polytope_vertices", "ray_membership",
         "schur_eval",

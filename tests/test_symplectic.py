@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 
 from tropstab import sampling, suites, symplectic
-from tropstab.apartment import (ApartmentPoint, normalizer_action, parahoric_oracle,
-                                ray_membership, stabilizer_membership)
+from tropstab.apartment import (ApartmentPoint, SpApartmentPoint, normalizer_action,
+                                parahoric_oracle, ray_membership, stabilizer_membership)
 from tropstab.errors import (DimensionMismatchError, NotSymplecticError,
                              OutOfStarError)
 from tropstab.fields import FieldSpec
 from tropstab.matrices import FieldMatrix
-from tropstab.symplectic import (SpApartmentPoint, _require_symplectic,
-                                 antitranspose, is_symplectic, standard_form)
+from tropstab.symplectic import (_require_symplectic, antitranspose, is_symplectic,
+                                 standard_form)
 from tropstab.tropical import trop_matvec, tropicalize
 
 Q2 = FieldSpec("Qp", 2)

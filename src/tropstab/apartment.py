@@ -1,7 +1,7 @@
 """The apartment of the special linear group as a tropical torus.
 
 Points carry exact rational coordinates modulo the all-ones line; the
-canonical representative sums to zero.  A point also holds its group, and
+canonical representative sums to zero.  A point's type fixes its group, and
 each predicate runs the group's matrix check and decides on the point's
 embedding into this apartment: the action of the torus normalizer by a
 monomial matrix's tropicalization, the tropical fixed-point test for the
@@ -24,12 +24,13 @@ from .tropical import NEG_INF, fixes_ray, stabilizes_tropically, trop_mul, trop_
 
 class CoordinatePoint:
     """A point given by exact coordinates, rational unless a subclass
-    normalises them otherwise, and its group; equal to points of its own
-    type and group only."""
+    normalises them otherwise; its type fixes its group, SL_n here.  Equal
+    to points of its own type and group only."""
 
-    __slots__ = ("coords", "group")
+    __slots__ = ("coords",)
+    group = GROUP_SL
 
-    def __init__(self, coords, group=GROUP_SL):
+    def __init__(self, coords):
         xs = trop_vector(coords)
         if any(c is NEG_INF for c in xs):
             raise InputError("apartment coordinates must be finite")
@@ -37,7 +38,6 @@ class CoordinatePoint:
         if not cs:
             raise InputError("empty coordinate vector")
         self.coords = cs
-        self.group = group
 
     @property
     def n(self) -> int:
@@ -59,11 +59,11 @@ class CoordinatePoint:
         return self.group.embed(v)
 
     def pull_back(self, ys: tuple) -> "CoordinatePoint":
-        """The point of this point's type and group whose embedding is ys."""
+        """The point of this point's type whose embedding is ys."""
         xs = ys[:self.n]
         if self.embed(xs) != ys:
             raise InputError("matrix does not act on the symplectic apartment")
-        return type(self)(xs, self.group)
+        return type(self)(xs)
 
 
 class ApartmentPoint(CoordinatePoint):
@@ -71,8 +71,8 @@ class ApartmentPoint(CoordinatePoint):
 
     __slots__ = ()
 
-    def __init__(self, coords, group=GROUP_SL):
-        super().__init__(coords, group)
+    def __init__(self, coords):
+        super().__init__(coords)
         shift = sum(self.coords) / self.n
         self.coords = tuple(c - shift for c in self.coords)
 
@@ -81,9 +81,7 @@ class SpApartmentPoint(CoordinatePoint):
     """A point of the symplectic apartment: n free rational coordinates."""
 
     __slots__ = ()
-
-    def __init__(self, coords, group=GROUP_SP):
-        super().__init__(coords, group)
+    group = GROUP_SP
 
 
 def origin(n: int) -> ApartmentPoint:
@@ -138,10 +136,7 @@ def face_address(x: ApartmentPoint) -> FaceAddress:
         for j in range(i + 1, x.n):
             d = x.coords[i] - x.coords[j]
             fl = math.floor(d)
-            if d == fl:
-                rel.append((i, j, "wall", fl))
-            else:
-                rel.append((i, j, "strip", fl))
+            rel.append((i, j, "wall" if d == fl else "strip", fl))
     return FaceAddress(tuple(rel))
 
 

@@ -24,7 +24,7 @@ from .apartment import ApartmentPoint, SpApartmentPoint, stabilizer_membership
 from .compactification import BoundaryPoint
 from .errors import InputError, TropstabError
 from .fields import FieldSpec, is_prime
-from .groups import GROUP_SL, GROUP_SP, GROUPS
+from .groups import GROUP_SL, GROUPS
 from .serialize import (fan_to_json, fraction_from_json, matrix_from_json,
                         point_from_json, point_to_json, spec_to_json)
 from .tropical import NEG_INF, trop_matvec, tropicalize
@@ -240,7 +240,7 @@ def _cmd_stabilize(args) -> int:
     elif group is GROUP_SL:
         x, key = ApartmentPoint(coords), "canonical_point"
     else:
-        x, key = SpApartmentPoint(coords, group), "embedded_point"
+        x, key = SpApartmentPoint(coords), "embedded_point"
     ys = x.embed(x.coords)
     doc = {
         "field": spec_to_json(spec),
@@ -269,10 +269,8 @@ def _cmd_stabilize(args) -> int:
 
 
 def _expected_cone_count(rep, n, lam):
-    if rep == "identity":
-        return n
-    if rep == "sp":
-        return 2 * n
+    if rep != "schur":  # the orbit of the first coordinate: n weights, times the signs
+        return n * len(suites.REP_GROUPS[rep].signs)
     rank = len(lam) if n is None else n
     part = weights.as_partition(lam)
     padded = part + (0,) * (rank - len(part))
@@ -284,13 +282,9 @@ def _expected_cone_count(rep, n, lam):
 #: verify --suite fans checks every Weyl element: SL n <= 7, Sp n <= 5.
 MAX_WEYL_ORDER = 5040
 
-#: --rep -> the group whose character it is.
-_REP_GROUPS = {"identity": GROUP_SL, "sp": GROUP_SP, "schur": GROUP_SL}
-
-
 def _verify_fans(a, seed):
     rep, n, lam = _char_params(a)
-    if math.factorial(n) * len(_REP_GROUPS[rep].signs) ** n > MAX_WEYL_ORDER:
+    if math.factorial(n) * len(suites.REP_GROUPS[rep].signs) ** n > MAX_WEYL_ORDER:
         raise InputError(f"the fans suite runs over the Weyl group, whose "
                          f"order must be at most {MAX_WEYL_ORDER}")
     return suites.run_fans(rep, seed, n=n, lam=lam, samples=_count(a, "samples", 500),
@@ -404,7 +398,7 @@ def _cmd_plot(args) -> int:
     p = 2 if args.p is None else _prime(args.p)
     seed = _require_seed(args) if args.sample else 0
     # refused before the character is built: a large Schur one costs seconds
-    svgplot._check_rank_two(_REP_GROUPS[rep], n)
+    svgplot._check_rank_two(suites.REP_GROUPS[rep], n)
     char = suites.character_from_params(rep, n, lam)
     svg = svgplot.render_fan_svg(char, p=p, samples=args.sample, seed=seed,
                                  walls=args.walls)

@@ -29,7 +29,7 @@ class BoundaryPoint(CoordinatePoint):
     """A point of the compactified apartment, anchored at its first finite
     entry; its group is SL_n or that of the point it is a limit of."""
 
-    __slots__ = ("stratum",)
+    __slots__ = ("stratum", "group")
 
     def __init__(self, coords, group=GROUP_SL):
         xs = trop_vector(coords)
@@ -45,6 +45,10 @@ class BoundaryPoint(CoordinatePoint):
     def embed(self, v) -> tuple:
         """The identity: the coordinates already lie in the special-linear apartment."""
         return tuple(v)
+
+    def pull_back(self, ys: tuple) -> "BoundaryPoint":
+        """The point of this point's group whose coordinates are ys."""
+        return type(self)(ys, self.group)
 
 
 def direction_for_stratum(indices, n: int) -> tuple:

@@ -4,6 +4,7 @@ into the special-linear apartment, and the signs its Weyl group gives."""
 
 import enum
 
+from .errors import InputError
 from .matrices import _require_det_one
 from .symplectic import _embed, _require_symplectic
 
@@ -22,3 +23,10 @@ class Group(enum.Enum):
 GROUP_SL, GROUP_SP = Group.SL, Group.SP
 #: Tag -> group, in the order the command line offers them.
 GROUPS = {group.tag: group for group in Group}
+
+
+def as_group(group) -> Group:
+    """The group given as itself or by its tag; InputError for anything else."""
+    if not isinstance(group, Group) and not (isinstance(group, str) and group in GROUPS):
+        raise InputError(f"unknown group {group!r}")
+    return GROUPS.get(group, group)

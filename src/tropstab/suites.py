@@ -27,6 +27,7 @@ from .compactification import (BoundaryPoint, boundary_block_oracle,
                                boundary_point_from_direction, direction_for_stratum)
 from .errors import InputError
 from .fields import FieldSpec
+from .groups import GROUP_SL, GROUP_SP
 from .matrices import FieldMatrix
 from .serialize import (matrix_to_json, point_to_json, spec_to_json)
 from .tropical import (NEG_INF, stabilizes_tropically, trop_add,
@@ -371,15 +372,19 @@ def run_sp(spec: FieldSpec, n: int, seed: int, count: int = 300):
 # ----------------------------------------------------------------------
 # fans, polytope vertices, hypersurface
 
+#: Representation tag -> the group whose character it is.
+REP_GROUPS = {"identity": GROUP_SL, "sp": GROUP_SP, "schur": GROUP_SL}
+
+
 def character_from_params(rep: str, n: int | None = None, lam=None) -> WeightedCharacter:
+    if rep not in REP_GROUPS:
+        raise InputError(f"unknown representation tag {rep!r}")
     if rep == "identity":
         return sl_identity_character(n)
     if rep == "sp":
         return sp_standard_character(n)
-    if rep == "schur":
-        lam = tuple(lam)
-        return sl_partition_character(lam, len(lam) if n is None else n)
-    raise InputError(f"unknown representation tag {rep!r}")
+    lam = tuple(lam)
+    return sl_partition_character(lam, len(lam) if n is None else n)
 
 
 def _character_params(params, n, lam):

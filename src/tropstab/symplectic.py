@@ -77,4 +77,3 @@ def _require_symplectic(g: FieldMatrix) -> None:
         raise NotSymplecticError("matrix does not preserve the symplectic form")
     g._det = g.spec.one()
     g._symplectic = True
-

@@ -24,7 +24,7 @@ from .errors import (DimensionMismatchError, InputError, NotAVertexError,
                      TypeMismatchError, WeightMismatchError)
 from .feasibility import _primitive_vector, strictly_feasible
 from .fields import FieldSpec, _exact, int_valuation
-from .groups import GROUP_SL, GROUP_SP, Group
+from .groups import GROUP_SL, GROUP_SP, Group, as_group
 from .matrices import _eliminate
 from .tropical import NEG_INF, _scaled_int_vector, trop_vector
 
@@ -117,8 +117,7 @@ class WeightedCharacter:
     __slots__ = ("group", "rank", "_map", "_vertices", "_fan", "_dominant")
 
     def __init__(self, group: Group, rank: int, multiplicities):
-        if not isinstance(group, Group):
-            raise InputError(f"unknown group {group!r}")
+        group = as_group(group)
         mp = {}
         for mu, c in dict(multiplicities).items():
             mu = tuple(_exact(a, int, "weight entry") for a in mu)
@@ -283,6 +282,7 @@ class WeylElement:
 
 def weyl_elements(group: Group, n: int):
     """All Weyl elements: permutations, or signed permutations for the symplectic type."""
+    group = as_group(group)
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product(group.signs, repeat=n):
             yield WeylElement(perm, signs)
@@ -291,6 +291,7 @@ def weyl_elements(group: Group, n: int):
 def weyl_orbit(group: Group, mu) -> set:
     """The distinct images w.apply(mu) over all Weyl elements w, built
     coordinate by coordinate: the work follows the orbit, not the group."""
+    group = as_group(group)
     orbit = set()
     for a in set(mu):
         i = mu.index(a)
@@ -356,18 +357,12 @@ def dominant_weight(char: WeightedCharacter) -> tuple:
     """The extreme weight that dominates a regular point of the leading chamber."""
     if char._dominant is None:
         probe = tuple(range(char.rank, 0, -1))
-        best = None
-        best_val = None
-        tie = False
-        for mu in char.weights:
-            val = weight_eval(mu, probe)
-            if best_val is None or val > best_val:
-                best, best_val, tie = mu, val, False
-            elif val == best_val:
-                tie = True
-        if tie:
+        vals = {mu: weight_eval(mu, probe) for mu in char.weights}
+        top = max(vals.values())
+        best = [mu for mu, val in vals.items() if val == top]
+        if len(best) > 1:
             raise InputError("character has no unique leading extreme weight")
-        char._dominant = best
+        char._dominant = best[0]
     return char._dominant
 
 
@@ -381,11 +376,8 @@ def _check_weyl(char: WeightedCharacter, w: WeylElement):
 
 
 def _cone_of_vertex(char: WeightedCharacter, mu0) -> Cone:
-    fns = set()
-    for mu in char.weights:
-        if mu == mu0:
-            continue
-        fns.add(_primitive_vector(tuple(a - b for a, b in zip(mu0, mu))))
+    fns = {_primitive_vector(tuple(a - b for a, b in zip(mu0, mu)))
+           for mu in char.weights if mu != mu0}
     return Cone(tuple(sorted(fns)))
 
 
@@ -478,6 +470,7 @@ def skeleton_member(fan: Fan, x) -> bool:
 
 def weyl_cone(group: Group, n: int, w: WeylElement) -> Cone:
     """The w-image of the leading Weyl chamber, as an H-representation."""
+    group = as_group(group)
     base = []
     for i in range(n - 1):
         row = [0] * n
@@ -492,6 +485,7 @@ def weyl_cone(group: Group, n: int, w: WeylElement) -> Cone:
 
 def canonical_weight(group: Group, mu) -> tuple:
     """Canonical representative: for the special linear type, last coordinate zero."""
+    group = as_group(group)
     mu = tuple(int(a) for a in mu)
     if group is GROUP_SL and mu:
         mu = tuple(a - mu[-1] for a in mu)

@@ -777,6 +777,16 @@ def test_group_tags_live_in_one_module():
         assert group.choices == tuple(GROUPS)
 
 
+def test_rep_choices_are_the_rep_groups():
+    options = _command_options()
+    for command in ("verify", "fan", "hypersurface", "plot"):
+        rep = next(a for a in options[command] if a.option_strings == ["--rep"])
+        assert rep.choices == tuple(suites.REP_GROUPS)
+    for rep, group in suites.REP_GROUPS.items():
+        lam = (1, 0) if rep == "schur" else None
+        assert suites.character_from_params(rep, 2, lam).group is group
+
+
 def _command_flags():
     return {name: sorted(action.option_strings[0] for action in actions)
             for name, actions in _command_options().items()}

@@ -15,6 +15,7 @@ from tropstab.errors import (AllInfiniteError, DeterminantNotOneError,
                              DimensionMismatchError, DomainError, InputError,
                              InvalidDirectionError, NotSymplecticError)
 from tropstab.fields import FieldSpec
+from tropstab.groups import GROUP_SL, GROUP_SP
 from tropstab.matrices import FieldMatrix
 from tropstab.symplectic import _embed, _require_symplectic
 from tropstab.tropical import (NEG_INF, fixes_ray, stabilizes_tropically, trop_matvec,
@@ -54,6 +55,19 @@ def test_points_of_different_types_never_compare_equal():
     for a, b in itertools.permutations(points, 2):
         assert a != b and not a == b
     assert len(set(points)) == 3
+
+
+def test_point_types_fix_their_groups():
+    assert ApartmentPoint((1, 0)).group is GROUP_SL
+    assert SpApartmentPoint((1, 0)).group is GROUP_SP
+    for point_type in (ApartmentPoint, SpApartmentPoint):
+        with pytest.raises(TypeError):
+            point_type((1, 0), GROUP_SL)
+    # a boundary point is given its group, and the normalizer action keeps it
+    b = boundary_point_from_direction(SpApartmentPoint((1, 0)), (1, 0))
+    assert b.group is GROUP_SP and BoundaryPoint(b.coords).group is GROUP_SL
+    moved = normalizer_action(FieldMatrix.identity(Q2, 4), b)
+    assert moved == b and moved.group is GROUP_SP
 
 
 def test_boundary_point_from_direction_examples():

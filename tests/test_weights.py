@@ -281,6 +281,25 @@ def test_weyl_orbit_is_distinct_images(group, mu):
     assert weyl_orbit(group, mu) == {w.apply(mu) for w in weyl_elements(group, len(mu))}
 
 
+def test_group_arguments_take_a_group_or_its_tag():
+    for group in (GROUP_SL, GROUP_SP):
+        assert list(weyl_elements(group.tag, 2)) == list(weyl_elements(group, 2))
+        assert weyl_orbit(group.tag, (1, 0)) == weyl_orbit(group, (1, 0))
+        w = WeylElement.identity(2)
+        assert weyl_cone(group.tag, 2, w) == weyl_cone(group, 2, w)
+        assert WeightedCharacter(group.tag, 1, {(1,): 1}).group is group
+    assert weights.canonical_weight(GROUP_SL.tag, (2, 1, 1)) == (1, 0, 0)
+    assert weights.canonical_weight(GROUP_SP.tag, (2, 1, 1)) == (2, 1, 1)
+    for bogus in ("gl", "SL", 3, None, [GROUP_SL.tag], GROUP_SL.require):
+        for call in (lambda: list(weyl_elements(bogus, 2)),
+                     lambda: weyl_orbit(bogus, (1, 0)),
+                     lambda: weyl_cone(bogus, 2, WeylElement.identity(2)),
+                     lambda: weights.canonical_weight(bogus, (2, 1, 1)),
+                     lambda: WeightedCharacter(bogus, 1, {(1,): 1})):
+            with pytest.raises(InputError, match="unknown group"):
+                call()
+
+
 def test_vertices_are_weyl_orbit():
     for char in (sl_identity_character(4), sp_standard_character(3),
                  sl_partition_character((2, 1, 0), 3)):

@@ -17,7 +17,9 @@ cancel.  A Laurent polynomial (w = 1), as every payload entry u/T^k and
 every sampler element is, multiplies by one product of the u's and adds
 by one shifted sum, with no gcd; a sum with a 0 operand and a Q_p product
 with a 1 operand return the other operand.  Each FieldSpec builds 0 and 1
-once.
+once.  `_axpy`, the row update row[j] += a * source[j] under every matrix
+routine, builds one element per entry: from the int pairs over Q_p, and
+from the u's of Laurent operands over F_p(T).
 """
 
 from __future__ import annotations
@@ -281,14 +283,14 @@ class FieldElement:
         if not isinstance(k, int):
             return NotImplemented
         base, k = (self, k) if k >= 0 else (self.inv(), -k)
-        out = self.spec.one()
+        out = None
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             k >>= 1
             if k:
                 base = base * base
-        return out
+        return self.spec.one() if out is None else out
 
     # a Q_p num is falsy exactly at zero; FpTElement reads its u
     def __bool__(self):
@@ -368,6 +370,22 @@ class QpElement(FieldElement):
 
     def __neg__(self):
         return QpElement(self.spec, -self.num, self.den)
+
+    def _axpy(self, row, source, cols):
+        """row[j] += self * source[j] for j in cols, on the int pairs, with
+        the cancellations of __mul__ and __add__."""
+        spec, na, da, gcd = self.spec, self.num, self.den, math.gcd
+        for j in cols:
+            b, r = source[j], row[j]
+            g1, g2 = gcd(na, b.den), gcd(b.num, da)
+            n, d = (na // g1) * (b.num // g2), (da // g2) * (b.den // g1)
+            if r.num:
+                g = gcd(r.den, d)
+                s = r.den // g
+                n = r.num * (d // g) + n * s
+                g2 = gcd(n, g)
+                n, d = n // g2, s * (d // g2)
+            row[j] = QpElement(spec, n, d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -482,6 +500,24 @@ class FpTElement(FieldElement):
 
     def __neg__(self):
         return FpTElement._reduced(self.spec, self._v, _pneg(self._u, self.spec.p), self._w)
+
+    def _axpy(self, row, source, cols):
+        """row[j] += self * source[j] for j in cols: one product of the u's and
+        one shifted sum when all three are Laurent (w = 1), else r + self * s."""
+        spec, p, va, ua = self.spec, self.spec.p, self._v, self._u
+        laurent = self._w == (1,)
+        for j in cols:
+            s, r = source[j], row[j]
+            if not (laurent and s._w == r._w == (1,)):
+                row[j] = r + self * s
+            elif ua and s._u:
+                v, t = va + s._v, _pmul(ua, s._u, p)
+                if r._u:
+                    m = min(v, r._v)
+                    t = _padd((0,) * (v - m) + t, (0,) * (r._v - m) + r._u, p)
+                    k = _pord(t) or 0
+                    v, t = m + k, t[k:]
+                row[j] = FpTElement._reduced(spec, v, t, (1,)) if t else spec.zero()
 
     def __eq__(self, other):
         o = self._coerce(other)

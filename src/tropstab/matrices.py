@@ -1,4 +1,5 @@
-"""Square matrices over a valued field, with exact determinant and inverse."""
+"""Square matrices over a valued field, with exact determinant and inverse.
+Every row update, transvections included, is one kernel: `_add_multiple`."""
 
 from __future__ import annotations
 
@@ -31,7 +32,11 @@ def _identity_rows(spec, n):
 
 
 def _add_multiple(row, a, source, cols):
-    """row[j] += a * source[j] for j in cols, the nonzero columns of source."""
+    """row[j] += a * source[j] for j in cols, the nonzero columns of source:
+    the fused update of a's field, or the plain loop over Fractions."""
+    if isinstance(a, FieldElement):
+        a._axpy(row, source, cols)
+        return
     for j in cols:
         row[j] = row[j] + a * source[j]
 
@@ -56,7 +61,7 @@ def _eliminate(rows, zero):
         scale = None  # -1 / pivot: the one inverse of this column, taken once used
         for row in rows[col + 1:]:
             if row[col]:
-                scale = scale or -1 / pivot
+                scale = scale or (-pivot) ** -1
                 _add_multiple(row, row[col] * scale, top, support)
         det = pivot if det is None else det * pivot
     return -det if negate else det

@@ -1,20 +1,24 @@
 """JSON encodings of field data, tropical data, points, and fans.
 
 Rationals travel as strings "a" or "a/b" in base ten; the bottom tropical
-element as "-inf".  The plain form -?[0-9]+(/[0-9]+)? is read with int();
-any other string goes to Fraction's parser, exponent notation refused.
+element as "-inf".  The plain form -?[0-9]+(/[0-9]+)? is read with int(),
+and a Q_p entry in it becomes its reduced pair with one gcd; any other
+string goes to Fraction's parser, exponent notation refused.
 Rational-function field elements are objects with degree-to-coefficient
-maps for numerator and denominator; both are checked, made dense mod p and
-reduced once, as one pair.  Matrices and vectors are nested arrays.
+maps for numerator and denominator.  Each map is checked and reduced mod p
+in one pass.  A one-term denominator c*T^k gives the T-adic normal form at
+once, by a shift and a scaling; any other pair is reduced by the element's
+constructor.  Matrices and vectors are nested arrays.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import weights
 from .errors import DivisionByZeroError, InputError
-from .fields import FieldSpec, FpTElement, QpElement
+from .fields import FieldSpec, FpTElement, QpElement, _pscale
 from .matrices import FieldMatrix
 from .tropical import NEG_INF
 
@@ -36,6 +40,21 @@ def fraction_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _plain_ints(v: str):
+    """(num, den), den > 0 and not reduced, of the plain form
+    -?[0-9]+(/[0-9]+)? read with int(); None for any other string."""
+    num, slash, den = v.partition("/")
+    if not (v.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)):
+        return None
+    try:
+        pair = int(num), int(den or 1)
+    except ValueError as exc:  # past int()'s digit limit
+        raise InputError(f"not a rational: {v!r}") from exc
+    if not pair[1]:
+        raise InputError(f"not a rational: {v!r}")
+    return pair
+
+
 def fraction_from_json(v) -> Fraction:
     if isinstance(v, bool):
         raise InputError(f"not a rational: {v!r}")
@@ -43,12 +62,10 @@ def fraction_from_json(v) -> Fraction:
         return Fraction(v)
     # no exponent notation: "1e10000000" alone would buy unbounded work
     if isinstance(v, str) and "e" not in v.lower():
-        num, slash, den = v.partition("/")
+        pair = _plain_ints(v)
+        if pair:
+            return Fraction(*pair)
         try:
-            # the plain form -?[0-9]+(/[0-9]+)? without the Fraction regex
-            if v.isascii() and num.removeprefix("-").isdigit() and (
-                    den.isdigit() or not slash):
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational: {v!r}") from exc
@@ -80,35 +97,57 @@ def element_to_json(e):
     raise InputError(f"not a field element: {e!r}")
 
 
-def _dense(coeffs: dict, p: int) -> list:
-    """Low-to-high coefficients mod p of a checked {degree: int} map."""
-    dense = [0] * (max(coeffs, default=-1) + 1)
-    for d, c in coeffs.items():
-        dense[d] = c % p
-    return dense
+def _terms(m, p: int) -> dict:
+    """{degree: coefficient mod p} of one degree map, checked in one pass;
+    of two equal degrees ("2" and "002") the last wins, zero or not."""
+    terms = {}
+    for d, c in m.items():
+        if type(c) not in (int, str):
+            raise TypeError("coefficients are integers or integer strings")
+        terms[int(d)] = int(c) % p
+    return terms
+
+
+def _laurent(terms: dict):
+    """(k, coefficients of T^k and up) of the nonzero terms, or (0, ())."""
+    degrees = [d for d, c in terms.items() if c]
+    if not degrees:
+        return 0, ()
+    k = min(degrees)
+    out = [0] * (max(degrees) - k + 1)
+    for d in degrees:
+        out[d - k] = terms[d]
+    return k, tuple(out)
 
 
 def element_from_json(spec: FieldSpec, v):
     try:
+        if spec.kind == "Qp" and isinstance(v, str) and (pair := _plain_ints(v)):
+            g = math.gcd(*pair)
+            return QpElement(spec, pair[0] // g, pair[1] // g)
         if spec.kind == "Qp" or isinstance(v, (int, str)):
             return spec.element(fraction_from_json(v))
         if isinstance(v, dict):
             if v.keys() - {"num", "den"}:
                 raise InputError(f"rational-function element with a key other than "
                                  f"num and den: {v!r}")
+            p = spec.p
             try:
-                maps = v.get("num", {}), v.get("den", {"0": 1})
-                if any(type(c) not in (int, str) for m in maps for c in m.values()):
-                    raise TypeError("coefficients are integers or integer strings")
-                num, den = ({int(d): int(c) for d, c in m.items()} for m in maps)
+                num, den = _terms(v.get("num", {}), p), _terms(v.get("den", {"0": 1}), p)
             except (AttributeError, TypeError, ValueError) as exc:
                 raise InputError(f"invalid rational-function element: {v!r}") from exc
-            degrees = (*num, *den)
-            if min(degrees, default=0) < 0:
+            degrees = num.keys() | den.keys()
+            if degrees and min(degrees) < 0:
                 raise InputError(f"negative degree in rational-function element: {v!r}")
-            if max(degrees, default=0) > MAX_DEGREE:
+            if degrees and max(degrees) > MAX_DEGREE:
                 raise InputError(f"degree above {MAX_DEGREE} in rational-function element")
-            return FpTElement(spec, *(_dense(m, spec.p) for m in (num, den)))
+            (lo, u), (k, w) = _laurent(num), _laurent(den)
+            if len(w) != 1:
+                return FpTElement(spec, (0,) * lo + u, (0,) * k + w)
+            # a one-term denominator c * T^k: T^(lo - k) * (u / c) is the normal form
+            if w[0] != 1:
+                u = _pscale(u, pow(w[0], -1, p), p)
+            return FpTElement._reduced(spec, lo - k, u, (1,)) if u else spec.zero()
     except DivisionByZeroError as exc:
         raise InputError(f"zero denominator modulo {spec.p}: {v!r}") from exc
     raise InputError(f"invalid element encoding: {v!r}")

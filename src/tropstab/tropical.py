@@ -107,16 +107,16 @@ def tropicalize(g: FieldMatrix) -> tuple:
 
 
 def trop_matvec(matrix: Sequence[Sequence[TropScalar]], x: Sequence[TropScalar]) -> tuple:
-    """Max-plus matrix-vector product, over entries scaled to integers."""
+    """Max-plus matrix-vector product: x is scaled to integers once, and
+    row i takes the max over finite terms of m_ij * scale + x_j."""
     n = len(x)
     if any(len(row) != n for row in matrix):
         raise DimensionMismatchError("matrix and vector dimensions differ")
-    scaled, scale = _scaled_int_vector([*x, *(m for row in matrix for m in row)])
-    xi = scaled[:n]
+    xi, scale = _scaled_int_vector(x)
     out = []
-    for i in range(1, len(matrix) + 1):
-        top = max((m + xv for m, xv in zip(scaled[i * n:(i + 1) * n], xi)
-                   if m is not None and xv is not None), default=None)
+    for row in matrix:
+        top = max((m * scale + xv for m, xv in zip(row, xi)
+                   if m is not NEG_INF and xv is not None), default=None)
         out.append(NEG_INF if top is None else top if scale == 1 else Fraction(top, scale))
     return tuple(out)
 

@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropstab import sampling
 from tropstab.errors import (DimensionMismatchError, DomainError, InputError,
                              SingularMatrixError)
 from tropstab.fields import INF, FieldSpec, FpTElement
-from tropstab.matrices import FieldMatrix, _eliminate, perm_sign
+from tropstab.matrices import FieldMatrix, _add_multiple, _eliminate, perm_sign
 
 Q2 = FieldSpec("Qp", 2)
 Q3 = FieldSpec("Qp", 3)
@@ -250,6 +252,69 @@ def test_elimination_inverts_each_pivot_once(monkeypatch):
     monkeypatch.setattr(FpTElement, "inv", counted)
     assert m.determinant() == expected
     assert 0 < len(calls) <= n - 1
+
+
+def test_dense_determinants_coerce_no_int(monkeypatch):
+    # the pivot's negated inverse is taken without turning -1 into a field
+    # element, so a dense determinant coerces nothing
+    rng = random.Random(41)
+    matrices = [_unit_triangular_product(spec, 6, rng) for spec in (Q3, F3T)]
+    calls = []
+    element = FieldSpec.element
+
+    def counted(self, value):
+        calls.append(value)
+        return element(self, value)
+
+    monkeypatch.setattr(FieldSpec, "element", counted)
+    for m in matrices:
+        assert all(not e.is_zero() for row in m.rows for e in row)
+        assert m.determinant() == m.spec.one()
+    assert calls == []
+
+
+def _kernel_entries(spec):
+    """Zero, Laurent polynomials u / T^k and general quotients over F_p(T);
+    zero, small rationals and powers of p over Q_p."""
+    if spec.kind == "Qp":
+        return st.builds(lambda q, k: spec.element(q * Fraction(spec.p) ** k),
+                         st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                         st.integers(-2, 2))
+    poly = st.lists(st.integers(0, spec.p - 1), max_size=3).map(tuple)
+    nonzero = poly.filter(any)
+    laurent = st.builds(lambda u, k: FpTElement(spec, u, (0,) * k + (1,)), poly,
+                        st.integers(0, 2))
+    return st.just(spec.zero()) | laurent | st.builds(
+        lambda u, w: FpTElement(spec, u, w), poly, nonzero)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([Q2, Q3, F3T, None]), st.data())
+def test_add_multiple_matches_entrywise_arithmetic(spec, data):
+    # the fused row update of each field, and the plain loop over Fractions,
+    # give the entries row[j] + a * source[j] exactly; a drawn column's row
+    # entry is -a * source[j], so that the sum cancels to zero
+    entries = (st.fractions(min_value=-9, max_value=9, max_denominator=12) if spec is None
+               else _kernel_entries(spec))
+    width = data.draw(st.integers(1, 5))
+    a = data.draw(entries)
+    source = data.draw(st.lists(entries, min_size=width, max_size=width))
+    row = data.draw(st.lists(entries, min_size=width, max_size=width))
+    for j in data.draw(st.sets(st.integers(0, width - 1))):
+        row[j] = -(a * source[j])
+    cols = data.draw(st.sets(st.integers(0, width - 1))
+                     | st.just({j for j, e in enumerate(source) if e}))
+    expected = [r + a * s if j in cols else r for j, (r, s) in enumerate(zip(row, source))]
+    got = list(row)
+    _add_multiple(got, a, source, sorted(cols))
+    for g, e in zip(got, expected):
+        assert type(g) is type(e)
+        if spec is None:
+            assert g == e
+        else:
+            assert (g.num, g.den, hash(g)) == (e.num, e.den, hash(e)) and g == e
+            if spec.kind == "FpT":
+                assert (g._v, g._u, g._w) == (e._v, e._u, e._w)
 
 
 def test_residue_matrix():

@@ -119,6 +119,9 @@ degree_maps = st.dictionaries(
 @example({"num": {"0": "1"}, "den": {"0": 1, "1": 1}})
 @example({"num": {"1": 2}, "den": {"0": 3, "1": "6"}})
 @example({"num": {}, "den": {}})
+@example({"num": {"2": 1, "002": 0}})
+@example({"den": {"2": 1, "0": 0, "002": 0}})
+@example({"num": {"1": 1}, "den": {"3": 2}})
 def test_fpt_element_matches_polynomial_quotient(data):
     expected = _quotient_oracle(F3T, data)
     if expected is None:
@@ -128,6 +131,24 @@ def test_fpt_element_matches_polynomial_quotient(data):
         got = element_from_json(F3T, data)
         assert (got.num, got.den) == (expected.num, expected.den)
         assert got == expected and hash(got) == hash(expected)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from((FieldSpec("Qp", 2), FieldSpec("Qp", 3), Q5)),
+       st.from_regex(r"-?[0-9]{1,12}(/[0-9]{1,12})?", fullmatch=True))
+@example(Q5, "-0")
+@example(Q5, "007/010")
+@example(Q5, "0/5")
+@example(Q5, "-12/0")
+def test_qp_plain_strings_read_as_their_fraction(spec, text):
+    # the plain form skips Fraction and FieldSpec.element, not their result
+    if not int(text.partition("/")[2] or 1):
+        with pytest.raises(InputError, match="not a rational"):
+            element_from_json(spec, text)
+        return
+    got, expected = element_from_json(spec, text), spec.element(Fraction(text))
+    assert (got.num, got.den, hash(got)) == (expected.num, expected.den, hash(expected))
+    assert got == expected and got.valuation() == expected.valuation()
 
 
 def test_fpt_degree_bound():

@@ -190,15 +190,18 @@ def _count(args, name, default=None):
 
 def _char_params(args):
     """(rep, rank, lam): a Schur --lambda without --n has rank its number of parts."""
+    _, fixed, least = suites.REPRESENTATIONS[args.rep]
+    if fixed is not None and args.lam is not None:
+        raise InputError(f"--rep {args.rep} does not read --lambda")
     lam = _parse_lambda(args.lam) if args.lam else None
+    if fixed is None and lam is None:
+        raise InputError(f"--lambda is required for the {args.rep} representation")
     n = args.n
-    if args.rep == "schur" and lam is None:
-        raise InputError("--lambda is required for the schur representation")
     if n is not None:
-        _rank_in(n, 2 if args.rep == "identity" else 1, f"the {args.rep} representation")
-        if args.rep == "schur" and len(weights.as_partition(lam)) > n:
+        _rank_in(n, least, f"the {args.rep} representation")
+        if lam and len(weights.as_partition(lam)) > n:
             raise InputError(f"--lambda has more than --n = {n} nonzero parts")
-    elif args.rep != "schur":
+    elif fixed is not None:
         raise InputError("--n is required for this representation")
     elif len(lam) > MAX_RANK:
         raise InputError(f"--lambda without --n must have at most {MAX_RANK} parts")
@@ -269,14 +272,13 @@ def _cmd_stabilize(args) -> int:
 
 
 def _expected_cone_count(rep, n, lam):
-    if rep != "schur":  # the orbit of the first coordinate: n weights, times the signs
-        return n * len(suites.REP_GROUPS[rep].signs)
-    rank = len(lam) if n is None else n
-    part = weights.as_partition(lam)
-    padded = part + (0,) * (rank - len(part))
-    # distinct permutations of the padded partition: a multinomial coefficient
+    """|W.lam| from the input: the distinct permutations of the padded
+    highest weight, a multinomial, times a sign per nonzero part for Sp_2n."""
+    group, fixed, _ = suites.REPRESENTATIONS[rep]
+    part = weights.as_partition(fixed or lam)
+    padded = part + (0,) * ((len(lam) if n is None else n) - len(part))
     return math.factorial(len(padded)) // math.prod(
-        math.factorial(padded.count(v)) for v in set(padded))
+        math.factorial(padded.count(v)) for v in set(padded)) * len(group.signs) ** len(part)
 
 
 #: verify --suite fans checks every Weyl element: SL n <= 7, Sp n <= 5.
@@ -284,7 +286,7 @@ MAX_WEYL_ORDER = 5040
 
 def _verify_fans(a, seed):
     rep, n, lam = _char_params(a)
-    if math.factorial(n) * len(suites.REP_GROUPS[rep].signs) ** n > MAX_WEYL_ORDER:
+    if math.factorial(n) * len(suites.REPRESENTATIONS[rep][0].signs) ** n > MAX_WEYL_ORDER:
         raise InputError(f"the fans suite runs over the Weyl group, whose "
                          f"order must be at most {MAX_WEYL_ORDER}")
     return suites.run_fans(rep, seed, n=n, lam=lam, samples=_count(a, "samples", 500),
@@ -339,7 +341,7 @@ def _cmd_verify(args) -> int:
     for name, value in (("field", "qp"), ("p", 2), ("rep", "identity")):
         if getattr(args, name) is None:
             setattr(args, name, value)
-    if args.n is None and args.rep != "schur":
+    if args.n is None and suites.REPRESENTATIONS[args.rep][1] is not None:
         args.n = 3
     report = run(args, _require_seed(args))
     _emit_json(args, report)
@@ -398,7 +400,7 @@ def _cmd_plot(args) -> int:
     p = 2 if args.p is None else _prime(args.p)
     seed = _require_seed(args) if args.sample else 0
     # refused before the character is built: a large Schur one costs seconds
-    svgplot._check_rank_two(suites.REP_GROUPS[rep], n)
+    svgplot._check_rank_two(suites.REPRESENTATIONS[rep][0], n)
     char = suites.character_from_params(rep, n, lam)
     svg = svgplot.render_fan_svg(char, p=p, samples=args.sample, seed=seed,
                                  walls=args.walls)

@@ -201,14 +201,17 @@ class FieldSpec(_Frozen):
             if isinstance(value, float):
                 raise InputError("a float field element is not exact")
             value = Fraction(value)
+        return self._ratio(value.numerator, value.denominator)
+
+    def _ratio(self, num: int, den: int) -> "FieldElement":
+        """num/den from ints, den > 0, reduced by their gcd: every rational enters here."""
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
         if self.kind == "Qp":
-            return QpElement(self, value.numerator, value.denominator)
-        num = value.numerator % self.p
-        den = value.denominator % self.p
-        if den == 0:
-            raise DivisionByZeroError(
-                f"denominator of {value} vanishes modulo {self.p}")
-        c = (num * pow(den, -1, self.p)) % self.p
+            return QpElement(self, num, den)
+        if not den % self.p:
+            raise DivisionByZeroError(f"denominator of {num}/{den} vanishes modulo {self.p}")
+        c = num * pow(den, -1, self.p) % self.p
         return FpTElement._reduced(self, 0, (c,) if c else (), (1,))
 
     def polynomial(self, coeffs) -> "FieldElement":

@@ -2,8 +2,9 @@
 
 Rationals travel as strings "a" or "a/b" in base ten; the bottom tropical
 element as "-inf".  The plain form -?[0-9]+(/[0-9]+)? is read with int(),
-and a Q_p entry in it becomes its reduced pair with one gcd; any other
-string goes to Fraction's parser, exponent notation refused.
+and an entry in it becomes an element of either field from its int pair,
+reduced with one gcd; any other string goes to Fraction's parser, exponent
+notation refused.
 Rational-function field elements are objects with degree-to-coefficient
 maps for numerator and denominator.  Each map is checked and reduced mod p
 in one pass.  A one-term denominator c*T^k gives the T-adic normal form at
@@ -13,7 +14,6 @@ constructor.  Matrices and vectors are nested arrays.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import weights
@@ -122,9 +122,8 @@ def _laurent(terms: dict):
 
 def element_from_json(spec: FieldSpec, v):
     try:
-        if spec.kind == "Qp" and isinstance(v, str) and (pair := _plain_ints(v)):
-            g = math.gcd(*pair)
-            return QpElement(spec, pair[0] // g, pair[1] // g)
+        if isinstance(v, str) and (pair := _plain_ints(v)):
+            return spec._ratio(*pair)
         if spec.kind == "Qp" or isinstance(v, (int, str)):
             return spec.element(fraction_from_json(v))
         if isinstance(v, dict):

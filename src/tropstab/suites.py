@@ -33,13 +33,12 @@ from .serialize import (matrix_to_json, point_to_json, spec_to_json)
 from .tropical import (NEG_INF, stabilizes_tropically, trop_add,
                        trop_matvec, trop_mul, tropicalize,
                        valuation_inequality_oracle)
-from .weights import (WeightedCharacter, dominance_cone, dominant_weight,
+from .weights import (WeightedCharacter, _character, dominance_cone, dominant_weight,
                       integer_coords, normal_cone_member, partitions_of,
                       polytope_vertices, schur_eval_bialternant,
                       schur_eval_tableaux, skeleton_member,
-                      sl_identity_character, sl_partition_character,
-                      sp_standard_character, tropical_hypersurface_member,
-                      weight_fan, weyl_cone, weyl_elements)
+                      tropical_hypersurface_member, weight_fan, weyl_cone,
+                      weyl_elements)
 
 
 def _run(name, cases, bad):
@@ -372,19 +371,21 @@ def run_sp(spec: FieldSpec, n: int, seed: int, count: int = 300):
 # ----------------------------------------------------------------------
 # fans, polytope vertices, hypersurface
 
-#: Representation tag -> the group whose character it is.
-REP_GROUPS = {"identity": GROUP_SL, "sp": GROUP_SP, "schur": GROUP_SL}
+#: Representation tag -> (group, highest weight, least rank), in --rep's order.
+#: The schur highest weight, None here, is the partition given with the tag.
+REPRESENTATIONS = {"identity": (GROUP_SL, (1,), 2), "sp": (GROUP_SP, (1,), 1),
+                   "schur": (GROUP_SL, None, 1)}
 
 
 def character_from_params(rep: str, n: int | None = None, lam=None) -> WeightedCharacter:
-    if rep not in REP_GROUPS:
+    """The tag's character at rank n, by default the number of parts given."""
+    if rep not in REPRESENTATIONS:
         raise InputError(f"unknown representation tag {rep!r}")
-    if rep == "identity":
-        return sl_identity_character(n)
-    if rep == "sp":
-        return sp_standard_character(n)
-    lam = tuple(lam)
-    return sl_partition_character(lam, len(lam) if n is None else n)
+    group, fixed, least = REPRESENTATIONS[rep]
+    if fixed is not None and lam is not None:
+        raise InputError(f"the {rep} representation takes no partition")
+    lam = tuple(fixed or lam)
+    return _character(group, lam, len(lam) if n is None else n, least)
 
 
 def _character_params(params, n, lam):

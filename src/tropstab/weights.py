@@ -1,13 +1,15 @@
 """Weight systems of the built-in representations and their geometry.
 
 A WeightedCharacter is a finite map from integer weight vectors to
-multiplicities, and a group.  From it we compute the dominance cone of
-each extreme weight, the complete fan of such cones, the vertex set of the
-weight polytope (by exact integer certificates, and linear feasibility
-where they say nothing), and membership in the tropical hypersurface cut
-out by the character, whose locus coincides with the codimension-one
-skeleton of the fan.  Two independent routes evaluate Schur polynomials:
-semistandard tableau enumeration and the bialternant determinant ratio.
+multiplicities, and a group; a built-in one is the Weyl orbits of its
+dominant weights, with their multiplicities.  From it we compute the
+dominance cone of each extreme weight, the complete fan of such cones, the
+vertex set of the weight polytope (by exact integer certificates, and
+linear feasibility where they say nothing), and membership in the tropical
+hypersurface cut out by the character, whose locus coincides with the
+codimension-one skeleton of the fan.  Two independent routes evaluate
+Schur polynomials: semistandard tableau enumeration and the bialternant
+determinant ratio.
 """
 
 from __future__ import annotations
@@ -85,15 +87,6 @@ def kostka_number(lam, mu) -> int:
     return total
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def partitions_of(m: int, max_parts: int | None = None):
     """All partitions of m, largest part first, optionally with bounded length."""
     limit = m if max_parts is None else max_parts
@@ -158,34 +151,14 @@ class WeightedCharacter:
         return f"WeightedCharacter({self.group}, rank={self.rank}, dim={self.dimension()})"
 
 
-def _standard_character(group: Group, n: int) -> WeightedCharacter:
-    """The Weyl orbit of the first coordinate character, each weight once."""
-    return WeightedCharacter(group, n, {tuple(s * (j == i) for j in range(n)): 1
-                                        for i in range(n) for s in group.signs})
-
-
 def sl_identity_character(n: int) -> WeightedCharacter:
     """Weights of the identity representation: the n coordinate characters."""
-    if n < 2:
-        raise InputError("rank at least two required")
-    return _standard_character(GROUP_SL, n)
+    return _character(GROUP_SL, (1,), n, least=2)
 
 
 def sp_standard_character(n: int) -> WeightedCharacter:
     """Weights of the standard symplectic representation: plus-minus coordinates."""
-    if n < 1:
-        raise InputError("rank at least one required")
-    return _standard_character(GROUP_SP, n)
-
-
-@lru_cache(maxsize=None)
-def _partition_character(lam: tuple, n: int) -> WeightedCharacter:
-    weights = {}
-    for mu in _compositions(sum(lam), n):
-        k = kostka_number(lam, mu)
-        if k:
-            weights[mu] = k
-    return WeightedCharacter(GROUP_SL, n, weights)
+    return _character(GROUP_SP, (1,), n)
 
 
 def sl_partition_character(lam, n: int) -> WeightedCharacter:
@@ -194,10 +167,28 @@ def sl_partition_character(lam, n: int) -> WeightedCharacter:
     The multiplicity of a content vector mu is the Kostka number for
     (lam, mu); contents with Kostka number zero are omitted.
     """
+    return _character(GROUP_SL, lam, n)
+
+
+def _character(group: Group, lam, n: int, least: int = 1) -> WeightedCharacter:
+    """The character of highest weight lam at rank n, checked."""
     lam = as_partition(lam)
+    if n < least:
+        raise InputError(f"rank at least {least} required")
     if len(lam) > n:
         raise TooManyPartsError("partition has more parts than the rank")
-    return _partition_character(lam, n)
+    return _partition_character(group, lam, n)
+
+
+@lru_cache(maxsize=None)
+def _partition_character(group: Group, lam: tuple, n: int) -> WeightedCharacter:
+    """Each partition mu of |lam| with at most n parts, a dominant weight, over
+    its Weyl orbit with the Kostka number K(lam, mu), which permuting mu keeps;
+    over Sp_2n these are the multiplicities for lam = (1,) only."""
+    dominant = ((mu + (0,) * (n - len(mu)), kostka_number(lam, mu))
+                for mu in partitions_of(sum(lam), n))
+    return WeightedCharacter(group, n, {w: k for mu, k in dominant if k
+                                        for w in weyl_orbit(group, mu)})
 
 
 def _schur_input(lam, z) -> tuple:

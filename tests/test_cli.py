@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from tropstab import cli, matrices, suites
 from tropstab.cli import _expected_cone_count, main
-from tropstab.groups import GROUPS
+from tropstab.groups import GROUP_SL, GROUP_SP, GROUPS
+from tropstab.weights import weyl_orbit
 
 
 def run_cli(capsys, *argv):
@@ -348,6 +349,26 @@ def test_expected_cone_count_counts_distinct_permutations():
         padded = lam + (0,) * (rank - len(lam))
         assert _expected_cone_count("schur", n, lam) == \
             len(set(itertools.permutations(padded)))
+    for rep, group in (("identity", GROUP_SL), ("sp", GROUP_SP)):
+        for n in range(1, 8):
+            assert _expected_cone_count(rep, n, None) == \
+                len(weyl_orbit(group, (1,) + (0,) * (n - 1)))
+
+
+def test_fixed_highest_weights_refuse_lambda(capsys):
+    # identity and sp have a fixed highest weight, so --lambda is a flag they do not read
+    for rep in ("identity", "sp"):
+        for argv in (("fan",), ("hypersurface", "--sample", "1", "--seed", "1"), ("plot",),
+                     ("verify", "--suite", "fans", "--seed", "1"),
+                     ("verify", "--suite", "hypersurface", "--seed", "1")):
+            code, out, err = run_cli(capsys, *argv, "--rep", rep, "--n", "2",
+                                     "--lambda", "2,1")
+            assert (code, out, err) == (2, "", f"error: --rep {rep} does not read --lambda\n")
+    # --rep identity is the default of all but fan
+    for argv in (("hypersurface", "--sample", "1", "--seed", "1"), ("plot",),
+                 ("verify", "--suite", "fans", "--seed", "1")):
+        code, out, err = run_cli(capsys, *argv, "--n", "3", "--lambda", "1")
+        assert (code, out, err) == (2, "", "error: --rep identity does not read --lambda\n")
 
 
 def test_verify_requires_seed(capsys):
@@ -781,8 +802,8 @@ def test_rep_choices_are_the_rep_groups():
     options = _command_options()
     for command in ("verify", "fan", "hypersurface", "plot"):
         rep = next(a for a in options[command] if a.option_strings == ["--rep"])
-        assert rep.choices == tuple(suites.REP_GROUPS)
-    for rep, group in suites.REP_GROUPS.items():
+        assert rep.choices == tuple(suites.REPRESENTATIONS)
+    for rep, (group, _, _) in suites.REPRESENTATIONS.items():
         lam = (1, 0) if rep == "schur" else None
         assert suites.character_from_params(rep, 2, lam).group is group
 

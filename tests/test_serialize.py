@@ -134,16 +134,23 @@ def test_fpt_element_matches_polynomial_quotient(data):
 
 
 @settings(max_examples=300)
-@given(st.sampled_from((FieldSpec("Qp", 2), FieldSpec("Qp", 3), Q5)),
+@given(st.sampled_from((FieldSpec("Qp", 2), FieldSpec("Qp", 3), Q5,
+                        FieldSpec("FpT", 2), F3T, FieldSpec("FpT", 5))),
        st.from_regex(r"-?[0-9]{1,12}(/[0-9]{1,12})?", fullmatch=True))
 @example(Q5, "-0")
 @example(Q5, "007/010")
 @example(Q5, "0/5")
 @example(Q5, "-12/0")
+@example(F3T, "3/3")
+@example(F3T, "6/9")
 def test_qp_plain_strings_read_as_their_fraction(spec, text):
     # the plain form skips Fraction and FieldSpec.element, not their result
     if not int(text.partition("/")[2] or 1):
         with pytest.raises(InputError, match="not a rational"):
+            element_from_json(spec, text)
+        return
+    if spec.kind == "FpT" and not Fraction(text).denominator % spec.p:
+        with pytest.raises(InputError, match=f"zero denominator modulo {spec.p}"):
             element_from_json(spec, text)
         return
     got, expected = element_from_json(spec, text), spec.element(Fraction(text))

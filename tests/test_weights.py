@@ -141,6 +141,23 @@ def test_partition_character_rejects_long_partitions():
         sl_partition_character((1, 1, 1), 2)
 
 
+def test_orbit_characters_match_kostka_numbers_on_every_composition():
+    # the construction the Weyl-orbit builder replaced is the oracle: a Kostka
+    # number for every composition of |lam|, and each (signed) coordinate once
+    for n in range(1, 6):
+        for size in range(7 if n < 5 else 5):
+            for lam in partitions_of(size, max_parts=n):
+                oracle = {mu: k for mu in itertools.product(range(size + 1), repeat=n)
+                          if sum(mu) == size and (k := kostka_number(lam, mu))}
+                assert dict(sl_partition_character(lam, n).items()) == oracle, (lam, n)
+    for n in range(1, 9):
+        for signs, char in (((1,), sl_identity_character(max(n, 2))),
+                            ((1, -1), sp_standard_character(n))):
+            oracle = {tuple(s * (j == i) for j in range(char.rank)): 1
+                      for i in range(char.rank) for s in signs}
+            assert dict(char.items()) == oracle
+
+
 def test_vertex_weights_have_multiplicity_one():
     char = sl_partition_character((2, 1, 0), 3)
     for mu in polytope_vertices(char):
